@@ -34,9 +34,7 @@ from .diffcore import (
     scale,
     softmax_temp,
 )
-from .views import ViewFeatures
-
-VIEWS = ("text", "image", "cross")
+from .views import VIEWS
 
 
 @dataclass(frozen=True)
@@ -100,30 +98,12 @@ class CalibratorParams:
                 p.tensor.values[...] = 0.0
 
 
-@dataclass
-class CalibratedViews:
-    """Calibrated view vectors plus the corrections that produced them."""
-
-    f_text: Tensor
-    f_image: Tensor
-    f_cross: Tensor
-    correction_text: Tensor
-    correction_image: Tensor
-    correction_cross: Tensor
-
-    def view(self, name: str) -> Tensor:
-        return getattr(self, f"f_{name}")
-
-    def correction(self, name: str) -> Tensor:
-        return getattr(self, f"correction_{name}")
-
-
-def concat_views(v: ViewFeatures) -> Tensor:
+def concat_views(v: dict[str, Tensor]) -> Tensor:
     """Concatenate the three view vectors in the fixed order text, image, cross."""
-    dims = {t.shape[-1] for t in (v.f_text, v.f_image, v.f_cross)}
+    dims = {v[view].shape[-1] for view in VIEWS}
     if len(dims) != 1:
         raise DimensionError(f"views disagree on dimension: {sorted(dims)}")
-    return concat([v.f_text, v.f_image, v.f_cross], axis=-1)
+    return concat([v[view] for view in VIEWS], axis=-1)
 
 
 def predict_correction(f_concat: Tensor, params: CalibratorParams, view: str) -> Tensor:
@@ -157,44 +137,22 @@ def distill_loss(f_hat: Tensor, f_teacher: Tensor, y, cfg: DistillConfig, head) 
     return add(scale(kl, cfg.alpha * cfg.tau * cfg.tau), scale(ce, 1.0 - cfg.alpha))
 
 
-def calibrate_views(v: ViewFeatures, params: CalibratorParams) -> CalibratedViews:
+def calibrate_views(v: dict[str, Tensor], params: CalibratorParams) -> dict[str, Tensor]:
     """Predict all three corrections from the shared context and apply them."""
     f_concat = concat_views(v)
-    corrections = {view: predict_correction(f_concat, params, view) for view in VIEWS}
-    calibrated = {view: calibrate(v.as_dict()[view], corrections[view]) for view in VIEWS}
-    return CalibratedViews(
-        f_text=calibrated["text"],
-        f_image=calibrated["image"],
-        f_cross=calibrated["cross"],
-        correction_text=corrections["text"],
-        correction_image=corrections["image"],
-        correction_cross=corrections["cross"],
-    )
-
-
-def distill_losses(
-    c: CalibratedViews, t, y, cfg: DistillConfig, params: CalibratorParams
-) -> dict[str, Tensor]:
-    """Distillation loss for each enabled view; disabled views contribute nothing
-    (their teacher embedding is never touched)."""
     return {
-        view: distill_loss(c.view(view), t.view(view), y, cfg, params.heads[view])
-        for view in VIEWS
-        if view in cfg.enabled_views
+        view: calibrate(v[view], predict_correction(f_concat, params, view)) for view in VIEWS
     }
 
 
-def calibration_forward(
-    v: ViewFeatures,
-    t,
-    y,
-    cfg: DistillConfig,
-    params: CalibratorParams,
-) -> tuple[CalibratedViews, dict[str, Tensor]]:
-    """Calibrate all three views and compute the per-view distillation losses.
-
-    Disabled views still get calibrated features; they simply contribute no
-    loss term.
-    """
-    calibrated = calibrate_views(v, params)
-    return calibrated, distill_losses(calibrated, t, y, cfg, params)
+def distill_losses(
+    c: dict[str, Tensor], t: dict[str, Tensor], y, cfg: DistillConfig, params: CalibratorParams
+) -> dict[str, Tensor]:
+    """Distillation loss for each enabled view; disabled views contribute nothing
+    (their teacher embedding is never touched). Disabled views are still
+    calibrated: ``calibrate_views`` runs for every view."""
+    return {
+        view: distill_loss(c[view], t[view], y, cfg, params.heads[view])
+        for view in VIEWS
+        if view in cfg.enabled_views
+    }

@@ -17,8 +17,6 @@ import sys
 from dataclasses import asdict
 from pathlib import Path
 
-import numpy as np
-
 from . import diffcore
 from .config import TrainConfig, build_configs, read_config_file
 from .datasynth import (
@@ -53,6 +51,7 @@ from .trainer import (
     sweep_chart,
     train,
 )
+from .views import SOURCE_TAGS, VIEWS
 
 
 def _load_configs(args) -> tuple[TrainConfig, SyntheticConfig]:
@@ -62,13 +61,6 @@ def _load_configs(args) -> tuple[TrainConfig, SyntheticConfig]:
         train_cfg = train_cfg.replace(master_seed=args.seed)
         synth_cfg = SyntheticConfig(**{**asdict(synth_cfg), "seed": args.seed})
     return train_cfg, synth_cfg
-
-
-def _sample_content(sample) -> str:
-    pooled = np.concatenate(
-        [seq.tokens.values.mean(axis=0) for seq in sample.sequences().values()]
-    )
-    return " ".join(format(v, ".3f") for v in pooled)
 
 
 def _load_dataset(features_path, teacher_path=None):
@@ -114,7 +106,7 @@ def cmd_gen_data(args) -> int:
     records = [
         ReasoningRecord(s.sample_id, view, "", Tensor(s.teacher.view(view).values))
         for s in samples
-        for view in ("text", "image", "cross")
+        for view in VIEWS
     ]
     save_teacher_file(records, spec, out / "teacher.jsonl")
     print(f"wrote {len(samples)} samples to {out}/features.jsonl and {out}/teacher.jsonl")
@@ -125,12 +117,13 @@ def cmd_gen_teacher(args) -> int:
     samples = load_features_file(args.features)
     templates = default_templates()
     payloads = [
-        SamplePayload(s.sample_id, _sample_content(s), f"{s.sample_id}-image") for s in samples
+        SamplePayload(s.sample_id, s.content(*SOURCE_TAGS), f"{s.sample_id}-image")
+        for s in samples
     ]
     if args.mode == "mock":
         records = []
         for payload in payloads:
-            for view in ("text", "image", "cross"):
+            for view in VIEWS:
                 prompt = templates[view].fill(payload.text, payload.image_ref)
                 digest = hashlib.sha256(prompt.encode()).hexdigest()[:16]
                 chain = f"mock {view} reasoning for {payload.sample_id} [{digest}]"
@@ -235,8 +228,7 @@ def cmd_grad_check(args) -> int:
         d=args.d, d_h=2 * args.d, heads=heads, encoder_heads=heads, master_seed=args.seed or 0
     )
     model = Model(cfg, infer_d_in(samples))
-    data = StackedDataset.from_samples(samples, include_teacher=True)
-    batch = data.batch(np.arange(len(samples)))
+    batch = StackedDataset.from_samples(samples, include_teacher=True)
     report = diffcore.grad_check(
         lambda: model.forward_loss(batch).graph, model.parameters(), h=1e-5, tol=1e-4
     )

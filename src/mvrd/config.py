@@ -189,7 +189,3 @@ def _resolve_type(annotation):
     if isinstance(annotation, str):
         return mapping.get(annotation, tuple)
     return annotation
-
-
-def load_configs(path):
-    return build_configs(read_config_file(path))

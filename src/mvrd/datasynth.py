@@ -26,7 +26,7 @@ from pathlib import Path
 import numpy as np
 
 from .diffcore import ParameterError, Tensor, ValidationError
-from .fileio import FormatError, floats2d_json, read_record_lines
+from .fileio import FormatError, check_format_version, floats2d_json, read_record_lines
 from .teacher import (
     CORRUPTION_TYPES,
     TeacherEmbeddings,
@@ -60,6 +60,12 @@ class Sample:
                 f"sample {self.sample_id!r}: label {self.label} inconsistent with "
                 f"corruption {self.corruption!r}"
             )
+        for tag, seq in self.sequences().items():
+            if seq.source_tag != tag:
+                raise ValidationError(
+                    f"sample {self.sample_id!r}: sequence tagged {seq.source_tag!r} "
+                    f"in the {tag} slot"
+                )
 
     def sequences(self) -> dict[str, EmbeddedSequence]:
         return {
@@ -68,6 +74,12 @@ class Sample:
             "clip-text": self.clip_text_seq,
             "clip-image": self.clip_image_seq,
         }
+
+    def content(self, *tags: str) -> str:
+        """The named sequences, each mean-pooled over positions, as 3-decimal
+        text: the raw content a prompt-less teacher sees."""
+        pooled = np.concatenate([self.sequences()[tag].tokens.values.mean(axis=0) for tag in tags])
+        return " ".join(format(v, ".3f") for v in pooled)
 
 
 @dataclass(frozen=True)
@@ -277,12 +289,10 @@ def save_features_file(samples: list[Sample], path) -> None:
 def load_features_file(path) -> list[Sample]:
     """Load samples from a features file; teacher embeddings attach separately."""
     path = Path(path)
-    if not Path(path).read_text("utf-8").strip():
-        return []
     header, lines = read_record_lines(path)
-    check_version = header.get("format_version")
-    if check_version != 1:
-        raise FormatError(f"{path}: unsupported format_version {check_version!r}")
+    if header is None:
+        return []
+    check_format_version(path, header)
     d_in = header.get("d_in")
     if not isinstance(d_in, dict):
         raise FormatError(f"{path}: header is missing the d_in map")
@@ -297,10 +307,12 @@ def load_features_file(path) -> list[Sample]:
             corruption = str(obj["corruption"])
             tag = str(obj["source_tag"])
             tokens = np.asarray(obj["tokens"], dtype=np.float64)
-        except (KeyError, TypeError, ValueError) as exc:
+        except (KeyError, TypeError, ValueError, OverflowError) as exc:
             raise FormatError(f"{path}: line {lineno}: bad record ({exc})") from exc
         if tag not in SOURCE_TAGS:
             raise FormatError(f"{path}: line {lineno}: unknown source_tag {tag!r}")
+        if not np.isfinite(tokens).all():
+            raise FormatError(f"{path}: line {lineno}: non-finite token value")
         if tokens.ndim != 2 or tokens.shape[1] != d_in.get(tag):
             raise FormatError(
                 f"{path}: sample {sid!r} has d_in {tokens.shape[1:]} for {tag}, "

@@ -32,19 +32,22 @@ def floats2d_json(rows) -> str:
     return "[" + ",".join(floats_json(row) for row in np.asarray(rows)) + "]"
 
 
-def read_record_lines(path) -> tuple[dict, list[tuple[int, dict]]]:
-    """Read header + records; returns (header, [(line_number, record), ...])."""
+def read_record_lines(path) -> tuple[dict | None, list[tuple[int, dict]]]:
+    """Read header + records; returns (header, [(line_number, record), ...]).
+
+    The header is None when the file holds no non-blank line.
+    """
     path = Path(path)
     header: dict | None = None
     records: list[tuple[int, dict]] = []
-    with path.open("r", encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            line = line.strip()
-            if not line:
-                continue
+    with path.open("rb") as fh:
+        for lineno, raw in enumerate(fh, start=1):
             try:
+                line = raw.decode("utf-8").strip()
+                if not line:
+                    continue
                 obj = json.loads(line)
-            except json.JSONDecodeError as exc:
+            except (ValueError, RecursionError) as exc:  # bad UTF-8 or JSON, deep nesting
                 raise FormatError(f"{path}: line {lineno}: invalid record ({exc})") from exc
             if not isinstance(obj, dict):
                 raise FormatError(f"{path}: line {lineno}: record is not an object")
@@ -52,12 +55,12 @@ def read_record_lines(path) -> tuple[dict, list[tuple[int, dict]]]:
                 header = obj
             else:
                 records.append((lineno, obj))
-    if header is None:
-        raise FormatError(f"{path}: missing header line")
     return header, records
 
 
-def check_format_version(path, header: dict, expected: int = 1) -> None:
+def check_format_version(path, header: dict | None, expected: int = 1) -> None:
+    if header is None:
+        raise FormatError(f"{path}: missing header line")
     version = header.get("format_version")
     if version != expected:
         raise FormatError(f"{path}: unsupported format_version {version!r} (expected {expected})")

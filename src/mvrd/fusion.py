@@ -27,9 +27,7 @@ from .diffcore import (
     reshape,
     scale,
 )
-from .views import AttentionParams, ViewFeatures, multi_head_attention
-
-VIEWS = ("text", "image", "cross")
+from .views import VIEWS, AttentionParams, multi_head_attention
 
 
 class FusionParams:
@@ -60,9 +58,9 @@ class FusionParams:
         return out
 
 
-def pool_views(calibrated) -> Tensor:
+def pool_views(calibrated: dict[str, Tensor]) -> Tensor:
     """Element-wise mean of the three calibrated view vectors."""
-    f_t, f_i, f_c = calibrated.f_text, calibrated.f_image, calibrated.f_cross
+    f_t, f_i, f_c = (calibrated[view] for view in VIEWS)
     if not (f_t.shape == f_i.shape == f_c.shape):
         raise DimensionError(
             f"calibrated views disagree: {f_t.shape}, {f_i.shape}, {f_c.shape}"
@@ -70,10 +68,10 @@ def pool_views(calibrated) -> Tensor:
     return scale(add(add(f_t, f_i), f_c), 1.0 / 3.0)
 
 
-def build_view_set(calibrated) -> Tensor:
+def build_view_set(calibrated: dict[str, Tensor]) -> Tensor:
     """Stack the calibrated views into a (3, d) matrix, order text/image/cross."""
-    f_t = calibrated.f_text
-    stacked = concat([f_t, calibrated.f_image, calibrated.f_cross], axis=-1)
+    f_t = calibrated["text"]
+    stacked = concat([calibrated[view] for view in VIEWS], axis=-1)
     return reshape(stacked, f_t.shape[:-1] + (3, f_t.shape[-1]))
 
 
@@ -90,12 +88,12 @@ def _mean_ce(logits: Tensor, y) -> Tensor:
 
 
 def classification_losses(
-    f_final: Tensor, raw_views: ViewFeatures, y, params: FusionParams
+    f_final: Tensor, raw_views: dict[str, Tensor], y, params: FusionParams
 ) -> tuple[Tensor, Tensor]:
     """Final-head CE plus the summed branch CEs on the pre-calibration features."""
     loss_final = _mean_ce(linear(f_final, *params.final_head), y)
     branch_terms = [
-        _mean_ce(linear(raw_views.as_dict()[view], *params.branch_heads[view]), y)
+        _mean_ce(linear(raw_views[view], *params.branch_heads[view]), y)
         for view in VIEWS
     ]
     loss_branch = add(add(branch_terms[0], branch_terms[1]), branch_terms[2])

@@ -1,5 +1,12 @@
 """Full student model: encoders -> calibration -> fusion -> losses.
 
+There is one forward path, and it is batched: a ``StackedDataset`` holds
+(B, L, d_in) token arrays per source, ``Model.encode_batch`` turns them into
+per-view (B, d) features, ``calibrate_views`` adds the predicted corrections,
+and ``Model.fuse`` attends over the calibrated views. Per-view tensors are
+``dict[str, Tensor]`` keyed by ``VIEWS``. Training slices minibatches out of
+one stacked dataset; prediction stacks each chunk of samples.
+
 The model owns three parameter groups (view encoders, calibrator, fusion) and
 implements the ablation switches from TrainConfig:
 
@@ -7,13 +14,12 @@ implements the ablation switches from TrainConfig:
   constant zero vector right after encoding, removing it everywhere downstream
 * ``no_feature_extractors_mode``: view features are raw mean-pooled input
   tokens (requires d_in == d)
-* ``no_attention_mode``: every attention block degrades to mean pooling
-  (encoders pool+project; fusion returns the pooled query itself)
+* ``no_attention_mode``: the attention step is skipped: encoders pool and
+  project the raw tokens, and fusion returns the pooled query itself
 * ``no_teacher`` / lambda == 0: the distillation subgraph is never recorded,
   so teacher values provably cannot influence gradients
 
-Minibatches are processed as stacked (B, L, d_in) arrays, which requires
-uniform sequence lengths per source across a batch.
+Stacking requires uniform sequence lengths per source across a batch.
 """
 
 from __future__ import annotations
@@ -36,43 +42,12 @@ from .fusion import (
 )
 from .views import (
     SOURCE_TAGS,
+    VIEWS,
     ViewEncoderParams,
-    ViewFeatures,
-    attend_and_project,
-    co_attend_and_project,
     co_pool_and_project,
+    multi_head_attention,
     pool_and_project,
 )
-
-VIEWS = ("text", "image", "cross")
-
-
-class BatchedTeacher:
-    """Per-view (B, d) teacher targets; always gradient-free."""
-
-    def __init__(self, text: np.ndarray, image: np.ndarray, cross: np.ndarray):
-        self.text = Tensor(text)
-        self.image = Tensor(image)
-        self.cross = Tensor(cross)
-
-    def view(self, name: str) -> Tensor:
-        return getattr(self, name)
-
-
-@dataclass
-class Batch:
-    """One stacked minibatch of samples."""
-
-    text: np.ndarray
-    image: np.ndarray
-    clip_text: np.ndarray
-    clip_image: np.ndarray
-    labels: np.ndarray
-    teacher: BatchedTeacher | None
-
-    @property
-    def size(self) -> int:
-        return len(self.labels)
 
 
 def infer_d_in(samples) -> dict[str, int]:
@@ -91,7 +66,10 @@ def infer_d_in(samples) -> dict[str, int]:
 
 @dataclass
 class StackedDataset:
-    """Whole dataset pre-stacked so minibatches are cheap row slices."""
+    """Samples stacked into (N, L, d_in) arrays; ``batch`` slices rows out.
+
+    ``teacher`` holds one (N, d) array per view, in ``VIEWS`` order.
+    """
 
     text: np.ndarray
     image: np.ndarray
@@ -129,17 +107,15 @@ class StackedDataset:
             teacher=teacher,
         )
 
-    def batch(self, idx: np.ndarray) -> Batch:
-        teacher = None
-        if self.teacher is not None:
-            teacher = BatchedTeacher(*(arr[idx] for arr in self.teacher))
-        return Batch(
+    def batch(self, idx: np.ndarray) -> "StackedDataset":
+        """The rows ``idx``, copied."""
+        return StackedDataset(
             text=self.text[idx],
             image=self.image[idx],
             clip_text=self.clip_text[idx],
             clip_image=self.clip_image[idx],
             labels=self.labels[idx],
-            teacher=teacher,
+            teacher=None if self.teacher is None else tuple(arr[idx] for arr in self.teacher),
         )
 
 
@@ -165,49 +141,58 @@ class Model:
 
     # -- forward ------------------------------------------------------------
 
-    def encode_batch(self, batch: Batch) -> ViewFeatures:
+    def encode_batch(self, batch: StackedDataset) -> dict[str, Tensor]:
+        """Per-view (B, d) features of a stacked batch, keyed by ``VIEWS``."""
         cfg, enc = self.cfg, self.encoder
         text = Tensor(batch.text)
         image = Tensor(batch.image)
         clip_t = Tensor(batch.clip_text)
         clip_i = Tensor(batch.clip_image)
         if cfg.no_feature_extractors_mode:
-            f_text = mean(text, axis=-2)
-            f_image = mean(image, axis=-2)
-            f_cross = scale(add(mean(clip_i, axis=-2), mean(clip_t, axis=-2)), 0.5)
-        elif cfg.no_attention_mode:
-            f_text = pool_and_project(text, enc.text_proj, enc.pooling)
-            f_image = pool_and_project(image, enc.image_proj, enc.pooling)
-            f_cross = co_pool_and_project(clip_i, clip_t, enc)
+            views = {
+                "text": mean(text, axis=-2),
+                "image": mean(image, axis=-2),
+                "cross": scale(add(mean(clip_i, axis=-2), mean(clip_t, axis=-2)), 0.5),
+            }
         else:
-            f_text = attend_and_project(text, enc.text_attn, enc.text_proj, enc.pooling)
-            f_image = attend_and_project(image, enc.image_attn, enc.image_proj, enc.pooling)
-            f_cross = co_attend_and_project(clip_i, clip_t, enc)
+            if not cfg.no_attention_mode:
+                text = multi_head_attention(text, text, enc.text_attn)
+                image = multi_head_attention(image, image, enc.image_attn)
+                clip_i, clip_t = (
+                    multi_head_attention(clip_i, clip_t, enc.cross_i2t),
+                    multi_head_attention(clip_t, clip_i, enc.cross_t2i),
+                )
+            views = {
+                "text": pool_and_project(text, enc.text_proj, enc.pooling),
+                "image": pool_and_project(image, enc.image_proj, enc.pooling),
+                "cross": co_pool_and_project(clip_i, clip_t, enc),
+            }
         if cfg.drop_text_view:
-            f_text = Tensor(np.zeros((batch.size, cfg.d)))
+            views["text"] = Tensor(np.zeros((len(batch.labels), cfg.d)))
         if cfg.drop_image_view:
-            f_image = Tensor(np.zeros((batch.size, cfg.d)))
-        return ViewFeatures(f_text=f_text, f_image=f_image, f_cross=f_cross)
+            views["image"] = Tensor(np.zeros((len(batch.labels), cfg.d)))
+        return views
 
-    def forward_loss(self, batch: Batch) -> LossBreakdown:
+    def forward_loss(self, batch: StackedDataset) -> LossBreakdown:
         cfg = self.cfg
         lam = cfg.lambda_effective
         views = self.encode_batch(batch)
         calibrated = calibrate_views(views, self.calibrator)
         dcfg = DistillConfig(cfg.tau, cfg.alpha, cfg.enabled_views)
+        teacher = None
+        if batch.teacher is not None:
+            teacher = {view: Tensor(arr) for view, arr in zip(VIEWS, batch.teacher)}
         if lam > 0:
-            if batch.teacher is None:
+            if teacher is None:
                 raise ConfigError(
                     "distillation is enabled but the batch has no teacher embeddings"
                 )
-            distill = distill_losses(calibrated, batch.teacher, batch.labels, dcfg, self.calibrator)
-        elif batch.teacher is not None:
+            distill = distill_losses(calibrated, teacher, batch.labels, dcfg, self.calibrator)
+        elif teacher is not None:
             # report-only values: computed outside the tape so the teacher can
             # never touch the parameter trajectory
             with no_grad():
-                distill = distill_losses(
-                    calibrated, batch.teacher, batch.labels, dcfg, self.calibrator
-                )
+                distill = distill_losses(calibrated, teacher, batch.labels, dcfg, self.calibrator)
         else:
             distill = {}
         f_final = self.fuse(calibrated)
@@ -238,13 +223,8 @@ class Model:
         with no_grad():
             for start in range(0, len(samples), chunk_size):
                 chunk = samples[start : start + chunk_size]
-                data = StackedDataset.from_samples(chunk, include_teacher=False)
-                batch = data.batch(np.arange(len(chunk)))
-                views = self.encode_batch(batch)
+                views = self.encode_batch(StackedDataset.from_samples(chunk, include_teacher=False))
                 target = calibrate_views(views, self.calibrator) if use_calibration else views
                 logits = linear(self.fuse(target), *self.fusion.final_head)
                 out.append(logits.values)
         return np.concatenate(out, axis=0)
-
-    def predict_labels(self, samples) -> np.ndarray:
-        return self.predict_logits(samples).argmax(axis=-1)

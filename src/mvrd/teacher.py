@@ -24,7 +24,7 @@ import os
 import urllib.error
 import urllib.request
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import lru_cache
 from importlib import resources
 from pathlib import Path
@@ -33,10 +33,10 @@ import numpy as np
 
 from .diffcore import ContractError, DimensionError, ParameterError, Tensor, ValidationError
 from .fileio import FormatError, check_format_version, floats_json, read_record_lines
+from .views import VIEWS
 
 logger = logging.getLogger(__name__)
 
-VIEWS = ("text", "image", "cross")
 CORRUPTION_TYPES = ("none", "text-fabrication", "image-artifact", "cross-mismatch")
 CORRUPTION_VIEW = {
     "text-fabrication": "text",
@@ -75,11 +75,6 @@ def default_templates() -> dict[str, PromptTemplate]:
         body = resources.files("mvrd").joinpath(f"prompts/{view}.txt").read_text("utf-8")
         templates[view] = PromptTemplate(view, f"default-{view}-v1", body)
     return templates
-
-
-def load_template(path, view: str, template_id: str | None = None) -> PromptTemplate:
-    path = Path(path)
-    return PromptTemplate(view, template_id or path.stem, path.read_text("utf-8"))
 
 
 # ---------------------------------------------------------------------------
@@ -201,10 +196,11 @@ def load_teacher_file(path) -> TeacherFileData:
     path = Path(path)
     header, lines = read_record_lines(path)
     check_format_version(path, header)
-    try:
-        spec = ProjectionSpec(int(header["d_t"]), int(header["d"]), int(header["projection_seed"]))
-    except KeyError as exc:
-        raise FormatError(f"{path}: header missing field {exc}") from exc
+    for key, least in (("d_t", 1), ("d", 1), ("projection_seed", 0)):
+        value = header.get(key)
+        if type(value) is not int or value < least:
+            raise FormatError(f"{path}: header {key} must be an integer >= {least}, got {value!r}")
+    spec = ProjectionSpec(header["d_t"], header["d"], header["projection_seed"])
 
     records: list[ReasoningRecord] = []
     by_sample: dict[str, dict[str, ReasoningRecord]] = {}
@@ -216,13 +212,15 @@ def load_teacher_file(path) -> TeacherFileData:
                 chain=str(obj["chain"]),
                 raw_embedding=Tensor(np.asarray(obj["embedding"], dtype=np.float64)),
             )
-        except (KeyError, TypeError, ValueError) as exc:
+        except (KeyError, TypeError, ValueError, OverflowError) as exc:
             raise FormatError(f"{path}: line {lineno}: bad record ({exc})") from exc
         if rec.raw_embedding.shape != (spec.d_t,):
             raise FormatError(
-                f"{path}: line {lineno}: embedding has dim {rec.raw_embedding.shape[0]}, "
+                f"{path}: line {lineno}: embedding has shape {rec.raw_embedding.shape}, "
                 f"header declares d_t={spec.d_t}"
             )
+        if not np.isfinite(rec.raw_embedding.values).all():
+            raise FormatError(f"{path}: line {lineno}: non-finite embedding value")
         slot = by_sample.setdefault(rec.sample_id, {})
         if rec.view in slot:
             raise ValidationError(f"duplicate record for ({rec.sample_id!r}, {rec.view})")
@@ -369,7 +367,6 @@ class ReasoningClient:
 
     config: ClientConfig
     network_calls: int = 0
-    _pending_warnings: list[str] = field(default_factory=list)
 
     def cache_key(self, template_id: str, payload: SamplePayload) -> str:
         blob = "\x00".join([template_id, payload.text, payload.image_ref])

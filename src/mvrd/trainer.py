@@ -9,8 +9,9 @@ from __future__ import annotations
 
 import hashlib
 import json
+import math
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -25,11 +26,9 @@ from .diffcore import (
     zero_grads,
 )
 from .fileio import FormatError
-from .metrics import Metrics, WelchResult, compute_metrics, welch_ttest
+from .metrics import Metrics, compute_metrics
 from .model import Model, StackedDataset, infer_d_in
 from .teacher import TeacherEmbeddings, fallback_embed
-
-VIEWS = ("text", "image", "cross")
 
 CHECKPOINT_MAGIC = b"MVRD-CKPT\n"
 CHECKPOINT_VERSION = 1
@@ -112,36 +111,17 @@ def replace_teacher_with_content_embeddings(samples: list[Sample], d: int) -> li
     structure while staying content-dependent."""
     if d < 8:
         raise ConfigError(f"content embeddings need d >= 8, got {d}")
-
-    def render(arrays) -> str:
-        pooled = np.concatenate([a.mean(axis=0) for a in arrays])
-        return " ".join(format(v, ".3f") for v in pooled)
-
-    out = []
-    for s in samples:
-        content = {
-            "text": render([s.text_seq.tokens.values]),
-            "image": render([s.image_seq.tokens.values]),
-            "cross": render([s.clip_text_seq.tokens.values, s.clip_image_seq.tokens.values]),
-        }
-        teacher = TeacherEmbeddings(
-            text=fallback_embed(content["text"], d),
-            image=fallback_embed(content["image"], d),
-            cross=fallback_embed(content["cross"], d),
+    return [
+        replace(
+            s,
+            teacher=TeacherEmbeddings(
+                text=fallback_embed(s.content("text-tokens"), d),
+                image=fallback_embed(s.content("image-patches"), d),
+                cross=fallback_embed(s.content("clip-text", "clip-image"), d),
+            ),
         )
-        out.append(
-            Sample(
-                sample_id=s.sample_id,
-                label=s.label,
-                corruption=s.corruption,
-                text_seq=s.text_seq,
-                image_seq=s.image_seq,
-                clip_text_seq=s.clip_text_seq,
-                clip_image_seq=s.clip_image_seq,
-                teacher=teacher,
-            )
-        )
-    return out
+        for s in samples
+    ]
 
 
 def train(
@@ -177,13 +157,15 @@ def train(
             optimizer.zero_grad()
             breakdown = model.forward_loss(batch)
             backward(breakdown.graph)
-            optimizer.step()
             if cfg.debug_checks:
+                # written so that a NaN error fails the check: a non-finite
+                # loss must not reach the optimizer
                 err_c, err_total = breakdown.identity_errors()
-                if err_c > 1e-12 or err_total > 1e-12:
+                if not (err_c <= 1e-12 and err_total <= 1e-12):
                     raise ContractError(
                         f"loss identities violated: |L_C err|={err_c:.3e}, |total err|={err_total:.3e}"
                     )
+            optimizer.step()
             record = breakdown.to_record()
             for key in ("final", "branch", "classification", "total"):
                 sums[key] = sums.get(key, 0.0) + record[key]
@@ -320,11 +302,6 @@ def sweep_chart(rows: list[VariantResult], axis: str, path) -> bool:
     return True
 
 
-def compare_runs(runs_a, runs_b) -> WelchResult:
-    """Significance of a metric difference across seeded retrainings."""
-    return welch_ttest(runs_a, runs_b)
-
-
 # ---------------------------------------------------------------------------
 # checkpoints
 
@@ -362,50 +339,59 @@ def load_checkpoint(path) -> tuple[dict, dict[str, np.ndarray]]:
         raise FormatError(f"{path}: not a checkpoint file")
     cursor = len(CHECKPOINT_MAGIC)
 
-    def read_line() -> bytes:
+    def read_object(what: str) -> dict:
         nonlocal cursor
         end = blob.find(b"\n", cursor)
         if end < 0:
             raise FormatError(f"{path}: truncated checkpoint")
-        line = blob[cursor:end]
+        try:
+            obj = json.loads(blob[cursor:end])
+        except (ValueError, RecursionError) as exc:  # bad UTF-8 or JSON, deep nesting
+            raise FormatError(f"{path}: bad checkpoint {what} ({exc})") from exc
+        if not isinstance(obj, dict):
+            raise FormatError(f"{path}: checkpoint {what} is not an object")
         cursor = end + 1
-        return line
+        return obj
 
-    try:
-        header = json.loads(read_line())
-    except json.JSONDecodeError as exc:
-        raise FormatError(f"{path}: bad checkpoint header ({exc})") from exc
+    header = read_object("header")
     if header.get("format_version") != CHECKPOINT_VERSION:
         raise FormatError(
             f"{path}: unsupported checkpoint format_version {header.get('format_version')!r}"
         )
     arrays: dict[str, np.ndarray] = {}
     while cursor < len(blob):
-        meta = json.loads(read_line())
-        shape = tuple(meta["shape"])
-        nbytes = int(np.prod(shape)) * 8
+        meta = read_object("parameter meta line")
+        name, shape = meta.get("name"), meta.get("shape")
+        if not isinstance(name, str) or not (
+            isinstance(shape, list) and all(type(n) is int and n >= 0 for n in shape)
+        ):
+            raise FormatError(f"{path}: parameter meta line needs a name and a shape: {meta}")
+        nbytes = math.prod(shape) * 8
         if cursor + nbytes + 1 > len(blob):
-            raise FormatError(f"{path}: truncated checkpoint at parameter {meta['name']!r}")
-        arrays[meta["name"]] = np.frombuffer(
-            blob[cursor : cursor + nbytes], dtype="<f8"
-        ).reshape(shape)
+            raise FormatError(f"{path}: truncated checkpoint at parameter {name!r}")
+        arrays[name] = np.frombuffer(blob[cursor : cursor + nbytes], dtype="<f8").reshape(shape)
         cursor += nbytes + 1
     return header, arrays
+
+
+def _check_arrays(params: list[Parameter], arrays: dict[str, np.ndarray]) -> None:
+    """Every parameter must be in the checkpoint, with the model's shape."""
+    for p in params:
+        if p.name not in arrays:
+            raise FormatError(f"checkpoint is missing parameter {p.name!r}")
+        if arrays[p.name].shape != p.tensor.shape:
+            raise FormatError(
+                f"parameter {p.name!r}: checkpoint shape {arrays[p.name].shape} "
+                f"does not match model shape {p.tensor.shape}"
+            )
 
 
 def restore_into_model(model: Model, path) -> None:
     """Load parameter values into an existing model; shapes must match exactly."""
     header, arrays = load_checkpoint(path)
     params = model.parameters()
-    if header["layout_hash"] != _layout_hash(params):
-        for p in params:
-            if p.name not in arrays:
-                raise FormatError(f"checkpoint is missing parameter {p.name!r}")
-            if tuple(arrays[p.name].shape) != p.tensor.shape:
-                raise FormatError(
-                    f"parameter {p.name!r}: checkpoint shape {arrays[p.name].shape} "
-                    f"does not match model shape {p.tensor.shape}"
-                )
+    _check_arrays(params, arrays)
+    if header.get("layout_hash") != _layout_hash(params):
         raise FormatError("checkpoint layout differs from the model's parameter layout")
     for p in params:
         p.tensor.values[...] = arrays[p.name]
@@ -416,13 +402,8 @@ def load_model(path) -> Model:
     header, arrays = load_checkpoint(path)
     cfg = TrainConfig(**header["train_config"]).validate()
     model = Model(cfg, {str(k): int(v) for k, v in header["d_in"].items()})
-    for p in model.parameters():
-        if p.name not in arrays:
-            raise FormatError(f"checkpoint is missing parameter {p.name!r}")
-        if tuple(arrays[p.name].shape) != p.tensor.shape:
-            raise FormatError(
-                f"parameter {p.name!r}: checkpoint shape {arrays[p.name].shape} "
-                f"does not match model shape {p.tensor.shape}"
-            )
+    params = model.parameters()
+    _check_arrays(params, arrays)
+    for p in params:
         p.tensor.values[...] = arrays[p.name]
     return model

@@ -1,14 +1,20 @@
 """Student multi-view encoders.
 
-Three views are produced from a sample's four embedded sequences:
+Three views are produced from a sample's four embedded sequences, always as a
+stacked batch of (B, L, d_in) token arrays:
 
 * text view: multi-head self-attention over token embeddings, pooled, projected
 * image view: the same over patch embeddings
 * cross view: bidirectional co-attention between the two aligned (clip-style)
   sequences, each direction pooled, concatenated, projected
 
-No positional encodings are used, so attention + mean pooling is permutation
-invariant over positions. All functions accept an extra leading batch axis.
+``Model.encode_batch`` composes the pieces: ``multi_head_attention`` on each
+sequence (skipped in the attention-free ablation), then ``pool_and_project``
+or ``co_pool_and_project``. Both co-attention directions read the un-attended
+clip tokens. No positional encodings are used, so attention + mean pooling is
+permutation invariant over positions.
+
+Per-view tensors travel as ``dict[str, Tensor]`` keyed by ``VIEWS``.
 """
 
 from __future__ import annotations
@@ -35,10 +41,9 @@ from .diffcore import (
     transpose,
 )
 
+VIEWS = ("text", "image", "cross")
 SOURCE_TAGS = ("text-tokens", "image-patches", "clip-text", "clip-image")
 POOLING_MODES = ("mean", "first")
-
-_VIEW_SOURCE = {"text": "text-tokens", "image": "image-patches"}
 
 
 @dataclass
@@ -63,18 +68,6 @@ class EmbeddedSequence:
     @property
     def dim(self) -> int:
         return self.tokens.shape[1]
-
-
-@dataclass
-class ViewFeatures:
-    """The three view vectors; all share the model dimension d."""
-
-    f_text: Tensor
-    f_image: Tensor
-    f_cross: Tensor
-
-    def as_dict(self) -> dict[str, Tensor]:
-        return {"text": self.f_text, "image": self.f_image, "cross": self.f_cross}
 
 
 class AttentionParams:
@@ -185,36 +178,18 @@ class ViewEncoderParams:
 
 
 # ---------------------------------------------------------------------------
-# encoder forward passes (tokens may carry a leading batch axis)
-
-
-def attend_and_project(tokens: Tensor, attn: AttentionParams, proj, pooling: str) -> Tensor:
-    attended = multi_head_attention(tokens, tokens, attn)
-    pooled = _pool_positions(attended, pooling)
-    return linear(pooled, *proj)
-
-
-def co_attend_and_project(
-    clip_image_tokens: Tensor, clip_text_tokens: Tensor, params: ViewEncoderParams
-) -> Tensor:
-    pooled_i = _pool_positions(
-        multi_head_attention(clip_image_tokens, clip_text_tokens, params.cross_i2t), params.pooling
-    )
-    pooled_t = _pool_positions(
-        multi_head_attention(clip_text_tokens, clip_image_tokens, params.cross_t2i), params.pooling
-    )
-    return linear(concat([pooled_i, pooled_t], axis=-1), *params.cross_proj)
+# pooling heads: each view's (B, L, d_in) tokens, attended or raw, to (B, d)
 
 
 def pool_and_project(tokens: Tensor, proj, pooling: str = "mean") -> Tensor:
-    """Attention-free variant: pool raw tokens, then apply the view projection."""
+    """Text or image view: pool the tokens over positions, then project to d."""
     return linear(_pool_positions(tokens, pooling), *proj)
 
 
 def co_pool_and_project(
     clip_image_tokens: Tensor, clip_text_tokens: Tensor, params: ViewEncoderParams
 ) -> Tensor:
-    """Attention-free cross view: pool both clip sequences, concatenate, project."""
+    """Cross view: pool both clip sequences, concatenate (image first), project to d."""
     pooled = concat(
         [
             _pool_positions(clip_image_tokens, params.pooling),
@@ -223,44 +198,3 @@ def co_pool_and_project(
         axis=-1,
     )
     return linear(pooled, *params.cross_proj)
-
-
-# ---------------------------------------------------------------------------
-# per-sample ops
-
-
-def self_attention_pool(seq: EmbeddedSequence, params: ViewEncoderParams, view: str) -> Tensor:
-    """Encode one text or image sequence into its d-dim view vector."""
-    if view not in _VIEW_SOURCE:
-        raise ValidationError(f"view must be 'text' or 'image', got {view!r}")
-    if seq.source_tag != _VIEW_SOURCE[view]:
-        raise ValidationError(
-            f"sequence tagged {seq.source_tag!r} passed to the {view} encoder"
-        )
-    if view == "text":
-        return attend_and_project(seq.tokens, params.text_attn, params.text_proj, params.pooling)
-    return attend_and_project(seq.tokens, params.image_attn, params.image_proj, params.pooling)
-
-
-def co_attention(seq_a: EmbeddedSequence, seq_b: EmbeddedSequence, params: ViewEncoderParams) -> Tensor:
-    """Bidirectional cross-attention between the aligned image/text sequences."""
-    if seq_a.source_tag != "clip-image" or seq_b.source_tag != "clip-text":
-        raise ValidationError(
-            f"co_attention expects (clip-image, clip-text), got ({seq_a.source_tag!r}, {seq_b.source_tag!r})"
-        )
-    return co_attend_and_project(seq_a.tokens, seq_b.tokens, params)
-
-
-def encode_views(
-    text_seq: EmbeddedSequence,
-    image_seq: EmbeddedSequence,
-    clip_text_seq: EmbeddedSequence,
-    clip_image_seq: EmbeddedSequence,
-    params: ViewEncoderParams,
-) -> ViewFeatures:
-    """Run all three encoders on one sample's four sequences."""
-    return ViewFeatures(
-        f_text=self_attention_pool(text_seq, params, "text"),
-        f_image=self_attention_pool(image_seq, params, "image"),
-        f_cross=co_attention(clip_image_seq, clip_text_seq, params),
-    )

@@ -11,9 +11,9 @@ from mvrd.calibration import (
     DistillConfig,
     calibrate,
     calibrate_views,
-    calibration_forward,
     concat_views,
     distill_loss,
+    distill_losses,
     predict_correction,
 )
 from mvrd.diffcore import (
@@ -24,16 +24,14 @@ from mvrd.diffcore import (
     backward,
     zero_grads,
 )
-from mvrd.teacher import TeacherEmbeddings
-from mvrd.views import ViewFeatures
 
 
 def views_of(t, i, c, requires_grad=False):
-    return ViewFeatures(
-        f_text=Tensor(t, requires_grad=requires_grad),
-        f_image=Tensor(i, requires_grad=requires_grad),
-        f_cross=Tensor(c, requires_grad=requires_grad),
-    )
+    return {
+        "text": Tensor(t, requires_grad=requires_grad),
+        "image": Tensor(i, requires_grad=requires_grad),
+        "cross": Tensor(c, requires_grad=requires_grad),
+    }
 
 
 def np_softmax(x, tau):
@@ -66,9 +64,9 @@ class TestConcatViews:
         w = np.zeros(6)
         w[3] = 1.0
         backward(dot(out, Tensor(w)))
-        assert np.array_equal(v.f_text.grad, np.zeros(2))
-        assert np.array_equal(v.f_image.grad, np.array([0.0, 1.0]))
-        assert np.array_equal(v.f_cross.grad, np.zeros(2))
+        assert np.array_equal(v["text"].grad, np.zeros(2))
+        assert np.array_equal(v["image"].grad, np.array([0.0, 1.0]))
+        assert np.array_equal(v["cross"].grad, np.zeros(2))
 
     def test_dim_mismatch(self):
         with pytest.raises(DimensionError):
@@ -224,28 +222,28 @@ class TestDistillLoss:
 
 
 class TestCalibrationForward:
+    """calibrate_views then distill_losses, as Model.forward_loss runs them."""
+
     def make_inputs(self, d=4, seed=15):
         rng = np.random.default_rng(seed)
         v = views_of(rng.normal(size=d), rng.normal(size=d), rng.normal(size=d), requires_grad=True)
-        t = TeacherEmbeddings(
-            Tensor(rng.normal(size=d)), Tensor(rng.normal(size=d)), Tensor(rng.normal(size=d))
-        )
+        t = {view: Tensor(rng.normal(size=d)) for view in ("text", "image", "cross")}
         return v, t
 
     def test_disabled_views_contribute_no_loss(self):
         params = CalibratorParams(d=4, master_seed=16)
         v, t = self.make_inputs()
         cfg = DistillConfig(enabled_views=frozenset())
-        calibrated, losses = calibration_forward(v, t, 0, cfg, params)
-        assert losses == {}
+        calibrated = calibrate_views(v, params)
+        assert distill_losses(calibrated, t, 0, cfg, params) == {}
         # features still flow through calibration
-        assert calibrated.f_text.shape == (4,)
+        assert calibrated["text"].shape == (4,)
 
     def test_full_enablement_gives_nonnegative_kl(self):
         params = CalibratorParams(d=4, master_seed=17)
         v, t = self.make_inputs(seed=18)
         cfg = DistillConfig(tau=2.0, alpha=1.0)
-        _, losses = calibration_forward(v, t, 0, cfg, params)
+        losses = distill_losses(calibrate_views(v, params), t, 0, cfg, params)
         assert set(losses) == {"text", "image", "cross"}
         for loss in losses.values():
             assert loss.item() >= -1e-12
@@ -260,19 +258,17 @@ class TestCalibrationForward:
             p.tensor.values[...] = weights[p.name]
         v, t = self.make_inputs(d=d, seed=21)
         cfg = DistillConfig(tau=1.5, alpha=0.7)
-        calibrated, losses = calibration_forward(v, t, 1, cfg, params)
+        calibrated = calibrate_views(v, params)
+        losses = distill_losses(calibrated, t, 1, cfg, params)
 
-        f_concat = np.concatenate([v.f_text.values, v.f_image.values, v.f_cross.values])
-        for view, f_raw, f_teacher in (
-            ("text", v.f_text.values, t.text.values),
-            ("image", v.f_image.values, t.image.values),
-            ("cross", v.f_cross.values, t.cross.values),
-        ):
+        f_concat = np.concatenate([v[view].values for view in ("text", "image", "cross")])
+        for view in ("text", "image", "cross"):
+            f_raw, f_teacher = v[view].values, t[view].values
             w1, b1, w2, b2 = (weights[f"calib.{view}.mlp.{n}"] for n in ("W1", "b1", "W2", "b2"))
             hw, hb = weights[f"calib.{view}.head.W"], weights[f"calib.{view}.head.b"]
             correction = np.maximum(f_concat @ w1 + b1, 0.0) @ w2 + b2
             f_hat = f_raw + correction
-            assert np.allclose(calibrated.view(view).values, f_hat, atol=1e-12)
+            assert np.allclose(calibrated[view].values, f_hat, atol=1e-12)
             kl = np_kl(np_softmax(f_teacher, 1.5), np_softmax(f_hat, 1.5))
             logits = f_hat @ hw + hb
             ce = -(logits[1] - np.log(np.exp(logits - logits.max()).sum()) - logits.max())
@@ -280,13 +276,14 @@ class TestCalibrationForward:
             assert losses[view].item() == pytest.approx(expected, abs=1e-10)
 
     def test_calibrated_views_keep_corrections(self):
+        # calibrated = raw + predict_correction(holistic context), bitwise
         params = CalibratorParams(d=4, master_seed=22)
         v, _ = self.make_inputs(seed=23)
         calibrated = calibrate_views(v, params)
-        for view, raw in (("text", v.f_text), ("image", v.f_image), ("cross", v.f_cross)):
-            assert np.array_equal(
-                calibrated.view(view).values, raw.values + calibrated.correction(view).values
-            )
+        f_concat = concat_views(v)
+        for view, raw in v.items():
+            correction = predict_correction(f_concat, params, view)
+            assert np.array_equal(calibrated[view].values, raw.values + correction.values)
 
     def test_hidden_width_floor(self):
         with pytest.raises(Exception, match="d_h"):

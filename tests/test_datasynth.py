@@ -182,8 +182,26 @@ class TestFeatureFile:
 
     def test_empty_file_is_empty_dataset(self, tmp_path):
         path = tmp_path / "features.jsonl"
-        path.write_text("", "utf-8")
-        assert load_features_file(path) == []
+        for text in ("", " \n\n\t\n"):
+            path.write_text(text, "utf-8")
+            assert load_features_file(path) == []
+
+    @pytest.mark.parametrize("literal", ["NaN", "Infinity", "-Infinity", "1e999"])
+    def test_non_finite_token_rejected(self, tmp_path, literal):
+        path = tmp_path / "features.jsonl"
+        save_features_file(generate_dataset(small_cfg(n_samples=2)), path)
+        lines = path.read_text("utf-8").splitlines()
+        head, sep, rest = lines[3].partition('"tokens": [[')
+        lines[3] = head + sep + literal + rest[rest.index(","):]
+        path.write_text("\n".join(lines) + "\n", "utf-8")
+        with pytest.raises(FormatError, match="line 4"):
+            load_features_file(path)
+
+    def test_invalid_utf8_rejected(self, tmp_path):
+        path = tmp_path / "features.jsonl"
+        path.write_bytes(b'{"format_version": 1, "d_in": {}}\n{"sample_id": "\xff"}\n')
+        with pytest.raises(FormatError, match="line 2"):
+            load_features_file(path)
 
     def test_mixed_d_in_names_sample(self, tmp_path):
         ds = generate_dataset(small_cfg(n_samples=4))

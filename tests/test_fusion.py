@@ -6,7 +6,6 @@ import math
 import numpy as np
 import pytest
 
-from mvrd.calibration import CalibratedViews
 from mvrd.config import ConfigError
 from mvrd.diffcore import ParameterError, Tensor, backward, dot, mean, reshape
 from mvrd.fusion import (
@@ -17,58 +16,53 @@ from mvrd.fusion import (
     pool_views,
     total_loss,
 )
-from mvrd.views import ViewFeatures
 
 
-def calibrated_of(t, i, c, requires_grad=False):
-    zero = Tensor(np.zeros_like(np.asarray(t, dtype=float)))
-    return CalibratedViews(
-        f_text=Tensor(t, requires_grad=requires_grad),
-        f_image=Tensor(i, requires_grad=requires_grad),
-        f_cross=Tensor(c, requires_grad=requires_grad),
-        correction_text=zero,
-        correction_image=zero,
-        correction_cross=zero,
-    )
+def views_of(t, i, c, requires_grad=False):
+    return {
+        "text": Tensor(t, requires_grad=requires_grad),
+        "image": Tensor(i, requires_grad=requires_grad),
+        "cross": Tensor(c, requires_grad=requires_grad),
+    }
 
 
 class TestPoolViews:
     def test_identical_views(self):
         v = [1.0, -2.0, 0.5, 3.0]
-        out = pool_views(calibrated_of(v, v, v))
+        out = pool_views(views_of(v, v, v))
         assert np.allclose(out.values, v, atol=1e-15)
 
     def test_arithmetic(self):
-        out = pool_views(calibrated_of([1.0, 0.0], [0.0, 1.0], [2.0, 2.0]))
+        out = pool_views(views_of([1.0, 0.0], [0.0, 1.0], [2.0, 2.0]))
         assert out.values.tolist() == [1.0, 1.0]
 
     def test_gradient_splits_equally(self):
-        c = calibrated_of([1.0, 2.0], [3.0, 4.0], [5.0, 6.0], requires_grad=True)
+        c = views_of([1.0, 2.0], [3.0, 4.0], [5.0, 6.0], requires_grad=True)
         backward(dot(pool_views(c), Tensor([1.0, 0.0])))
-        for f in (c.f_text, c.f_image, c.f_cross):
+        for f in c.values():
             assert np.allclose(f.grad, [1.0 / 3.0, 0.0], atol=1e-15)
 
 
 class TestBuildViewSet:
     def test_rows_read_back(self):
         t, i, c = [1.0, 2.0], [3.0, 4.0], [5.0, 6.0]
-        out = build_view_set(calibrated_of(t, i, c))
+        out = build_view_set(views_of(t, i, c))
         assert out.shape == (3, 2)
         assert np.array_equal(out.values, np.array([t, i, c]))
 
     def test_zeros(self):
-        out = build_view_set(calibrated_of([0.0] * 3, [0.0] * 3, [0.0] * 3))
+        out = build_view_set(views_of([0.0] * 3, [0.0] * 3, [0.0] * 3))
         assert np.array_equal(out.values, np.zeros((3, 3)))
 
     def test_row_gradient_isolation(self):
-        c = calibrated_of([1.0, 2.0], [3.0, 4.0], [5.0, 6.0], requires_grad=True)
+        c = views_of([1.0, 2.0], [3.0, 4.0], [5.0, 6.0], requires_grad=True)
         out = build_view_set(c)
         w = np.zeros((3, 2))
         w[1, 0] = 1.0  # touch only the image row
         backward(dot(reshape(out, (6,)), Tensor(w.reshape(6))))
-        assert np.array_equal(c.f_text.grad, np.zeros(2))
-        assert np.array_equal(c.f_image.grad, np.array([1.0, 0.0]))
-        assert np.array_equal(c.f_cross.grad, np.zeros(2))
+        assert np.array_equal(c["text"].grad, np.zeros(2))
+        assert np.array_equal(c["image"].grad, np.array([1.0, 0.0]))
+        assert np.array_equal(c["cross"].grad, np.zeros(2))
 
 
 class TestCrossAttentionFuse:
@@ -152,9 +146,7 @@ class TestClassificationLosses:
             w.tensor.values[...] = 0.0
             b.tensor.values[...] = 0.0
         rng = np.random.default_rng(8)
-        views = ViewFeatures(
-            Tensor(rng.normal(size=d)), Tensor(rng.normal(size=d)), Tensor(rng.normal(size=d))
-        )
+        views = views_of(rng.normal(size=d), rng.normal(size=d), rng.normal(size=d))
         f_final = Tensor(rng.normal(size=d))
         loss_final, loss_branch = classification_losses(f_final, views, 0, params)
         assert abs(loss_final.item() - math.log(2.0)) < 1e-15
@@ -183,9 +175,7 @@ class TestClassificationLosses:
             np_ce(views_np[v] @ weights[f"fusion.branch.{v}.W"] + weights[f"fusion.branch.{v}.b"], y)
             for v in ("text", "image", "cross")
         )
-        views = ViewFeatures(
-            Tensor(views_np["text"]), Tensor(views_np["image"]), Tensor(views_np["cross"])
-        )
+        views = views_of(views_np["text"], views_np["image"], views_np["cross"])
         loss_final, loss_branch = classification_losses(Tensor(f_final_np), views, y, params)
         assert loss_final.item() == pytest.approx(expected_final, abs=1e-12)
         assert loss_branch.item() == pytest.approx(expected_branch, abs=1e-12)
@@ -193,7 +183,7 @@ class TestClassificationLosses:
     def test_label_out_of_range(self):
         d = 2
         params = FusionParams(d=d, heads=1, master_seed=11)
-        views = ViewFeatures(Tensor(np.zeros(d)), Tensor(np.zeros(d)), Tensor(np.zeros(d)))
+        views = views_of(np.zeros(d), np.zeros(d), np.zeros(d))
         with pytest.raises(IndexError):
             classification_losses(Tensor(np.zeros(d)), views, 2, params)
 

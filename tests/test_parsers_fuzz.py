@@ -1,0 +1,111 @@
+"""Property tests for the three file parsers: any input either loads or is
+rejected with the package's own error types, never with a raw exception."""
+
+import numpy as np
+import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
+
+from mvrd.config import TrainConfig
+from mvrd.datasynth import SyntheticConfig, generate_dataset, load_features_file, save_features_file
+from mvrd.diffcore import Tensor, ValidationError
+from mvrd.fileio import FormatError
+from mvrd.model import Model
+from mvrd.teacher import ProjectionSpec, ReasoningRecord, load_teacher_file, save_teacher_file
+from mvrd.trainer import CHECKPOINT_MAGIC, load_checkpoint, save_checkpoint
+from mvrd.views import SOURCE_TAGS, VIEWS
+
+FUZZ = settings(
+    max_examples=150,
+    deadline=None,
+    suppress_health_check=[HealthCheck.function_scoped_fixture],
+)
+# bytes that steer a mutation towards JSON structure and number syntax
+INTERESTING = st.sampled_from(
+    [b"", b"\n", b"{", b"}", b"[", b"]", b",", b":", b'"', b"-", b"1e999", b"NaN", b"Infinity",
+     b"null", b"true", b"\xff", b"\xc3", b"0", b"9" * 30]
+)
+
+
+def write_features(path):
+    synth = SyntheticConfig(
+        n_samples=2, d_in=2, teacher_dim=4, len_text=2, len_image=1, len_clip=1, seed=1
+    )
+    save_features_file(generate_dataset(synth), path)
+
+
+def write_teacher(path):
+    rng = np.random.default_rng(0)
+    records = [
+        ReasoningRecord(f"s{i}", view, f"chain {i}", Tensor(rng.normal(size=4)))
+        for i in range(2)
+        for view in VIEWS
+    ]
+    save_teacher_file(records, ProjectionSpec(d_t=4, d=3, seed=2), path)
+
+
+def write_checkpoint(path):
+    cfg = TrainConfig(d=2, d_h=2, heads=1, encoder_heads=1)
+    save_checkpoint(Model(cfg, {tag: 2 for tag in SOURCE_TAGS}), path)
+
+
+PARSERS = {
+    "features": (write_features, load_features_file),
+    "teacher": (write_teacher, load_teacher_file),
+    "checkpoint": (write_checkpoint, load_checkpoint),
+}
+
+
+@st.composite
+def mutations(draw, blob: bytes) -> bytes:
+    """A valid file with a few spans replaced, deleted or truncated."""
+    data = bytearray(blob)
+    for _ in range(draw(st.integers(1, 4))):
+        lo = draw(st.integers(0, len(data)))
+        hi = min(len(data), lo + draw(st.integers(0, 8)))
+        kind = draw(st.sampled_from(["replace", "truncate", "random"]))
+        if kind == "truncate":
+            del data[lo:]
+        elif kind == "replace":
+            data[lo:hi] = draw(INTERESTING)
+        else:
+            data[lo:hi] = draw(st.binary(max_size=8))
+    return bytes(data)
+
+
+def loads_or_rejects(load, path, blob: bytes) -> None:
+    path.write_bytes(blob)
+    try:
+        load(path)
+    except (FormatError, ValidationError):
+        pass
+
+
+@pytest.mark.parametrize("name", sorted(PARSERS))
+@FUZZ
+@given(blob=st.binary(max_size=512) | st.binary(max_size=512).map(CHECKPOINT_MAGIC.__add__))
+def test_arbitrary_bytes(tmp_path, name, blob):
+    _, load = PARSERS[name]
+    loads_or_rejects(load, tmp_path / "fuzzed", blob)
+
+
+@pytest.mark.parametrize("name", sorted(PARSERS))
+@FUZZ
+@given(data=st.data())
+def test_mutated_valid_file(tmp_path, name, data):
+    write, load = PARSERS[name]
+    valid = tmp_path / "valid"
+    if not valid.exists():
+        write(valid)
+    blob = data.draw(mutations(valid.read_bytes()))
+    loads_or_rejects(load, tmp_path / "fuzzed", blob)
+
+
+@pytest.mark.parametrize("name", sorted(PARSERS))
+def test_deep_nesting_rejected(tmp_path, name):
+    _, load = PARSERS[name]
+    path = tmp_path / "nested"
+    prefix = CHECKPOINT_MAGIC if name == "checkpoint" else b""
+    path.write_bytes(prefix + b"[" * 100_000 + b"\n")
+    with pytest.raises(FormatError):
+        load(path)

@@ -144,6 +144,35 @@ class TestTeacherFile:
         with pytest.raises(FormatError, match="line 2"):
             load_teacher_file(path)
 
+    @pytest.mark.parametrize("literal", ["NaN", "Infinity", "-Infinity", "1e999"])
+    def test_non_finite_embedding_rejected(self, tmp_path, literal):
+        path = tmp_path / "teacher.jsonl"
+        save_teacher_file(make_records(1, 8), ProjectionSpec(d_t=8, d=4, seed=0), path)
+        lines = path.read_text("utf-8").splitlines()
+        head, sep, rest = lines[2].partition('"embedding": [')
+        lines[2] = head + sep + literal + rest[rest.index(","):]
+        path.write_text("\n".join(lines) + "\n", "utf-8")
+        with pytest.raises(FormatError, match="line 3"):
+            load_teacher_file(path)
+
+    @pytest.mark.parametrize(
+        "field, value",
+        [("d_t", "8"), ("d", 4.5), ("projection_seed", None), ("d", [4]), ("d_t", 0)],
+    )
+    def test_non_integer_header_field_rejected(self, tmp_path, field, value):
+        path = tmp_path / "teacher.jsonl"
+        header = {"format_version": 1, "d_t": 8, "d": 4, "projection_seed": 0, field: value}
+        path.write_text(json.dumps(header) + "\n", "utf-8")
+        with pytest.raises(FormatError, match=field):
+            load_teacher_file(path)
+
+    @pytest.mark.parametrize("blob", [b"", b"\n \n", b'{"format_version": 1}\n\xff\xfe\n'])
+    def test_missing_header_or_invalid_utf8_rejected(self, tmp_path, blob):
+        path = tmp_path / "teacher.jsonl"
+        path.write_bytes(blob)
+        with pytest.raises(FormatError):
+            load_teacher_file(path)
+
     def test_wrong_version_rejected(self, tmp_path):
         path = tmp_path / "teacher.jsonl"
         path.write_text('{"format_version": 2, "d_t": 8, "d": 4, "projection_seed": 0}\n', "utf-8")

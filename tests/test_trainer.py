@@ -6,12 +6,13 @@ import pytest
 
 from mvrd.config import ConfigError, TrainConfig
 from mvrd.datasynth import SyntheticConfig, generate_dataset, split
-from mvrd.diffcore import Tensor, ValidationError, backward
+from mvrd.diffcore import ContractError, Tensor, ValidationError, backward
 from mvrd.fileio import FormatError
 from mvrd.metrics import Metrics
 from mvrd.model import Model, StackedDataset, infer_d_in
 from mvrd.teacher import TeacherEmbeddings
 from mvrd.trainer import (
+    CHECKPOINT_MAGIC,
     Adam,
     RunReport,
     ablation_suite,
@@ -176,6 +177,12 @@ class TestTrain:
         nonzero = sum(int((p.tensor.grad != 0).sum()) for p in model.parameters())
         assert nonzero / total >= 0.99
 
+    def test_non_finite_loss_raises_with_debug_checks(self):
+        ds = tiny_dataset()
+        ds[0].text_seq.tokens.values[0, 0] = np.nan
+        with pytest.raises(ContractError, match="identities"):
+            train(tiny_cfg(epochs=1), ds)
+
     def test_report_round_trips_losslessly(self):
         ds = tiny_dataset()
         tr, te = split(ds, (0.75, 0.25), seed=2)
@@ -196,6 +203,15 @@ class TestEvaluate:
             for p_src, p_dst in zip(model.parameters(), clone.parameters()):
                 p_dst.tensor.values[...] = p_src.tensor.values
             assert evaluate(clone, te) == base
+
+    def test_predict_logits_independent_of_chunk_size(self):
+        # GEMM results for a row may differ in the last bits with the row count
+        ds = tiny_dataset()
+        model = Model(tiny_cfg(), infer_d_in(ds))
+        reference = model.predict_logits(ds, chunk_size=len(ds))
+        for chunk_size in (1, 7, 16):
+            logits = model.predict_logits(ds, chunk_size=chunk_size)
+            assert np.allclose(logits, reference, rtol=0, atol=1e-12)
 
     def test_empty_set_rejected(self):
         ds = tiny_dataset()
@@ -291,6 +307,28 @@ class TestCheckpoints:
         with pytest.raises(FormatError, match="views"):
             restore_into_model(bigger, path)
 
+    @pytest.mark.parametrize(
+        "line, text",
+        [
+            ("header", b"[1, 2]"),  # not an object
+            ("meta", b'{"name": '),  # not JSON
+            ("meta", b'{"shape": [2, 2]}'),  # no name
+            ("meta", b'{"name": "views.text.attn.W_Q"}'),  # no shape
+        ],
+    )
+    def test_corrupt_header_or_meta_is_format_error(self, tmp_path, line, text):
+        model = Model(tiny_cfg(), infer_d_in(tiny_dataset(n_samples=4)))
+        path = tmp_path / "ckpt.bin"
+        save_checkpoint(model, path)
+        blob = path.read_bytes()
+        header_start = len(CHECKPOINT_MAGIC)
+        header_end = blob.index(b"\n", header_start)
+        meta_end = blob.index(b"\n", header_end + 1)
+        lo, hi = (header_start, header_end) if line == "header" else (header_end + 1, meta_end)
+        path.write_bytes(blob[:lo] + text + blob[hi:])
+        with pytest.raises(FormatError):
+            load_checkpoint(path)
+
     def test_not_a_checkpoint(self, tmp_path):
         path = tmp_path / "junk.bin"
         path.write_bytes(b"hello world")
@@ -323,8 +361,8 @@ class TestAblationModes:
         model = Model(cfg, infer_d_in(ds))
         data = StackedDataset.from_samples(ds, include_teacher=True)
         views = model.encode_batch(data.batch(np.arange(8)))
-        assert np.array_equal(views.f_text.values, np.zeros((8, 8)))
-        assert np.any(views.f_image.values != 0)
+        assert np.array_equal(views["text"].values, np.zeros((8, 8)))
+        assert np.any(views["image"].values != 0)
 
     def test_no_feature_extractors_requires_matching_dims(self):
         ds = tiny_dataset()  # d_in = 8
@@ -337,7 +375,7 @@ class TestAblationModes:
         data = StackedDataset.from_samples(ds, include_teacher=True)
         batch = data.batch(np.arange(4))
         views = model.encode_batch(batch)
-        assert np.allclose(views.f_text.values, batch.text.mean(axis=1), atol=1e-15)
+        assert np.allclose(views["text"].values, batch.text.mean(axis=1), atol=1e-15)
 
     def test_no_attention_mode_trains(self):
         ds = tiny_dataset()

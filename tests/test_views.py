@@ -1,37 +1,69 @@
-"""View encoder contracts: shapes, symmetry, hand-unrolled attention oracle."""
+"""View encoder contracts: shapes, symmetry, hand-unrolled attention oracle.
+
+The encoders run only batched, through ``Model.encode_batch``; the oracles
+below read the result for a one-row batch, or call the building blocks
+(``multi_head_attention``, ``pool_and_project``) directly.
+"""
 
 import numpy as np
 import pytest
 
-from mvrd.diffcore import Tensor, ValidationError, backward, mean, zero_grads
+from mvrd.config import TrainConfig
+from mvrd.datasynth import Sample
+from mvrd.diffcore import DimensionError, Tensor, ValidationError, add, backward, mean, zero_grads
+from mvrd.model import Model, StackedDataset
 from mvrd.views import (
+    SOURCE_TAGS,
     AttentionParams,
     EmbeddedSequence,
     ViewEncoderParams,
-    co_attention,
-    encode_views,
     multi_head_attention,
-    self_attention_pool,
+    pool_and_project,
 )
 
-D_IN = {"text-tokens": 8, "image-patches": 8, "clip-text": 8, "clip-image": 8}
 
-
-def make_params(d=6, heads=2, seed=0, d_in=None, pooling="mean"):
-    return ViewEncoderParams(d_in or D_IN, d, heads, pooling, seed)
+def make_model(d=6, heads=2, seed=0, d_in=8, pooling="mean", **flags):
+    cfg = TrainConfig(
+        d=d, d_h=2 * d, heads=1, encoder_heads=heads, pooling=pooling, master_seed=seed, **flags
+    )
+    return Model(cfg, {tag: d_in for tag in SOURCE_TAGS})
 
 
 def seq(tag, tokens):
     return EmbeddedSequence(Tensor(tokens), tag)
 
 
-def rand_sample(rng, d_in=8, lt=5, li=4, lc=3):
-    return (
-        seq("text-tokens", rng.normal(size=(lt, d_in))),
-        seq("image-patches", rng.normal(size=(li, d_in))),
-        seq("clip-text", rng.normal(size=(lc, d_in))),
-        seq("clip-image", rng.normal(size=(lc, d_in))),
+def sample_of(text, image, clip_text, clip_image, sample_id="x"):
+    return Sample(
+        sample_id,
+        0,
+        "none",
+        seq("text-tokens", text),
+        seq("image-patches", image),
+        seq("clip-text", clip_text),
+        seq("clip-image", clip_image),
     )
+
+
+def rand_sample(rng, d_in=8, lt=5, li=4, lc=3, sample_id="x"):
+    return sample_of(
+        rng.normal(size=(lt, d_in)),
+        rng.normal(size=(li, d_in)),
+        rng.normal(size=(lc, d_in)),
+        rng.normal(size=(lc, d_in)),
+        sample_id,
+    )
+
+
+def encode(model, samples):
+    return model.encode_batch(StackedDataset.from_samples(samples, include_teacher=False))
+
+
+def encode_text(model, tokens):
+    """The text view of (..., L, d_in) tokens, through the encoder blocks."""
+    enc = model.encoder
+    x = Tensor(tokens)
+    return pool_and_project(multi_head_attention(x, x, enc.text_attn), enc.text_proj, enc.pooling)
 
 
 class TestEmbeddedSequence:
@@ -48,47 +80,48 @@ class TestEmbeddedSequence:
 
 class TestSelfAttentionPool:
     def test_shape_contract_across_lengths(self):
-        params = make_params()
+        model = make_model()
         for length in (1, 2, 7, 64):
             rng = np.random.default_rng(length)
-            out = self_attention_pool(seq("text-tokens", rng.normal(size=(length, 8))), params, "text")
-            assert out.shape == (6,)
+            out = encode_text(model, rng.normal(size=(3, length, 8)))
+            assert out.shape == (3, 6)
 
     def test_single_position_is_projection_chain(self):
         # with L = 1 the attention weights are [1], so the output is the
         # projection chain applied to the single token
-        params = make_params()
+        model = make_model()
+        enc = model.encoder
         rng = np.random.default_rng(1)
         token = rng.normal(size=(1, 8))
-        out = self_attention_pool(seq("text-tokens", token), params, "text")
+        out = encode_text(model, token)
 
-        wq, wk, wv, wo = (p.tensor.values for p in params.text_attn.parameters())
-        w, b = params.text_proj[0].tensor.values, params.text_proj[1].tensor.values
+        wq, wk, wv, wo = (p.tensor.values for p in enc.text_attn.parameters())
+        w, b = enc.text_proj[0].tensor.values, enc.text_proj[1].tensor.values
         expected = ((token @ wv) @ wo)[0] @ w + b  # weights=[1] make W_Q/W_K irrelevant
         assert np.allclose(out.values, expected, atol=1e-12)
 
     def test_identical_tokens_match_single_position(self):
-        params = make_params()
+        model = make_model()
         rng = np.random.default_rng(2)
         token = rng.normal(size=(1, 8))
         repeated = np.tile(token, (5, 1))
-        out_rep = self_attention_pool(seq("text-tokens", repeated), params, "text")
-        out_one = self_attention_pool(seq("text-tokens", token), params, "text")
+        out_rep = encode_text(model, repeated)
+        out_one = encode_text(model, token)
         assert np.allclose(out_rep.values, out_one.values, atol=1e-12)
 
     def test_hand_unrolled_single_head(self):
-        d_in = {k: 2 for k in D_IN}
-        params = make_params(d=2, heads=1, d_in=d_in)
+        model = make_model(d=2, heads=1, d_in=2)
+        enc = model.encoder
         wq = np.array([[1.0, 0.0], [0.0, 1.0]])
         wk = np.array([[0.5, -1.0], [2.0, 0.0]])
         wv = np.array([[1.0, 1.0], [-1.0, 0.5]])
         wo = np.array([[2.0, 0.0], [0.0, -1.0]])
         pw = np.array([[1.0, 2.0], [3.0, -1.0]])
         pb = np.array([0.1, -0.2])
-        for p, v in zip(params.text_attn.parameters(), (wq, wk, wv, wo)):
+        for p, v in zip(enc.text_attn.parameters(), (wq, wk, wv, wo)):
             p.tensor.values[...] = v
-        params.text_proj[0].tensor.values[...] = pw
-        params.text_proj[1].tensor.values[...] = pb
+        enc.text_proj[0].tensor.values[...] = pw
+        enc.text_proj[1].tensor.values[...] = pb
 
         x = np.array([[1.0, 2.0], [-1.0, 0.5]])
         scores = (x @ wq) @ (x @ wk).T / np.sqrt(2.0)
@@ -96,78 +129,80 @@ class TestSelfAttentionPool:
         weights = e / e.sum(axis=1, keepdims=True)
         expected = ((weights @ (x @ wv)) @ wo).mean(axis=0) @ pw + pb
 
-        out = self_attention_pool(seq("text-tokens", x), params, "text")
-        assert np.allclose(out.values, expected, atol=1e-12)
+        other = np.zeros((1, 2))
+        views = encode(model, [sample_of(x, other, other, other)])
+        assert np.allclose(views["text"].values[0], expected, atol=1e-12)
 
     def test_permutation_invariance(self):
-        params = make_params()
+        model = make_model()
         rng = np.random.default_rng(3)
         tokens = rng.normal(size=(7, 8))
-        base = self_attention_pool(seq("text-tokens", tokens), params, "text").values
+        base = encode_text(model, tokens).values
         for _ in range(5):
             perm = rng.permutation(7)
-            out = self_attention_pool(seq("text-tokens", tokens[perm]), params, "text").values
+            out = encode_text(model, tokens[perm]).values
             assert np.allclose(out, base, atol=1e-10)
 
     def test_first_position_pooling_not_permutation_invariant(self):
-        params = make_params(pooling="first")
+        model = make_model(pooling="first")
         rng = np.random.default_rng(4)
         tokens = rng.normal(size=(5, 8))
-        base = self_attention_pool(seq("text-tokens", tokens), params, "text").values
-        flipped = self_attention_pool(seq("text-tokens", tokens[::-1].copy()), params, "text").values
+        base = encode_text(model, tokens).values
+        flipped = encode_text(model, tokens[::-1].copy()).values
         assert not np.allclose(base, flipped, atol=1e-6)
 
     def test_wrong_source_tag_rejected(self):
-        params = make_params()
-        s = seq("image-patches", np.zeros((2, 8)))
-        with pytest.raises(ValidationError):
-            self_attention_pool(s, params, "text")
+        # each slot of a Sample must carry its own source tag
+        rng = np.random.default_rng(12)
+        good = rand_sample(rng)
+        with pytest.raises(ValidationError, match="image-patches"):
+            Sample("x", 0, "none", good.image_seq, good.image_seq,
+                   good.clip_text_seq, good.clip_image_seq)
 
     def test_d_in_mismatch_rejected(self):
-        params = make_params()
-        s = seq("text-tokens", np.zeros((2, 5)))
-        with pytest.raises(Exception, match="5"):
-            self_attention_pool(s, params, "text")
+        model = make_model()
+        with pytest.raises(DimensionError, match="5"):
+            encode_text(model, np.zeros((2, 5)))
 
 
 class TestCoAttention:
     def test_single_identical_token_symmetry(self):
         # with one identical token on both sides and shared direction params,
         # both directional outputs equal the same pooled vector
-        d_in = {k: 4 for k in D_IN}
-        params = make_params(d=3, heads=1, d_in=d_in)
-        for p_i2t, p_t2i in zip(params.cross_i2t.parameters(), params.cross_t2i.parameters()):
+        model = make_model(d=3, heads=1, d_in=4)
+        enc = model.encoder
+        for p_i2t, p_t2i in zip(enc.cross_i2t.parameters(), enc.cross_t2i.parameters()):
             p_t2i.tensor.values[...] = p_i2t.tensor.values
         token = np.random.default_rng(5).normal(size=(1, 4))
-        out = co_attention(seq("clip-image", token), seq("clip-text", token), params)
+        out = encode(model, [sample_of(token, token, token, token)])["cross"]
 
-        wv = params.cross_i2t.w_value.tensor.values
-        wo = params.cross_i2t.w_out.tensor.values
+        wv = enc.cross_i2t.w_value.tensor.values
+        wo = enc.cross_i2t.w_out.tensor.values
         pooled = ((token @ wv) @ wo)[0]
-        w, b = params.cross_proj[0].tensor.values, params.cross_proj[1].tensor.values
+        w, b = enc.cross_proj[0].tensor.values, enc.cross_proj[1].tensor.values
         expected = np.concatenate([pooled, pooled]) @ w + b
-        assert np.allclose(out.values, expected, atol=1e-12)
+        assert np.allclose(out.values[0], expected, atol=1e-12)
 
     def test_single_key_gives_unit_weight(self):
         # one position on the text side: image->text attention must output that
         # single value row for every query regardless of content
-        d_in = {k: 4 for k in D_IN}
-        params = make_params(d=3, heads=2, d_in=d_in)
+        model = make_model(d=3, heads=2, d_in=4)
+        enc = model.encoder
         rng = np.random.default_rng(6)
         img = rng.normal(size=(3, 4))
         txt = rng.normal(size=(1, 4))
-        attended = multi_head_attention(Tensor(img), Tensor(txt), params.cross_i2t)
-        wv = params.cross_i2t.w_value.tensor.values
-        wo = params.cross_i2t.w_out.tensor.values
+        attended = multi_head_attention(Tensor(img), Tensor(txt), enc.cross_i2t)
+        wv = enc.cross_i2t.w_value.tensor.values
+        wo = enc.cross_i2t.w_out.tensor.values
         expected = np.tile((txt @ wv) @ wo, (3, 1))
         assert np.allclose(attended.values, expected, atol=1e-12)
 
     def test_hand_unrolled(self):
-        d_in = {k: 2 for k in D_IN}
-        params = make_params(d=2, heads=1, d_in=d_in)
+        model = make_model(d=2, heads=1, d_in=2)
+        enc = model.encoder
         rng = np.random.default_rng(7)
-        mats = {p.name: rng.normal(size=p.tensor.shape) for p in params.parameters()}
-        for p in params.parameters():
+        mats = {p.name: rng.normal(size=p.tensor.shape) for p in enc.parameters()}
+        for p in enc.parameters():
             p.tensor.values[...] = mats[p.name]
 
         a = np.array([[0.3, -1.2], [2.0, 0.1]])  # clip-image
@@ -183,71 +218,83 @@ class TestCoAttention:
             return ((weights @ v) @ ap.w_out.tensor.values).mean(axis=0)
 
         pooled = np.concatenate(
-            [direction(a, b, params.cross_i2t), direction(b, a, params.cross_t2i)]
+            [direction(a, b, enc.cross_i2t), direction(b, a, enc.cross_t2i)]
         )
-        expected = pooled @ params.cross_proj[0].tensor.values + params.cross_proj[1].tensor.values
-        out = co_attention(seq("clip-image", a), seq("clip-text", b), params)
-        assert np.allclose(out.values, expected, atol=1e-12)
+        expected = pooled @ enc.cross_proj[0].tensor.values + enc.cross_proj[1].tensor.values
+        other = np.zeros((1, 2))
+        out = encode(model, [sample_of(other, other, b, a)])["cross"]
+        assert np.allclose(out.values[0], expected, atol=1e-12)
 
     def test_tag_order_enforced(self):
-        params = make_params()
+        # the clip-image and clip-text slots cannot be swapped
         img = seq("clip-image", np.zeros((2, 8)))
         txt = seq("clip-text", np.zeros((2, 8)))
-        with pytest.raises(ValidationError):
-            co_attention(txt, img, params)
+        text = seq("text-tokens", np.zeros((2, 8)))
+        image = seq("image-patches", np.zeros((2, 8)))
+        with pytest.raises(ValidationError, match="clip"):
+            Sample("x", 0, "none", text, image, img, txt)
 
 
 class TestEncodeViews:
     def test_output_dims(self):
-        params = make_params(d=6)
+        model = make_model(d=6)
         rng = np.random.default_rng(8)
-        t, i, ct, ci = rand_sample(rng)
-        views = encode_views(t, i, ct, ci, params)
-        assert views.f_text.shape == views.f_image.shape == views.f_cross.shape == (6,)
+        views = encode(model, [rand_sample(rng) for _ in range(3)])
+        assert set(views) == {"text", "image", "cross"}
+        for view in views.values():
+            assert view.shape == (3, 6)
 
     def test_image_patch_permutation_invariance(self):
-        params = make_params(d=6, heads=1)
+        model = make_model(d=6, heads=1)
         rng = np.random.default_rng(9)
-        t, i, ct, ci = rand_sample(rng)
-        base = encode_views(t, i, ct, ci, params).f_image.values
-        perm = rng.permutation(i.tokens.shape[0])
-        i2 = seq("image-patches", i.tokens.values[perm])
-        out = encode_views(t, i2, ct, ci, params).f_image.values
+        s = rand_sample(rng)
+        base = encode(model, [s])["image"].values
+        perm = rng.permutation(s.image_seq.length)
+        permuted = sample_of(
+            s.text_seq.tokens.values,
+            s.image_seq.tokens.values[perm],
+            s.clip_text_seq.tokens.values,
+            s.clip_image_seq.tokens.values,
+        )
+        out = encode(model, [permuted])["image"].values
         assert np.allclose(out, base, atol=1e-10)
 
     def test_deterministic_across_runs(self):
         rng = np.random.default_rng(10)
-        tokens = {tag: rng.normal(size=(3, 8)) for tag in D_IN}
+        tokens = {tag: rng.normal(size=(3, 8)) for tag in SOURCE_TAGS}
+        s = sample_of(*(tokens[tag] for tag in SOURCE_TAGS))
 
         def run():
-            params = make_params(d=6, seed=42)
-            views = encode_views(
-                seq("text-tokens", tokens["text-tokens"]),
-                seq("image-patches", tokens["image-patches"]),
-                seq("clip-text", tokens["clip-text"]),
-                seq("clip-image", tokens["clip-image"]),
-                params,
-            )
-            return views.f_text.values, views.f_image.values, views.f_cross.values
+            views = encode(make_model(d=6, seed=42), [s])
+            return [views[v].values for v in ("text", "image", "cross")]
 
         a, b = run(), run()
         for x, y in zip(a, b):
             assert np.array_equal(x, y)
 
     def test_every_parameter_gets_gradient(self):
-        from mvrd.diffcore import add
-
-        params = make_params(d=6)
+        model = make_model(d=6)
+        params = model.encoder.parameters()
         rng = np.random.default_rng(11)
-        zero_grads(params.parameters())
-        for _ in range(8):  # a generic batch of samples
-            t, i, ct, ci = rand_sample(rng)
-            views = encode_views(t, i, ct, ci, params)
-            loss = add(add(mean(views.f_text), mean(views.f_image)), mean(views.f_cross))
-            backward(loss)
-        total = sum(int(np.prod(p.tensor.shape)) for p in params.parameters())
-        nonzero = sum(int((p.tensor.grad != 0).sum()) for p in params.parameters())
+        zero_grads(params)
+        views = encode(model, [rand_sample(rng) for _ in range(8)])  # a generic batch
+        backward(add(add(mean(views["text"]), mean(views["image"])), mean(views["cross"])))
+        total = sum(int(np.prod(p.tensor.shape)) for p in params)
+        nonzero = sum(int((p.tensor.grad != 0).sum()) for p in params)
         assert nonzero / total >= 0.99
+
+    @pytest.mark.parametrize("no_attention_mode", [False, True])
+    def test_batch_equals_its_rows(self, no_attention_mode):
+        # GEMM results for a row may differ in the last bits with the row count
+        model = make_model(d=6, no_attention_mode=no_attention_mode)
+        rng = np.random.default_rng(13)
+        samples = [rand_sample(rng, sample_id=f"s{i}") for i in range(5)]
+        batched = encode(model, samples)
+        for i, s in enumerate(samples):
+            row = encode(model, [s])
+            for view in ("text", "image", "cross"):
+                assert np.allclose(batched[view].values[i], row[view].values[0],
+                                   rtol=0, atol=1e-12)
 
 
 def test_head_divisibility_enforced():
@@ -257,4 +304,4 @@ def test_head_divisibility_enforced():
 
 def test_unknown_pooling_rejected():
     with pytest.raises(ValidationError):
-        make_params(pooling="max")
+        ViewEncoderParams({tag: 8 for tag in SOURCE_TAGS}, 6, 2, "max", 0)
