@@ -21,10 +21,11 @@ import hashlib
 import json
 import logging
 import os
+import threading
 import urllib.error
 import urllib.request
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import lru_cache
 from importlib import resources
 from pathlib import Path
@@ -248,21 +249,40 @@ def load_teacher_file(path) -> TeacherFileData:
 # deterministic fallback embedder
 
 
+# key -> {packed 3-gram -> 64-bit keyed blake2b of its UTF-8 bytes}; a pure
+# cache, bounded by the distinct 3-grams seen (2,197 for Sample.content's
+# 13-character alphabet)
+_GRAM_HASHES: dict[bytes, dict[int, int]] = {}
+
+
 def fallback_embed(chain: str, d_t: int, seed: int = 0) -> Tensor:
     """Hash character 3-grams into d_t signed buckets, then L2-normalize.
 
-    Deterministic across runs and platforms; the empty (or sub-3-char) string
-    maps to the zero vector, which is left unnormalized.
+    Each 3-gram's keyed blake2b digest picks its bucket (digest mod d_t) and
+    its sign (the digest's top bit). Deterministic across runs and platforms;
+    the empty (or sub-3-char) string maps to the zero vector, which is left
+    unnormalized. A lone surrogate raises ``UnicodeEncodeError``.
     """
     if d_t < 8:
         raise ParameterError(f"d_t must be >= 8, got {d_t}")
     key = hashlib.blake2b(str(seed).encode(), digest_size=16).digest()
     vec = np.zeros(d_t)
-    for i in range(len(chain) - 2):
-        gram = chain[i : i + 3].encode("utf-8")
-        h = int.from_bytes(hashlib.blake2b(gram, key=key, digest_size=8).digest(), "little")
-        sign = 1.0 if (h >> 63) & 1 == 0 else -1.0
-        vec[h % d_t] += sign
+    if len(chain) >= 3:
+        # code points are < 2**21, so one uint64 holds a whole 3-gram
+        points = np.frombuffer(chain.encode("utf-32-le"), dtype=np.uint32).astype(np.uint64)
+        grams = (points[:-2] << np.uint64(42)) | (points[1:-1] << np.uint64(21)) | points[2:]
+        distinct, inverse = np.unique(grams, return_inverse=True)
+        codes = distinct.tolist()
+        memo = _GRAM_HASHES.setdefault(key, {})
+        for code in set(codes).difference(memo):
+            gram = "".join(chr((code >> shift) & 0x1FFFFF) for shift in (42, 21, 0))
+            digest = hashlib.blake2b(gram.encode("utf-8"), key=key, digest_size=8).digest()
+            memo[code] = int.from_bytes(digest, "little")
+        hashes = np.fromiter(map(memo.__getitem__, codes), dtype=np.uint64, count=len(codes))
+        bucket = (hashes % np.uint64(d_t)).astype(np.intp)
+        sign = np.where(hashes >> np.uint64(63), -1.0, 1.0)
+        # sums of +-1 are exact in float64, so the order of accumulation is free
+        vec = np.bincount(bucket[inverse], weights=sign[inverse], minlength=d_t)
     norm = np.linalg.norm(vec)
     if norm > 0.0:
         vec /= norm
@@ -367,6 +387,10 @@ class ReasoningClient:
 
     config: ClientConfig
     network_calls: int = 0
+    # generate_reasoning_batch shares one client between threads
+    _lock: threading.Lock = field(
+        default_factory=threading.Lock, init=False, repr=False, compare=False
+    )
 
     def cache_key(self, template_id: str, payload: SamplePayload) -> str:
         blob = "\x00".join([template_id, payload.text, payload.image_ref])
@@ -397,7 +421,8 @@ class ReasoningClient:
         if token:
             headers["Authorization"] = f"Bearer {token}"
         request = urllib.request.Request(self.config.endpoint, data=body, headers=headers)
-        self.network_calls += 1
+        with self._lock:
+            self.network_calls += 1
         with urllib.request.urlopen(request, timeout=self.config.timeout) as resp:
             payload = json.loads(resp.read().decode("utf-8"))
         try:

@@ -3,6 +3,11 @@
 Everything here is deterministic under (config, master seed, dataset): the
 shuffle stream, parameter init, and optimizer state contain no other sources
 of randomness, so repeated runs produce bit-identical metrics.
+
+The runners (``ablation_suite``, ``sweep``) rely on that: they train their
+independent seed x variant jobs in forked worker processes, one per usable
+CPU, and put the results back in job order, so every row and number equals
+what the same ``train`` calls give one after another in this process.
 """
 
 from __future__ import annotations
@@ -10,8 +15,10 @@ from __future__ import annotations
 import hashlib
 import json
 import math
+import os
 import time
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field, fields, replace
+from pathlib import Path
 
 import numpy as np
 
@@ -29,6 +36,7 @@ from .fileio import FormatError
 from .metrics import Metrics, compute_metrics
 from .model import Model, StackedDataset, infer_d_in
 from .teacher import TeacherEmbeddings, fallback_embed
+from .views import SOURCE_TAGS
 
 CHECKPOINT_MAGIC = b"MVRD-CKPT\n"
 CHECKPOINT_VERSION = 1
@@ -220,37 +228,91 @@ ABLATION_VARIANTS: tuple[tuple[str, dict], ...] = (
 )
 
 
-def _summarize(per_seed: list[Metrics]) -> tuple[dict, dict]:
-    keys = per_seed[0].as_dict().keys()
-    arrays = {k: np.array([m.as_dict()[k] for m in per_seed]) for k in keys}
-    mean = {k: float(v.mean()) for k, v in arrays.items()}
-    sd = {k: float(v.std(ddof=1)) if len(v) > 1 else 0.0 for k, v in arrays.items()}
-    return mean, sd
+def _table(
+    cfg: TrainConfig, variants, train_set, test_set, n_seeds: int
+) -> list[VariantResult]:
+    """One row per ``(name, overrides)`` variant, over seeds ``master_seed + k``.
+
+    The jobs are listed variant-major, seed-minor and run by ``_run_jobs``.
+    """
+    jobs = [
+        cfg.replace(master_seed=cfg.master_seed + k, **overrides)
+        for _, overrides in variants
+        for k in range(n_seeds)
+    ]
+    metrics = _run_jobs(jobs, train_set, test_set)
+    rows = []
+    for i, (name, _) in enumerate(variants):
+        per_seed = metrics[i * n_seeds : (i + 1) * n_seeds]
+        keys = per_seed[0].as_dict().keys()
+        arrays = {k: np.array([m.as_dict()[k] for m in per_seed]) for k in keys}
+        mean = {k: float(v.mean()) for k, v in arrays.items()}
+        sd = {k: float(v.std(ddof=1)) if len(v) > 1 else 0.0 for k, v in arrays.items()}
+        rows.append(VariantResult(name, mean, sd, [m.as_dict() for m in per_seed]))
+    return rows
 
 
-def _seeded_runs(
-    cfg: TrainConfig, train_set, test_set, n_seeds: int, **flag_overrides
-) -> list[Metrics]:
-    results = []
-    for k in range(n_seeds):
-        run_cfg = cfg.replace(master_seed=cfg.master_seed + k, **flag_overrides)
-        _, report = train(run_cfg, train_set, eval_dataset=test_set)
-        results.append(Metrics(**report.metrics))
-    return results
+# (train_set, test_set) of a runner's pool; set only inside its forked workers
+_worker_sets: tuple[list[Sample], list[Sample]] | None = None
+
+
+def _init_worker(train_set: list[Sample], test_set: list[Sample]) -> None:
+    global _worker_sets
+    _worker_sets = (train_set, test_set)
+
+
+def _job_metrics(cfg: TrainConfig, train_set, test_set) -> Metrics:
+    _, report = train(cfg, train_set, eval_dataset=test_set)
+    return Metrics(**report.metrics)
+
+
+def _worker_job(cfg: TrainConfig) -> Metrics:
+    return _job_metrics(cfg, *_worker_sets)
+
+
+def _run_jobs(jobs: list[TrainConfig], train_set, test_set) -> list[Metrics]:
+    """Train and evaluate every config; the metrics come back in job order.
+
+    Jobs are independent and ``train`` is deterministic, so running them in
+    worker processes gives bit-identical numbers. The start method is "fork"
+    by name (Python 3.14 defaults to forkserver): it hands the datasets to the
+    workers without pickling them, so per job only the config goes out and
+    only the metrics come back. The pool closes before this returns, and a
+    failed job raises its own exception here.
+    """
+    # imported here: only the runners need them, and they add ~0.9 MiB of
+    # resident memory to every process that imports the trainer
+    import multiprocessing
+    from concurrent.futures import ProcessPoolExecutor
+
+    try:
+        cpus = len(os.sched_getaffinity(0))
+    except AttributeError:  # platforms without CPU affinity
+        cpus = os.cpu_count() or 1
+    workers = min(len(jobs), cpus)
+    if workers <= 1 or "fork" not in multiprocessing.get_all_start_methods():
+        return [_job_metrics(cfg, train_set, test_set) for cfg in jobs]
+    with ProcessPoolExecutor(
+        workers,
+        mp_context=multiprocessing.get_context("fork"),
+        initializer=_init_worker,
+        initargs=(train_set, test_set),
+    ) as pool:
+        return list(pool.map(_worker_job, jobs))
 
 
 def ablation_suite(
     cfg: TrainConfig, train_set, test_set, n_seeds: int = 5
 ) -> list[VariantResult]:
-    """Full model plus every single-mechanism removal, mean +/- sd over seeds."""
+    """Full model plus every single-mechanism removal, mean +/- sd over seeds.
+
+    The variant x seed runs go to forked worker processes (see ``_run_jobs``);
+    rows and per-seed entries keep ``ABLATION_VARIANTS`` and seed order, and
+    every number equals the one a serial ``train`` call gives.
+    """
     if n_seeds < 3:
         raise ParameterError(f"ablation needs n_seeds >= 3, got {n_seeds}")
-    rows = []
-    for name, flags in ABLATION_VARIANTS:
-        per_seed = _seeded_runs(cfg, train_set, test_set, n_seeds, **flags)
-        mean, sd = _summarize(per_seed)
-        rows.append(VariantResult(name, mean, sd, [m.as_dict() for m in per_seed]))
-    return rows
+    return _table(cfg, ABLATION_VARIANTS, train_set, test_set, n_seeds)
 
 
 SWEEP_AXES = {"lambda": "lambda_", "tau": "tau", "alpha": "alpha", "heads": "heads"}
@@ -259,7 +321,11 @@ SWEEP_AXES = {"lambda": "lambda_", "tau": "tau", "alpha": "alpha", "heads": "hea
 def sweep(
     cfg: TrainConfig, axis: str, values, train_set, test_set, n_seeds: int = 3
 ) -> list[VariantResult]:
-    """Metric curve along one hyperparameter axis."""
+    """Metric curve along one hyperparameter axis, mean +/- sd over seeds.
+
+    Runs like ``ablation_suite``: value x seed jobs in forked workers, rows in
+    ``values`` order, numbers identical to serial ``train`` calls.
+    """
     if axis not in SWEEP_AXES:
         raise ParameterError(f"sweep axis must be one of {sorted(SWEEP_AXES)}, got {axis!r}")
     if axis == "heads":
@@ -267,15 +333,9 @@ def sweep(
         if bad:
             raise ConfigError(f"head counts {bad} do not divide d={cfg.d}")
     field_name = SWEEP_AXES[axis]
-    rows = []
-    for value in values:
-        value = int(value) if axis == "heads" else float(value)
-        per_seed = _seeded_runs(cfg, train_set, test_set, n_seeds, **{field_name: value})
-        mean, sd = _summarize(per_seed)
-        rows.append(
-            VariantResult(f"{axis}={value}", mean, sd, [m.as_dict() for m in per_seed])
-        )
-    return rows
+    values = [int(v) if axis == "heads" else float(v) for v in values]
+    variants = [(f"{axis}={value}", {field_name: value}) for value in values]
+    return _table(cfg, variants, train_set, test_set, n_seeds)
 
 
 def sweep_chart(rows: list[VariantResult], axis: str, path) -> bool:
@@ -322,14 +382,22 @@ def save_checkpoint(model: Model, path) -> None:
         "train_config": model.cfg.snapshot(),
         "d_in": model.d_in,
     }
-    with open(path, "wb") as fh:
-        fh.write(CHECKPOINT_MAGIC)
-        fh.write(json.dumps(header).encode() + b"\n")
-        for p in params:
-            meta = {"name": p.name, "shape": list(p.tensor.shape)}
-            fh.write(json.dumps(meta).encode() + b"\n")
-            fh.write(np.ascontiguousarray(p.tensor.values, dtype="<f8").tobytes())
-            fh.write(b"\n")
+    # written beside the target and renamed over it, so a failed save leaves
+    # the previous checkpoint whole
+    path = Path(path)
+    tmp = path.with_name(f".{path.name}.tmp.{os.getpid()}")
+    try:
+        with open(tmp, "wb") as fh:
+            fh.write(CHECKPOINT_MAGIC)
+            fh.write(json.dumps(header).encode() + b"\n")
+            for p in params:
+                meta = {"name": p.name, "shape": list(p.tensor.shape)}
+                fh.write(json.dumps(meta).encode() + b"\n")
+                fh.write(np.ascontiguousarray(p.tensor.values, dtype="<f8").tobytes())
+                fh.write(b"\n")
+        os.replace(tmp, path)
+    finally:
+        tmp.unlink(missing_ok=True)
 
 
 def load_checkpoint(path) -> tuple[dict, dict[str, np.ndarray]]:
@@ -397,11 +465,29 @@ def restore_into_model(model: Model, path) -> None:
         p.tensor.values[...] = arrays[p.name]
 
 
+# the JSON type each TrainConfig field takes in a checkpoint header
+_CONFIG_TYPES = {f.name: type(f.default) for f in fields(TrainConfig)}
+
+
 def load_model(path) -> Model:
     """Rebuild the model architecture recorded in a checkpoint and load it."""
     header, arrays = load_checkpoint(path)
-    cfg = TrainConfig(**header["train_config"]).validate()
-    model = Model(cfg, {str(k): int(v) for k, v in header["d_in"].items()})
+    snapshot, d_in = header.get("train_config"), header.get("d_in")
+    if not isinstance(snapshot, dict) or not all(
+        _CONFIG_TYPES.get(k) is type(v) or (_CONFIG_TYPES.get(k) is float and type(v) is int)
+        for k, v in snapshot.items()
+    ):
+        raise FormatError(f"{path}: checkpoint train_config is missing or malformed: {snapshot!r}")
+    if not (
+        isinstance(d_in, dict)
+        and set(d_in) == set(SOURCE_TAGS)
+        and all(type(v) is int and v >= 1 for v in d_in.values())
+    ):
+        raise FormatError(f"{path}: checkpoint d_in is missing or malformed: {d_in!r}")
+    try:
+        model = Model(TrainConfig(**snapshot), d_in)
+    except ConfigError as exc:
+        raise FormatError(f"{path}: checkpoint records an invalid model ({exc})") from exc
     params = model.parameters()
     _check_arrays(params, arrays)
     for p in params:

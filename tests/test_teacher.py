@@ -1,13 +1,17 @@
 """Teacher-side contracts: projection, file format, fallback embedder, oracle,
 and the endpoint client with its on-disk cache."""
 
+import hashlib
+import io
 import json
+import sys
 import threading
 from http.server import BaseHTTPRequestHandler, HTTPServer
 
 import numpy as np
 import pytest
 
+from mvrd.datasynth import SyntheticConfig, generate_dataset
 from mvrd.diffcore import ContractError, DimensionError, ParameterError, Tensor, ValidationError
 from mvrd.fileio import FormatError
 from mvrd.teacher import (
@@ -21,6 +25,7 @@ from mvrd.teacher import (
     default_templates,
     fallback_embed,
     generate_reasoning,
+    generate_reasoning_batch,
     load_teacher_file,
     project_teacher,
     save_teacher_file,
@@ -180,7 +185,45 @@ class TestTeacherFile:
             load_teacher_file(path)
 
 
+def loop_fallback_embed(chain: str, d_t: int, seed: int) -> np.ndarray:
+    """fallback_embed as a plain per-3-gram loop: the reference the
+    vectorized version must match bit for bit."""
+    key = hashlib.blake2b(str(seed).encode(), digest_size=16).digest()
+    vec = np.zeros(d_t)
+    for i in range(len(chain) - 2):
+        gram = chain[i : i + 3].encode("utf-8")
+        h = int.from_bytes(hashlib.blake2b(gram, key=key, digest_size=8).digest(), "little")
+        sign = 1.0 if (h >> 63) & 1 == 0 else -1.0
+        vec[h % d_t] += sign
+    norm = np.linalg.norm(vec)
+    if norm > 0.0:
+        vec /= norm
+    return vec
+
+
 class TestFallbackEmbed:
+    @pytest.mark.parametrize("seed", [0, 3])
+    @pytest.mark.parametrize("d_t", [8, 16, 32])
+    def test_equals_per_gram_loop(self, d_t, seed):
+        samples = generate_dataset(SyntheticConfig(n_samples=4, seed=5))
+        tag_sets = (("text-tokens",), ("image-patches",), ("clip-text", "clip-image"))
+        chains = [s.content(*tags) for s in samples for tags in tag_sets]
+        chains += ["", "a", "ab", "abc", "aaaa", "abab ab", "\x00\x00\x00", "h\u00e9llo w\u00f6rld"]
+        chains += ["\u65e5\u672c\u8a9e\u306e\u30c6\u30ad\u30b9\u30c8", "\U0001f642\U0001f642x\U0001f642"]
+        rng = np.random.default_rng(seed)
+        for length in rng.integers(0, 50, size=20):
+            bmp = rng.integers(32, 0xD800, size=length)
+            astral = rng.integers(0xE000, 0x110000, size=length)
+            chains.append("".join(map(chr, np.where(rng.random(length) < 0.7, bmp, astral))))
+        for chain in chains:
+            got = fallback_embed(chain, d_t, seed).values
+            assert got.tobytes() == loop_fallback_embed(chain, d_t, seed).tobytes(), chain
+
+    def test_lone_surrogate_raises_only_inside_a_gram(self):
+        with pytest.raises(UnicodeEncodeError):
+            fallback_embed("ab\ud800cd", 8)
+        assert np.array_equal(fallback_embed("a\ud800", 8).values, np.zeros(8))
+
     def test_deterministic(self):
         a = fallback_embed("the quick brown fox", 16, seed=3)
         b = fallback_embed("the quick brown fox", 16, seed=3)
@@ -364,3 +407,22 @@ class TestReasoningClient:
         client.fetch_chain(template, payload)
         key = client.cache_key(template.template_id, payload)
         assert (cache_dir / key).exists()
+
+    def test_network_calls_counted_across_threads(self, tmp_path, monkeypatch):
+        class Reply(io.BytesIO):
+            def __init__(self):
+                super().__init__(b'{"choices": [{"message": {"content": "stub"}}]}')
+
+        monkeypatch.setattr("mvrd.teacher.urllib.request.urlopen", lambda request, timeout: Reply())
+        client = ReasoningClient(
+            ClientConfig(endpoint="http://stub.invalid", cache_dir=tmp_path / "cache", max_in_flight=4)
+        )
+        payloads = [SamplePayload(f"s{i}", f"text {i}", f"img-{i}") for i in range(200)]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            records = generate_reasoning_batch(client, payloads, default_templates(), d_t=8)
+        finally:
+            sys.setswitchinterval(interval)
+        assert len(records) == 3 * len(payloads)
+        assert client.network_calls == 3 * len(payloads)

@@ -1,17 +1,24 @@
 """Training-loop contracts: descent, determinism, teacher constancy,
 checkpointing, and the ablation/sweep runners."""
 
+import dataclasses
+import json
+import multiprocessing
+import pickle
+
 import numpy as np
 import pytest
 
+from mvrd import trainer
 from mvrd.config import ConfigError, TrainConfig
 from mvrd.datasynth import SyntheticConfig, generate_dataset, split
-from mvrd.diffcore import ContractError, Tensor, ValidationError, backward
+from mvrd.diffcore import ContractError, ParameterError, Tensor, ValidationError, backward
 from mvrd.fileio import FormatError
 from mvrd.metrics import Metrics
 from mvrd.model import Model, StackedDataset, infer_d_in
 from mvrd.teacher import TeacherEmbeddings
 from mvrd.trainer import (
+    ABLATION_VARIANTS,
     CHECKPOINT_MAGIC,
     Adam,
     RunReport,
@@ -146,8 +153,6 @@ class TestTrain:
 
     def test_missing_teacher_with_distillation_rejected(self):
         ds = tiny_dataset()
-        import dataclasses
-
         stripped = [dataclasses.replace(s, teacher=None) for s in ds]
         with pytest.raises(ConfigError):
             train(tiny_cfg(), stripped)
@@ -236,6 +241,73 @@ class TestAblationRunner:
         ds = tiny_dataset()
         with pytest.raises(Exception):
             ablation_suite(tiny_cfg(), ds, ds, n_seeds=2)
+
+
+class TestParallelRunner:
+    """The runners train in forked workers; every number must equal a serial
+    ``train`` of the same config, in the same order, and no worker outlives
+    the call."""
+
+    N_SEEDS = 3
+
+    @pytest.fixture(scope="class")
+    def corpus(self):
+        return split(tiny_dataset(n_samples=60), (0.75, 0.25), seed=11)
+
+    @pytest.fixture()
+    def three_cpus(self, monkeypatch):
+        # more workers than this machine may have cores, so a pool always runs
+        monkeypatch.setattr("os.sched_getaffinity", lambda pid: {0, 1, 2})
+
+    def direct(self, cfg, tr, te):
+        return train(cfg, tr, eval_dataset=te)[1].metrics
+
+    def test_ablation_equals_direct_runs_in_order(self, corpus, three_cpus):
+        tr, te = corpus
+        cfg = tiny_cfg(epochs=1)
+        rows = ablation_suite(cfg, tr, te, n_seeds=self.N_SEEDS)
+        assert multiprocessing.active_children() == []
+        assert trainer._worker_sets is None
+        assert [r.name for r in rows] == [name for name, _ in ABLATION_VARIANTS]
+        for row, (_, flags) in zip(rows, ABLATION_VARIANTS):
+            assert row.per_seed == [
+                self.direct(cfg.replace(master_seed=k, **flags), tr, te)
+                for k in range(self.N_SEEDS)
+            ]
+
+    def test_sweep_equals_direct_runs_in_order(self, corpus, three_cpus):
+        tr, te = corpus
+        cfg = tiny_cfg(epochs=1)
+        values = [4.0, 1.0, 2.0]
+        rows = sweep(cfg, "tau", values, tr, te, n_seeds=self.N_SEEDS)
+        assert multiprocessing.active_children() == []
+        assert [r.name for r in rows] == ["tau=4.0", "tau=1.0", "tau=2.0"]
+        for row, tau in zip(rows, values):
+            assert row.per_seed == [
+                self.direct(cfg.replace(master_seed=k, tau=tau), tr, te)
+                for k in range(self.N_SEEDS)
+            ]
+
+    def test_one_worker_gives_the_same_table(self, corpus, monkeypatch):
+        tr, te = corpus
+        cfg = tiny_cfg(epochs=1)
+        pooled = ablation_suite(cfg, tr, te, n_seeds=self.N_SEEDS)
+        monkeypatch.setattr("os.sched_getaffinity", lambda pid: {0})
+        assert ablation_suite(cfg, tr, te, n_seeds=self.N_SEEDS) == pooled
+
+    def test_failing_job_raises_its_own_error(self, corpus, three_cpus):
+        tr, te = corpus
+        stripped = [dataclasses.replace(s, teacher=None) for s in tr]
+        with pytest.raises(ConfigError, match="lacks teacher embeddings"):
+            ablation_suite(tiny_cfg(epochs=1), stripped, te, n_seeds=self.N_SEEDS)
+        assert multiprocessing.active_children() == []
+
+    @pytest.mark.parametrize(
+        "error", [ParameterError, ConfigError, ValidationError, ContractError, FormatError]
+    )
+    def test_package_errors_survive_pickling(self, error):
+        restored = pickle.loads(pickle.dumps(error("job failed")))
+        assert type(restored) is error and restored.args == ("job failed",)
 
 
 class TestSweepRunner:
@@ -328,6 +400,54 @@ class TestCheckpoints:
         path.write_bytes(blob[:lo] + text + blob[hi:])
         with pytest.raises(FormatError):
             load_checkpoint(path)
+
+    @pytest.mark.parametrize(
+        "edit",
+        [
+            lambda h: h.pop("train_config"),
+            lambda h: h.pop("d_in"),
+            lambda h: h.update(train_config=[1, 2]),
+            lambda h: h.update(train_config={**h["train_config"], "d": "8"}),
+            lambda h: h.update(train_config={**h["train_config"], "epochs": 2.0}),
+            lambda h: h.update(train_config={**h["train_config"], "no_teacher": 1}),
+            lambda h: h.update(train_config={**h["train_config"], "dropout": 0.1}),
+            lambda h: h.update(train_config={**h["train_config"], "heads": 3}),
+            lambda h: h.update(d_in=8),
+            lambda h: h.update(d_in={**h["d_in"], "text-tokens": "8"}),
+            lambda h: h.update(d_in={**h["d_in"], "text-tokens": 0}),
+            lambda h: h["d_in"].pop("clip-image"),
+        ],
+        ids=[
+            "no-train_config", "no-d_in", "train_config-list", "str-int-field",
+            "float-int-field", "int-bool-field", "unknown-field", "bad-head-count",
+            "d_in-int", "str-d_in", "zero-d_in", "missing-source",
+        ],
+    )
+    def test_bad_header_fields_are_format_error(self, tmp_path, edit):
+        model = Model(tiny_cfg(), infer_d_in(tiny_dataset(n_samples=4)))
+        path = tmp_path / "ckpt.bin"
+        save_checkpoint(model, path)
+        blob = path.read_bytes()
+        header_start = len(CHECKPOINT_MAGIC)
+        header_end = blob.index(b"\n", header_start)
+        header = json.loads(blob[header_start:header_end])
+        edit(header)
+        path.write_bytes(blob[:header_start] + json.dumps(header).encode() + blob[header_end:])
+        with pytest.raises(FormatError):
+            load_model(path)
+
+    def test_failed_save_keeps_previous_checkpoint(self, tmp_path):
+        model = Model(tiny_cfg(), infer_d_in(tiny_dataset(n_samples=4)))
+        path = tmp_path / "ckpt.bin"
+        save_checkpoint(model, path)
+        before = path.read_bytes()
+        # the last parameter cannot be written as float64, so the save fails
+        # after the header and every other parameter have been written
+        model.parameters()[-1].tensor.values = np.array(["not a number"])
+        with pytest.raises(ValueError):
+            save_checkpoint(model, path)
+        assert path.read_bytes() == before
+        assert [p.name for p in tmp_path.iterdir()] == ["ckpt.bin"]
 
     def test_not_a_checkpoint(self, tmp_path):
         path = tmp_path / "junk.bin"
