@@ -1,5 +1,12 @@
 """Training configuration and the flat key=value config file format.
 
+``TrainConfig`` is the one copy of a run's settings, and holds only what a
+run varies: the loss weights (``lambda_``, ``tau``, ``alpha``), the widths
+(``d``, ``d_h``) and head counts (``heads``, ``encoder_heads``), the schedule
+(``learning_rate``, ``epochs``, ``batch_size``), the ``master_seed``, and the
+nine ablation switches. Everything else is fixed: the encoders mean-pool, and
+Adam's moment constants live in ``trainer.Adam``.
+
 Config files contain one ``key = value`` pair per line (``#`` comments and
 blank lines allowed). Keys mirror the field names of TrainConfig and
 SyntheticConfig; unknown keys are hard errors so typos cannot silently fall
@@ -10,25 +17,13 @@ back to defaults. The single exception is ``lambda``, which maps to the
 from __future__ import annotations
 
 import dataclasses
+import math
 from dataclasses import dataclass
 from pathlib import Path
 
 
 class ConfigError(ValueError):
     """A configuration value (or file) violates its contract."""
-
-
-ABLATION_FLAGS = (
-    "drop_L_text",
-    "drop_L_image",
-    "drop_L_cross",
-    "drop_text_view",
-    "drop_image_view",
-    "no_teacher",
-    "no_reasoning_prompts_mode",
-    "no_feature_extractors_mode",
-    "no_attention_mode",
-)
 
 
 @dataclass(frozen=True)
@@ -47,14 +42,9 @@ class TrainConfig:
     d: int = 32
     d_h: int = 64
     learning_rate: float = 1e-3
-    beta1: float = 0.9
-    beta2: float = 0.999
-    adam_eps: float = 1e-8
     epochs: int = 30
     batch_size: int = 32
     master_seed: int = 0
-    pooling: str = "mean"
-    debug_checks: bool = True
     drop_L_text: bool = False
     drop_L_image: bool = False
     drop_L_cross: bool = False
@@ -66,24 +56,25 @@ class TrainConfig:
     no_attention_mode: bool = False
 
     def validate(self) -> "TrainConfig":
-        if self.lambda_ < 0:
-            raise ConfigError(f"lambda must be >= 0, got {self.lambda_}")
-        if not self.tau > 0:
-            raise ConfigError(f"tau must be positive, got {self.tau}")
+        # each check is written so that a NaN fails it
+        if not 0.0 <= self.lambda_ < math.inf:
+            raise ConfigError(f"lambda must be finite and >= 0, got {self.lambda_}")
+        if not 0.0 < self.tau < math.inf:
+            raise ConfigError(f"tau must be finite and positive, got {self.tau}")
         if not 0.0 <= self.alpha <= 1.0:
             raise ConfigError(f"alpha must lie in [0, 1], got {self.alpha}")
+        if self.d < 1:
+            raise ConfigError(f"d must be >= 1, got {self.d}")
         if self.heads < 1 or self.d % self.heads != 0:
             raise ConfigError(f"fusion heads={self.heads} must divide d={self.d}")
         if self.encoder_heads < 1:
             raise ConfigError(f"encoder_heads must be >= 1, got {self.encoder_heads}")
         if self.d_h < self.d:
             raise ConfigError(f"d_h={self.d_h} must be >= d={self.d}")
-        if self.learning_rate <= 0:
-            raise ConfigError(f"learning_rate must be positive, got {self.learning_rate}")
+        if not 0.0 < self.learning_rate < math.inf:
+            raise ConfigError(f"learning_rate must be finite and > 0, got {self.learning_rate}")
         if self.epochs < 1 or self.batch_size < 1:
             raise ConfigError("epochs and batch_size must be >= 1")
-        if self.pooling not in ("mean", "first"):
-            raise ConfigError(f"pooling must be 'mean' or 'first', got {self.pooling!r}")
         return self
 
     @property
@@ -101,9 +92,6 @@ class TrainConfig:
 
     def replace(self, **changes) -> "TrainConfig":
         return dataclasses.replace(self, **changes)
-
-    def snapshot(self) -> dict:
-        return dataclasses.asdict(self)
 
 
 _KEY_ALIASES = {"lambda": "lambda_"}
@@ -128,9 +116,7 @@ def _parse_value(raw: str, py_type, key: str):
             return float(raw)
         except ValueError as exc:
             raise ConfigError(f"key {key!r}: expected a number, got {raw!r}") from exc
-    if py_type is str:
-        return raw
-    # tuple-of-floats fields (e.g. corruption_mix)
+    # tuple-of-floats fields (corruption_mix)
     try:
         return tuple(float(part) for part in raw.split(","))
     except ValueError as exc:
@@ -154,38 +140,29 @@ def read_config_file(path) -> dict[str, str]:
     return entries
 
 
-def build_configs(entries: dict[str, str], synthetic_cls=None):
+def field_types(cls) -> dict[str, type]:
+    """Each field's type, read off its default (the annotations are strings)."""
+    return {f.name: type(f.default) for f in dataclasses.fields(cls)}
+
+
+def build_configs(entries: dict[str, str]):
     """Split raw entries into a (TrainConfig, SyntheticConfig) pair.
 
     Unknown keys raise; every key must belong to exactly one of the two
     dataclasses (their field names are disjoint by construction).
     """
-    if synthetic_cls is None:
-        from .datasynth import SyntheticConfig as synthetic_cls  # local to avoid cycles
+    from .datasynth import SyntheticConfig  # local to avoid cycles
 
-    train_fields = {f.name: f.type for f in dataclasses.fields(TrainConfig)}
-    synth_fields = {f.name: f.type for f in dataclasses.fields(synthetic_cls)}
-    type_of = {
-        **{name: _resolve_type(t) for name, t in synth_fields.items()},
-        **{name: _resolve_type(t) for name, t in train_fields.items()},
-    }
-
+    train_types = field_types(TrainConfig)
+    synth_types = field_types(SyntheticConfig)
     train_kwargs: dict = {}
     synth_kwargs: dict = {}
     for key, raw in entries.items():
         field = _KEY_ALIASES.get(key, key)
-        if field in train_fields:
-            train_kwargs[field] = _parse_value(raw, type_of[field], key)
-        elif field in synth_fields:
-            synth_kwargs[field] = _parse_value(raw, type_of[field], key)
+        if field in train_types:
+            train_kwargs[field] = _parse_value(raw, train_types[field], key)
+        elif field in synth_types:
+            synth_kwargs[field] = _parse_value(raw, synth_types[field], key)
         else:
             raise ConfigError(f"unknown config key {key!r}")
-    return TrainConfig(**train_kwargs).validate(), synthetic_cls(**synth_kwargs).validate()
-
-
-def _resolve_type(annotation):
-    # dataclass fields carry string annotations under `from __future__ import annotations`
-    mapping = {"bool": bool, "int": int, "float": float, "str": str}
-    if isinstance(annotation, str):
-        return mapping.get(annotation, tuple)
-    return annotation
+    return TrainConfig(**train_kwargs).validate(), SyntheticConfig(**synth_kwargs).validate()

@@ -17,8 +17,8 @@ at desk scale.
 
 from __future__ import annotations
 
-import dataclasses
 import json
+import math
 from dataclasses import dataclass
 from functools import lru_cache
 from pathlib import Path
@@ -102,12 +102,13 @@ class SyntheticConfig:
     seed: int = 0
 
     def validate(self) -> "SyntheticConfig":
+        # each check is written so that a NaN fails it
         if self.n_samples < 1:
             raise ParameterError(f"n_samples must be >= 1, got {self.n_samples}")
         if not 0.0 <= self.class_balance <= 1.0:
             raise ParameterError(f"class_balance must lie in [0, 1], got {self.class_balance}")
         mix = np.asarray(self.corruption_mix, dtype=np.float64)
-        if len(mix) != len(FAKE_TYPES) or np.any(mix < 0) or abs(mix.sum() - 1.0) > 1e-9:
+        if len(mix) != len(FAKE_TYPES) or not (np.all(mix >= 0) and abs(mix.sum() - 1.0) <= 1e-9):
             raise ParameterError(
                 f"corruption_mix must be {len(FAKE_TYPES)} nonnegative proportions summing to 1, "
                 f"got {self.corruption_mix}"
@@ -116,12 +117,13 @@ class SyntheticConfig:
             raise ParameterError("sequence lengths must be >= 1")
         if self.d_in < 2 or self.teacher_dim < 4:
             raise ParameterError("d_in must be >= 2 and teacher_dim >= 4")
-        if self.noise_sigma < 0 or self.signal_strength < 0 or self.student_corruption_snr < 0:
-            raise ParameterError("signal and noise magnitudes must be nonnegative")
-        if self.clip_alignment_gain <= 0:
-            raise ParameterError("clip_alignment_gain must be positive")
-        if self.teacher_snr_ratio < 1:
-            raise ParameterError("teacher_snr_ratio must be >= 1")
+        magnitudes = (self.noise_sigma, self.signal_strength, self.student_corruption_snr)
+        if not all(0.0 <= v < math.inf for v in magnitudes):
+            raise ParameterError("signal and noise magnitudes must be finite and nonnegative")
+        if not 0.0 < self.clip_alignment_gain < math.inf:
+            raise ParameterError("clip_alignment_gain must be finite and positive")
+        if not 1.0 <= self.teacher_snr_ratio < math.inf:
+            raise ParameterError("teacher_snr_ratio must be finite and >= 1")
         return self
 
     @property
@@ -131,9 +133,6 @@ class SyntheticConfig:
     @property
     def teacher_corruption_scale(self) -> float:
         return self.teacher_snr_ratio * self.student_corruption_scale
-
-    def snapshot(self) -> dict:
-        return dataclasses.asdict(self)
 
 
 @lru_cache(maxsize=32)

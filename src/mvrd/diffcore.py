@@ -23,7 +23,6 @@ __all__ = [
     "ContractError",
     "DimensionError",
     "GradCheckReport",
-    "InitSpec",
     "Parameter",
     "ParameterError",
     "Tensor",
@@ -134,23 +133,16 @@ class Tensor:
         return f"Tensor(shape={self.shape}, requires_grad={self.requires_grad})"
 
 
-@dataclass(frozen=True)
-class InitSpec:
-    scheme: str
-    seed: int
-
-
 class Parameter:
     """Named trainable tensor; init is fully determined by (scheme, seed, shape)."""
 
-    __slots__ = ("name", "tensor", "init_spec")
+    __slots__ = ("name", "tensor")
 
-    def __init__(self, name: str, tensor: Tensor, init_spec: InitSpec):
+    def __init__(self, name: str, tensor: Tensor):
         if not tensor.requires_grad:
             raise ContractError(f"parameter {name!r} must require gradients")
         self.name = name
         self.tensor = tensor
-        self.init_spec = init_spec
 
     def __repr__(self) -> str:
         return f"Parameter({self.name!r}, shape={self.tensor.shape})"
@@ -173,7 +165,7 @@ def make_parameter(name: str, shape: tuple[int, ...], scheme: str, seed: int) ->
         values = np.zeros(shape)
     else:
         raise ParameterError(f"unknown init scheme {scheme!r}")
-    return Parameter(name, Tensor(values, requires_grad=True), InitSpec(scheme, seed))
+    return Parameter(name, Tensor(values, requires_grad=True))
 
 
 def zero_grads(params) -> None:

@@ -109,29 +109,18 @@ class LossBreakdown:
     classification: float
     distill: dict[str, float]
     total: float
-    config: dict
+    lambda_effective: float
     graph: Tensor | None = field(default=None, repr=False, compare=False)
 
     def identity_errors(self) -> tuple[float, float]:
-        lam = self.config.get("lambda_effective", 0.0)
         distill_sum = 0.0
         for view in VIEWS:
             if view in self.distill:
                 distill_sum += self.distill[view]
         return (
             abs(self.classification - (self.final + self.branch)),
-            abs(self.total - (self.classification + lam * distill_sum)),
+            abs(self.total - (self.classification + self.lambda_effective * distill_sum)),
         )
-
-    def to_record(self) -> dict:
-        return {
-            "final": self.final,
-            "branch": self.branch,
-            "classification": self.classification,
-            "distill": dict(self.distill),
-            "total": self.total,
-            "config": self.config,
-        }
 
 
 def total_loss(
@@ -139,7 +128,6 @@ def total_loss(
     loss_branch: Tensor,
     distill_losses: dict[str, Tensor],
     lambda_: float,
-    config_snapshot: dict | None = None,
 ) -> LossBreakdown:
     """Assemble the total objective: classification + lambda * sum of enabled
     distillation terms.
@@ -148,7 +136,7 @@ def total_loss(
     the returned graph contains only the classification path, so the teacher
     can never influence gradients.
     """
-    if lambda_ < 0:
+    if not lambda_ >= 0:
         raise ParameterError(f"lambda must be >= 0, got {lambda_}")
     loss_c = add(loss_final, loss_branch)
     ordered = [distill_losses[v] for v in VIEWS if v in distill_losses]
@@ -159,14 +147,12 @@ def total_loss(
         total = add(loss_c, scale(distill_sum, lambda_))
     else:
         total = loss_c
-    snapshot = dict(config_snapshot or {})
-    snapshot.setdefault("lambda_effective", lambda_)
     return LossBreakdown(
         final=loss_final.item(),
         branch=loss_branch.item(),
         classification=loss_c.item(),
         distill={v: t.item() for v, t in distill_losses.items()},
         total=total.item(),
-        config=snapshot,
+        lambda_effective=lambda_,
         graph=total,
     )

@@ -9,7 +9,7 @@ the O(n^2) pairwise count (ties worth 1/2).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass, fields
 
 import numpy as np
 
@@ -24,18 +24,13 @@ class Metrics:
     auc: float
 
     def __post_init__(self):
-        for name in ("accuracy", "f1_fake", "f1_real", "auc"):
-            v = getattr(self, name)
+        for f in fields(self):
+            v = getattr(self, f.name)
             if not 0.0 <= v <= 1.0:
-                raise ValidationError(f"{name}={v} outside [0, 1]")
+                raise ValidationError(f"{f.name}={v} outside [0, 1]")
 
     def as_dict(self) -> dict[str, float]:
-        return {
-            "accuracy": self.accuracy,
-            "f1_fake": self.f1_fake,
-            "f1_real": self.f1_real,
-            "auc": self.auc,
-        }
+        return asdict(self)
 
 
 def _f1(tp: int, fp: int, fn: int) -> float:
@@ -79,12 +74,14 @@ def auc_pairwise(labels: np.ndarray, scores: np.ndarray) -> float:
     return float(wins) / (len(fake) * len(real))
 
 
-def compute_metrics(labels, logits, check_pairwise_auc: bool = True) -> Metrics:
+def compute_metrics(labels, logits) -> Metrics:
     """Accuracy/F1 from argmax predictions, AUC from the fake-class probability."""
     labels = np.asarray(labels, dtype=np.int64)
     logits = np.asarray(logits, dtype=np.float64)
     if labels.size == 0:
         raise ValidationError("cannot compute metrics on an empty set")
+    if not np.isfinite(logits).all():
+        raise ValidationError("cannot compute metrics on non-finite logits")
     preds = logits.argmax(axis=-1)
     shifted = logits - logits.max(axis=-1, keepdims=True)
     probs = np.exp(shifted)
@@ -98,7 +95,7 @@ def compute_metrics(labels, logits, check_pairwise_auc: bool = True) -> Metrics:
     fp_r = fn_f
     fn_r = fp_f
     auc = auc_rank(labels, fake_score)
-    if check_pairwise_auc and labels.size <= 500:
+    if labels.size <= 500:
         oracle = auc_pairwise(labels, fake_score)
         if auc != oracle:
             raise AssertionError(f"rank AUC {auc!r} disagrees with pairwise oracle {oracle!r}")

@@ -2,10 +2,11 @@
 
 There is one forward path, and it is batched: a ``StackedDataset`` holds
 (B, L, d_in) token arrays per source, ``Model.encode_batch`` turns them into
-per-view (B, d) features, ``calibrate_views`` adds the predicted corrections,
-and ``Model.fuse`` attends over the calibrated views. Per-view tensors are
-``dict[str, Tensor]`` keyed by ``VIEWS``. Training slices minibatches out of
-one stacked dataset; prediction stacks each chunk of samples.
+per-view (B, d) mean-pooled features, ``calibrate_views`` adds the predicted
+corrections, and ``Model.fuse`` attends over the calibrated views. Per-view
+tensors are ``dict[str, Tensor]`` keyed by ``VIEWS``. Training slices
+minibatches out of one stacked dataset; prediction stacks each chunk of
+samples.
 
 The model owns three parameter groups (view encoders, calibrator, fusion) and
 implements the ablation switches from TrainConfig:
@@ -14,8 +15,8 @@ implements the ablation switches from TrainConfig:
   constant zero vector right after encoding, removing it everywhere downstream
 * ``no_feature_extractors_mode``: view features are raw mean-pooled input
   tokens (requires d_in == d)
-* ``no_attention_mode``: the attention step is skipped: encoders pool and
-  project the raw tokens, and fusion returns the pooled query itself
+* ``no_attention_mode``: the attention step is skipped: encoders mean-pool
+  and project the raw tokens, and fusion returns the pooled query itself
 * ``no_teacher`` / lambda == 0: the distillation subgraph is never recorded,
   so teacher values provably cannot influence gradients
 
@@ -29,7 +30,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .calibration import CalibratorParams, DistillConfig, calibrate_views, distill_losses
-from .config import ABLATION_FLAGS, ConfigError, TrainConfig
+from .config import ConfigError, TrainConfig
 from .diffcore import Parameter, Tensor, ValidationError, add, linear, mean, no_grad, scale
 from .fusion import (
     FusionParams,
@@ -132,9 +133,10 @@ class Model:
                 )
         self.cfg = cfg
         self.d_in = dict(d_in)
-        self.encoder = ViewEncoderParams(d_in, cfg.d, cfg.encoder_heads, cfg.pooling, cfg.master_seed)
+        self.encoder = ViewEncoderParams(d_in, cfg.d, cfg.encoder_heads, cfg.master_seed)
         self.calibrator = CalibratorParams(cfg.d, cfg.d_h, cfg.master_seed)
         self.fusion = FusionParams(cfg.d, cfg.heads, cfg.master_seed)
+        self.distill_cfg = DistillConfig(cfg.tau, cfg.alpha, cfg.enabled_views)
 
     def parameters(self) -> list[Parameter]:
         return self.encoder.parameters() + self.calibrator.parameters() + self.fusion.parameters()
@@ -163,8 +165,8 @@ class Model:
                     multi_head_attention(clip_t, clip_i, enc.cross_t2i),
                 )
             views = {
-                "text": pool_and_project(text, enc.text_proj, enc.pooling),
-                "image": pool_and_project(image, enc.image_proj, enc.pooling),
+                "text": pool_and_project(text, enc.text_proj),
+                "image": pool_and_project(image, enc.image_proj),
                 "cross": co_pool_and_project(clip_i, clip_t, enc),
             }
         if cfg.drop_text_view:
@@ -174,38 +176,27 @@ class Model:
         return views
 
     def forward_loss(self, batch: StackedDataset) -> LossBreakdown:
-        cfg = self.cfg
-        lam = cfg.lambda_effective
+        lam = self.cfg.lambda_effective
         views = self.encode_batch(batch)
         calibrated = calibrate_views(views, self.calibrator)
-        dcfg = DistillConfig(cfg.tau, cfg.alpha, cfg.enabled_views)
         teacher = None
         if batch.teacher is not None:
             teacher = {view: Tensor(arr) for view, arr in zip(VIEWS, batch.teacher)}
-        if lam > 0:
-            if teacher is None:
-                raise ConfigError(
-                    "distillation is enabled but the batch has no teacher embeddings"
-                )
-            distill = distill_losses(calibrated, teacher, batch.labels, dcfg, self.calibrator)
-        elif teacher is not None:
-            # report-only values: computed outside the tape so the teacher can
-            # never touch the parameter trajectory
-            with no_grad():
-                distill = distill_losses(calibrated, teacher, batch.labels, dcfg, self.calibrator)
-        else:
-            distill = {}
+        if lam > 0 and teacher is None:
+            raise ConfigError("distillation is enabled but the batch has no teacher embeddings")
+        distill = {}
+        if teacher is not None:
+            args = (calibrated, teacher, batch.labels, self.distill_cfg, self.calibrator)
+            if lam > 0:
+                distill = distill_losses(*args)
+            else:
+                # report-only values: computed outside the tape so the teacher
+                # can never touch the parameter trajectory
+                with no_grad():
+                    distill = distill_losses(*args)
         f_final = self.fuse(calibrated)
         loss_final, loss_branch = classification_losses(f_final, views, batch.labels, self.fusion)
-        snapshot = {
-            "lambda": cfg.lambda_,
-            "lambda_effective": lam,
-            "tau": cfg.tau,
-            "alpha": cfg.alpha,
-            "enabled_views": sorted(dcfg.enabled_views),
-            "flags": {name: getattr(cfg, name) for name in ABLATION_FLAGS},
-        }
-        return total_loss(loss_final, loss_branch, distill, lam, snapshot)
+        return total_loss(loss_final, loss_branch, distill, lam)
 
     def fuse(self, calibrated) -> Tensor:
         pooled = pool_views(calibrated)

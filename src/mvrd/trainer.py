@@ -17,12 +17,12 @@ import json
 import math
 import os
 import time
-from dataclasses import dataclass, field, fields, replace
+from dataclasses import asdict, dataclass, field, replace
 from pathlib import Path
 
 import numpy as np
 
-from .config import ConfigError, TrainConfig
+from .config import ConfigError, TrainConfig, field_types
 from .datasynth import Sample
 from .diffcore import (
     ContractError,
@@ -43,21 +43,16 @@ CHECKPOINT_VERSION = 1
 
 
 class Adam:
-    """Adaptive-moment optimizer; a zero-gradient step from fresh state is a no-op."""
+    """Adaptive-moment optimizer with the usual constants: first-moment decay
+    BETA1 = 0.9, second-moment decay BETA2 = 0.999, and EPS = 1e-8 added to
+    the root of the second moment. A zero-gradient step from fresh state is a
+    no-op."""
 
-    def __init__(
-        self,
-        params: list[Parameter],
-        lr: float = 1e-3,
-        beta1: float = 0.9,
-        beta2: float = 0.999,
-        eps: float = 1e-8,
-    ):
+    BETA1, BETA2, EPS = 0.9, 0.999, 1e-8
+
+    def __init__(self, params: list[Parameter], lr: float = 1e-3):
         self.params = list(params)
         self.lr = lr
-        self.beta1 = beta1
-        self.beta2 = beta2
-        self.eps = eps
         self.t = 0
         self._m = {p.name: np.zeros(p.tensor.shape) for p in self.params}
         self._v = {p.name: np.zeros(p.tensor.shape) for p in self.params}
@@ -67,17 +62,17 @@ class Adam:
 
     def step(self) -> None:
         self.t += 1
-        bc1 = 1.0 - self.beta1**self.t
-        bc2 = 1.0 - self.beta2**self.t
+        bc1 = 1.0 - self.BETA1**self.t
+        bc2 = 1.0 - self.BETA2**self.t
         for p in self.params:
             g = p.tensor.grad
             m = self._m[p.name]
             v = self._v[p.name]
-            m *= self.beta1
-            m += (1.0 - self.beta1) * g
-            v *= self.beta2
-            v += (1.0 - self.beta2) * (g * g)
-            p.tensor.values -= self.lr * (m / bc1) / (np.sqrt(v / bc2) + self.eps)
+            m *= self.BETA1
+            m += (1.0 - self.BETA1) * g
+            v *= self.BETA2
+            v += (1.0 - self.BETA2) * (g * g)
+            p.tensor.values -= self.lr * (m / bc1) / (np.sqrt(v / bc2) + self.EPS)
 
 
 @dataclass
@@ -91,26 +86,11 @@ class RunReport:
     wall_time_s: float
 
     def to_json(self) -> str:
-        return json.dumps(
-            {
-                "config": self.config,
-                "seed": self.seed,
-                "epoch_losses": self.epoch_losses,
-                "metrics": self.metrics,
-                "wall_time_s": self.wall_time_s,
-            }
-        )
+        return json.dumps(asdict(self))
 
     @classmethod
     def from_json(cls, text: str) -> "RunReport":
-        obj = json.loads(text)
-        return cls(
-            config=obj["config"],
-            seed=obj["seed"],
-            epoch_losses=obj["epoch_losses"],
-            metrics=obj["metrics"],
-            wall_time_s=obj["wall_time_s"],
-        )
+        return cls(**json.loads(text))
 
 
 def replace_teacher_with_content_embeddings(samples: list[Sample], d: int) -> list[Sample]:
@@ -150,7 +130,7 @@ def train(
 
     start = time.perf_counter()
     model = Model(cfg, infer_d_in(dataset))
-    optimizer = Adam(model.parameters(), cfg.learning_rate, cfg.beta1, cfg.beta2, cfg.adam_eps)
+    optimizer = Adam(model.parameters(), cfg.learning_rate)
     data = StackedDataset.from_samples(dataset, include_teacher=has_teacher)
     shuffle_rng = np.random.default_rng(np.random.SeedSequence((cfg.master_seed, 17)))
     n = len(dataset)
@@ -165,26 +145,24 @@ def train(
             optimizer.zero_grad()
             breakdown = model.forward_loss(batch)
             backward(breakdown.graph)
-            if cfg.debug_checks:
-                # written so that a NaN error fails the check: a non-finite
-                # loss must not reach the optimizer
-                err_c, err_total = breakdown.identity_errors()
-                if not (err_c <= 1e-12 and err_total <= 1e-12):
-                    raise ContractError(
-                        f"loss identities violated: |L_C err|={err_c:.3e}, |total err|={err_total:.3e}"
-                    )
+            # written so that a NaN error fails the check: a non-finite loss
+            # must not reach the optimizer
+            err_c, err_total = breakdown.identity_errors()
+            if not (err_c <= 1e-12 and err_total <= 1e-12):
+                raise ContractError(
+                    f"loss identities violated: |L_C err|={err_c:.3e}, |total err|={err_total:.3e}"
+                )
             optimizer.step()
-            record = breakdown.to_record()
             for key in ("final", "branch", "classification", "total"):
-                sums[key] = sums.get(key, 0.0) + record[key]
-            for view, value in record["distill"].items():
+                sums[key] = sums.get(key, 0.0) + getattr(breakdown, key)
+            for view, value in breakdown.distill.items():
                 sums[f"distill_{view}"] = sums.get(f"distill_{view}", 0.0) + value
             n_batches += 1
         epoch_losses.append({k: v / n_batches for k, v in sums.items()})
 
     metrics = evaluate(model, eval_dataset) if eval_dataset else None
     report = RunReport(
-        config=cfg.snapshot(),
+        config=asdict(cfg),
         seed=cfg.master_seed,
         epoch_losses=epoch_losses,
         metrics=metrics.as_dict() if metrics else None,
@@ -235,6 +213,8 @@ def _table(
 
     The jobs are listed variant-major, seed-minor and run by ``_run_jobs``.
     """
+    if n_seeds < 1:
+        raise ParameterError(f"a table needs n_seeds >= 1, got {n_seeds}")
     jobs = [
         cfg.replace(master_seed=cfg.master_seed + k, **overrides)
         for _, overrides in variants
@@ -329,9 +309,10 @@ def sweep(
     if axis not in SWEEP_AXES:
         raise ParameterError(f"sweep axis must be one of {sorted(SWEEP_AXES)}, got {axis!r}")
     if axis == "heads":
-        bad = [v for v in values if cfg.d % int(v) != 0]
+        # the CLI parses values as floats: 2.5 heads is an error, not 2
+        bad = [v for v in values if not (float(v).is_integer() and v >= 1 and cfg.d % int(v) == 0)]
         if bad:
-            raise ConfigError(f"head counts {bad} do not divide d={cfg.d}")
+            raise ConfigError(f"head counts {bad} must be whole numbers >= 1 that divide d={cfg.d}")
     field_name = SWEEP_AXES[axis]
     values = [int(v) if axis == "heads" else float(v) for v in values]
     variants = [(f"{axis}={value}", {field_name: value}) for value in values]
@@ -379,7 +360,7 @@ def save_checkpoint(model: Model, path) -> None:
         "d": model.cfg.d,
         "h": model.cfg.heads,
         "layout_hash": _layout_hash(params),
-        "train_config": model.cfg.snapshot(),
+        "train_config": asdict(model.cfg),
         "d_in": model.d_in,
     }
     # written beside the target and renamed over it, so a failed save leaves
@@ -465,16 +446,13 @@ def restore_into_model(model: Model, path) -> None:
         p.tensor.values[...] = arrays[p.name]
 
 
-# the JSON type each TrainConfig field takes in a checkpoint header
-_CONFIG_TYPES = {f.name: type(f.default) for f in fields(TrainConfig)}
-
-
 def load_model(path) -> Model:
     """Rebuild the model architecture recorded in a checkpoint and load it."""
     header, arrays = load_checkpoint(path)
     snapshot, d_in = header.get("train_config"), header.get("d_in")
+    types = field_types(TrainConfig)
     if not isinstance(snapshot, dict) or not all(
-        _CONFIG_TYPES.get(k) is type(v) or (_CONFIG_TYPES.get(k) is float and type(v) is int)
+        types.get(k) is type(v) or (types.get(k) is float and type(v) is int)
         for k, v in snapshot.items()
     ):
         raise FormatError(f"{path}: checkpoint train_config is missing or malformed: {snapshot!r}")

@@ -3,10 +3,11 @@
 Three views are produced from a sample's four embedded sequences, always as a
 stacked batch of (B, L, d_in) token arrays:
 
-* text view: multi-head self-attention over token embeddings, pooled, projected
+* text view: multi-head self-attention over token embeddings, mean-pooled,
+  projected
 * image view: the same over patch embeddings
 * cross view: bidirectional co-attention between the two aligned (clip-style)
-  sequences, each direction pooled, concatenated, projected
+  sequences, each direction mean-pooled, concatenated, projected
 
 ``Model.encode_batch`` composes the pieces: ``multi_head_attention`` on each
 sequence (skipped in the attention-free ablation), then ``pool_and_project``
@@ -35,7 +36,6 @@ from .diffcore import (
     mean,
     narrow,
     parameter_seed,
-    reshape,
     scale,
     softmax_temp,
     transpose,
@@ -43,7 +43,6 @@ from .diffcore import (
 
 VIEWS = ("text", "image", "cross")
 SOURCE_TAGS = ("text-tokens", "image-patches", "clip-text", "clip-image")
-POOLING_MODES = ("mean", "first")
 
 
 @dataclass
@@ -120,35 +119,16 @@ def multi_head_attention(q_tokens: Tensor, kv_tokens: Tensor, params: AttentionP
     return matmul(stacked, params.w_out)
 
 
-def _pool_positions(x: Tensor, mode: str) -> Tensor:
-    if mode == "mean":
-        return mean(x, axis=-2)
-    if mode == "first":
-        first = narrow(x, -2, 0, 1)
-        return reshape(first, x.shape[:-2] + (x.shape[-1],))
-    raise ValidationError(f"unknown pooling mode {mode!r}")
-
-
 class ViewEncoderParams:
     """All learnable parts of the three view encoders."""
 
-    def __init__(
-        self,
-        d_in: dict[str, int],
-        d: int,
-        heads: int = 4,
-        pooling: str = "mean",
-        master_seed: int = 0,
-    ):
-        if pooling not in POOLING_MODES:
-            raise ValidationError(f"pooling must be one of {POOLING_MODES}, got {pooling!r}")
+    def __init__(self, d_in: dict[str, int], d: int, heads: int = 4, master_seed: int = 0):
         missing = [tag for tag in SOURCE_TAGS if tag not in d_in]
         if missing:
             raise ValidationError(f"d_in missing source tags: {missing}")
         self.d_in = dict(d_in)
         self.d = d
         self.heads = heads
-        self.pooling = pooling
 
         def proj(name, n_in):
             w_name, b_name = f"views.{name}.proj.W", f"views.{name}.proj.b"
@@ -181,20 +161,14 @@ class ViewEncoderParams:
 # pooling heads: each view's (B, L, d_in) tokens, attended or raw, to (B, d)
 
 
-def pool_and_project(tokens: Tensor, proj, pooling: str = "mean") -> Tensor:
-    """Text or image view: pool the tokens over positions, then project to d."""
-    return linear(_pool_positions(tokens, pooling), *proj)
+def pool_and_project(tokens: Tensor, proj) -> Tensor:
+    """Text or image view: mean-pool the tokens over positions, then project to d."""
+    return linear(mean(tokens, axis=-2), *proj)
 
 
 def co_pool_and_project(
     clip_image_tokens: Tensor, clip_text_tokens: Tensor, params: ViewEncoderParams
 ) -> Tensor:
-    """Cross view: pool both clip sequences, concatenate (image first), project to d."""
-    pooled = concat(
-        [
-            _pool_positions(clip_image_tokens, params.pooling),
-            _pool_positions(clip_text_tokens, params.pooling),
-        ],
-        axis=-1,
-    )
+    """Cross view: mean-pool both clip sequences, concatenate (image first), project to d."""
+    pooled = concat([mean(clip_image_tokens, axis=-2), mean(clip_text_tokens, axis=-2)], axis=-1)
     return linear(pooled, *params.cross_proj)

@@ -179,3 +179,25 @@ class TestSweepCommand:
         lines = (out / "sweep_tau.jsonl").read_text("utf-8").strip().splitlines()
         assert len(lines) == 2
         assert json.loads(lines[0])["name"] == "tau=1.0"
+
+    def test_zero_seeds_is_parameter_error(self, data_dir, config_file, capsys):
+        code = main(
+            [
+                "sweep",
+                "--config",
+                str(config_file),
+                "--features",
+                str(data_dir / "features.jsonl"),
+                "--teacher",
+                str(data_dir / "teacher.jsonl"),
+                "--axis",
+                "tau",
+                "--values",
+                "1.0",
+                "--seeds",
+                "0",
+            ]
+        )
+        assert code == 1
+        err = json.loads(capsys.readouterr().err.strip())
+        assert err["error"] == "ParameterError"

@@ -91,6 +91,12 @@ class TestComputeMetrics:
         with pytest.raises(ValidationError):
             compute_metrics(np.array([]), np.zeros((0, 2)))
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_logits_rejected(self, bad):
+        logits = np.array([[0.0, 1.0], [1.0, 0.0], [0.5, bad]])
+        with pytest.raises(ValidationError, match="non-finite"):
+            compute_metrics(np.array([1, 0, 1]), logits)
+
     def test_metric_ranges_enforced(self):
         with pytest.raises(ValidationError):
             Metrics(accuracy=1.2, f1_fake=0.0, f1_real=0.0, auc=0.5)

@@ -330,8 +330,16 @@ class TestSweepRunner:
 
     def test_invalid_head_count_rejected(self):
         ds = tiny_dataset()
-        with pytest.raises(ConfigError):
-            sweep(tiny_cfg(), "heads", [3], ds, ds, n_seeds=1)
+        # 3 does not divide d=8; the CLI hands values over as floats, and 2.5
+        # must not be truncated to 2
+        for values in ([3], [0], [2.5], [float("nan")], [float("inf")]):
+            with pytest.raises(ConfigError):
+                sweep(tiny_cfg(), "heads", values, ds, ds, n_seeds=1)
+
+    def test_zero_seeds_rejected(self):
+        ds = tiny_dataset()
+        with pytest.raises(ParameterError):
+            sweep(tiny_cfg(), "tau", [1.0], ds, ds, n_seeds=0)
 
     def test_unknown_axis_rejected(self):
         ds = tiny_dataset()
@@ -416,11 +424,12 @@ class TestCheckpoints:
             lambda h: h.update(d_in={**h["d_in"], "text-tokens": "8"}),
             lambda h: h.update(d_in={**h["d_in"], "text-tokens": 0}),
             lambda h: h["d_in"].pop("clip-image"),
+            lambda h: h.update(train_config={**h["train_config"], "pooling": "mean"}),
         ],
         ids=[
             "no-train_config", "no-d_in", "train_config-list", "str-int-field",
             "float-int-field", "int-bool-field", "unknown-field", "bad-head-count",
-            "d_in-int", "str-d_in", "zero-d_in", "missing-source",
+            "d_in-int", "str-d_in", "zero-d_in", "missing-source", "retired-field",
         ],
     )
     def test_bad_header_fields_are_format_error(self, tmp_path, edit):

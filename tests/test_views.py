@@ -16,16 +16,13 @@ from mvrd.views import (
     SOURCE_TAGS,
     AttentionParams,
     EmbeddedSequence,
-    ViewEncoderParams,
     multi_head_attention,
     pool_and_project,
 )
 
 
-def make_model(d=6, heads=2, seed=0, d_in=8, pooling="mean", **flags):
-    cfg = TrainConfig(
-        d=d, d_h=2 * d, heads=1, encoder_heads=heads, pooling=pooling, master_seed=seed, **flags
-    )
+def make_model(d=6, heads=2, seed=0, d_in=8, **flags):
+    cfg = TrainConfig(d=d, d_h=2 * d, heads=1, encoder_heads=heads, master_seed=seed, **flags)
     return Model(cfg, {tag: d_in for tag in SOURCE_TAGS})
 
 
@@ -63,7 +60,7 @@ def encode_text(model, tokens):
     """The text view of (..., L, d_in) tokens, through the encoder blocks."""
     enc = model.encoder
     x = Tensor(tokens)
-    return pool_and_project(multi_head_attention(x, x, enc.text_attn), enc.text_proj, enc.pooling)
+    return pool_and_project(multi_head_attention(x, x, enc.text_attn), enc.text_proj)
 
 
 class TestEmbeddedSequence:
@@ -142,14 +139,6 @@ class TestSelfAttentionPool:
             perm = rng.permutation(7)
             out = encode_text(model, tokens[perm]).values
             assert np.allclose(out, base, atol=1e-10)
-
-    def test_first_position_pooling_not_permutation_invariant(self):
-        model = make_model(pooling="first")
-        rng = np.random.default_rng(4)
-        tokens = rng.normal(size=(5, 8))
-        base = encode_text(model, tokens).values
-        flipped = encode_text(model, tokens[::-1].copy()).values
-        assert not np.allclose(base, flipped, atol=1e-6)
 
     def test_wrong_source_tag_rejected(self):
         # each slot of a Sample must carry its own source tag
@@ -300,8 +289,3 @@ class TestEncodeViews:
 def test_head_divisibility_enforced():
     with pytest.raises(ValidationError):
         AttentionParams("x", 8, 8, 8, 3, 0)
-
-
-def test_unknown_pooling_rejected():
-    with pytest.raises(ValidationError):
-        ViewEncoderParams({tag: 8 for tag in SOURCE_TAGS}, 6, 2, "max", 0)
