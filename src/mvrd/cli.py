@@ -114,6 +114,7 @@ def cmd_gen_data(args) -> int:
 
 
 def cmd_gen_teacher(args) -> int:
+    spec = ProjectionSpec(d_t=args.d_t, d=args.student_dim, seed=args.seed or 0)
     samples = load_features_file(args.features)
     templates = default_templates()
     payloads = [
@@ -129,7 +130,7 @@ def cmd_gen_teacher(args) -> int:
                 chain = f"mock {view} reasoning for {payload.sample_id} [{digest}]"
                 records.append(
                     ReasoningRecord(
-                        payload.sample_id, view, chain, fallback_embed(chain, args.d_t, args.seed or 0)
+                        payload.sample_id, view, chain, fallback_embed(chain, spec.d_t, spec.seed)
                     )
                 )
     else:
@@ -143,9 +144,8 @@ def cmd_gen_teacher(args) -> int:
             )
         )
         records = generate_reasoning_batch(
-            client, payloads, templates, args.d_t, args.seed or 0
+            client, payloads, templates, spec.d_t, spec.seed
         )
-    spec = ProjectionSpec(d_t=args.d_t, d=args.student_dim, seed=args.seed or 0)
     save_teacher_file(records, spec, args.out)
     print(f"wrote {len(records)} teacher records to {args.out}")
     return 0

@@ -302,12 +302,14 @@ def load_features_file(path) -> list[Sample]:
     for lineno, obj in lines:
         try:
             sid = str(obj["sample_id"])
-            label = int(obj["label"])
+            label = obj["label"]
             corruption = str(obj["corruption"])
             tag = str(obj["source_tag"])
             tokens = np.asarray(obj["tokens"], dtype=np.float64)
         except (KeyError, TypeError, ValueError, OverflowError) as exc:
             raise FormatError(f"{path}: line {lineno}: bad record ({exc})") from exc
+        if type(label) is not int or label not in (0, 1):
+            raise FormatError(f"{path}: line {lineno}: label must be the integer 0 or 1, not {label!r}")
         if tag not in SOURCE_TAGS:
             raise FormatError(f"{path}: line {lineno}: unknown source_tag {tag!r}")
         if not np.isfinite(tokens).all():

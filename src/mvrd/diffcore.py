@@ -1,10 +1,13 @@
 """Minimal reverse-mode autodiff over float64 numpy arrays.
 
 Everything in this package that needs gradients runs through the small op set
-below. Each forward op appends a record to a thread-local tape; ``backward``
-walks the tape in reverse and accumulates gradients into ``Tensor.grad``
-buffers. Gradients accumulate across calls; callers (the optimizer) zero them
-between steps. The tape is freed after each backward pass.
+below, twelve ops in all. Multi-head attention is one of them: ``attention``
+runs the per-head softmax(Q K^T / sqrt(d_k)) V loop inside a single op, so an
+attention block records one node, not a chain per head. Each forward op
+appends a record to a thread-local tape; ``backward`` walks the tape in
+reverse and accumulates gradients into ``Tensor.grad`` buffers. Gradients
+accumulate across calls; callers (the optimizer) zero them between steps. The
+tape is freed after each backward pass.
 
 Wherever an op is documented for 1-D or 2-D inputs, the implementation also
 accepts extra leading batch axes with the same semantics applied to the
@@ -28,25 +31,22 @@ __all__ = [
     "Tensor",
     "ValidationError",
     "add",
+    "attention",
     "backward",
     "concat",
     "cross_entropy",
-    "dot",
     "grad_check",
     "kl_divergence",
     "linear",
     "make_parameter",
     "matmul",
     "mean",
-    "narrow",
     "no_grad",
     "parameter_seed",
     "relu",
     "reshape",
     "scale",
     "softmax_temp",
-    "tensor_sum",
-    "transpose",
     "zero_grads",
 ]
 
@@ -289,20 +289,6 @@ def relu(x) -> Tensor:
     return _emit(values, (x,), backward_fn)
 
 
-def transpose(x) -> Tensor:
-    """Swap the last two axes."""
-    x = _tensor(x)
-    if x.ndim < 2:
-        raise DimensionError(f"transpose needs ndim >= 2, got shape {x.shape}")
-    values = _swap(x.values).copy()
-
-    def backward_fn(g):
-        if x.requires_grad:
-            x.grad += _swap(g)
-
-    return _emit(values, (x,), backward_fn)
-
-
 def concat(tensors, axis: int = -1) -> Tensor:
     """Concatenate along the last axis (or an explicit axis)."""
     ts = [_tensor(t) for t in tensors]
@@ -325,22 +311,6 @@ def concat(tensors, axis: int = -1) -> Tensor:
                 t.grad += piece
 
     return _emit(values, tuple(ts), backward_fn)
-
-
-def narrow(x, axis: int, start: int, stop: int) -> Tensor:
-    """Contiguous slice [start:stop) along one axis."""
-    x = _tensor(x)
-    axis = axis if axis >= 0 else x.ndim + axis
-    if not (0 <= start < stop <= x.shape[axis]):
-        raise DimensionError(f"narrow [{start}:{stop}) outside axis {axis} of {x.shape}")
-    index = tuple(slice(None) if i != axis else slice(start, stop) for i in range(x.ndim))
-    values = x.values[index].copy()
-
-    def backward_fn(g):
-        if x.requires_grad:
-            x.grad[index] += g
-
-    return _emit(values, (x,), backward_fn)
 
 
 def reshape(x, shape) -> Tensor:
@@ -377,41 +347,14 @@ def mean(x, axis: int | None = None) -> Tensor:
     return _emit(np.asarray(values), (x,), backward_fn)
 
 
-def tensor_sum(x, axis: int | None = None) -> Tensor:
-    """Sum over one axis, or over all entries when axis is None."""
-    x = _tensor(x)
-    if axis is None:
-        values = x.values.sum()
-
-        def backward_fn(g):
-            if x.requires_grad:
-                x.grad += np.full(x.shape, g)
-
-    else:
-        ax = axis if axis >= 0 else x.ndim + axis
-        values = x.values.sum(axis=ax)
-
-        def backward_fn(g):
-            if x.requires_grad:
-                x.grad += np.expand_dims(g, ax) * np.ones(x.shape)
-
-    return _emit(np.asarray(values), (x,), backward_fn)
+def _softmax(z: np.ndarray) -> np.ndarray:
+    e = np.exp(z - z.max(axis=-1, keepdims=True))
+    return e / e.sum(axis=-1, keepdims=True)
 
 
-def dot(a, b) -> Tensor:
-    """Inner product of two 1-D tensors."""
-    a, b = _tensor(a), _tensor(b)
-    if a.ndim != 1 or b.ndim != 1 or a.shape != b.shape:
-        raise DimensionError(f"dot needs equal 1-D shapes, got {a.shape} vs {b.shape}")
-    values = np.dot(a.values, b.values)
-
-    def backward_fn(g):
-        if a.requires_grad:
-            a.grad += g * b.values
-        if b.requires_grad:
-            b.grad += g * a.values
-
-    return _emit(np.asarray(values), (a, b), backward_fn)
+def _softmax_grad(s: np.ndarray, g: np.ndarray) -> np.ndarray:
+    """Gradient w.r.t. the softmax input z, given s = _softmax(z) and dL/ds = g."""
+    return s * (g - (g * s).sum(axis=-1, keepdims=True))
 
 
 def softmax_temp(x, tau: float) -> Tensor:
@@ -425,17 +368,60 @@ def softmax_temp(x, tau: float) -> Tensor:
         raise ParameterError(f"temperature must be positive, got {tau}")
     if x.ndim < 1 or x.shape[-1] < 1:
         raise DimensionError(f"softmax_temp needs a nonempty last axis, got {x.shape}")
-    z = x.values / tau
-    z = z - z.max(axis=-1, keepdims=True)
-    e = np.exp(z)
-    s = e / e.sum(axis=-1, keepdims=True)
+    s = _softmax(x.values / tau)
 
     def backward_fn(g):
         if x.requires_grad:
-            inner = (g * s).sum(axis=-1, keepdims=True)
-            x.grad += s * (g - inner) / tau
+            x.grad += _softmax_grad(s, g) / tau
 
     return _emit(s, (x,), backward_fn)
+
+
+def attention(q, k, v, heads: int) -> Tensor:
+    """Multi-head scaled dot-product attention over projected q (.., L_q, W) and
+    k, v (.., L_kv, W): head h reads columns [h*d_k, (h+1)*d_k) with d_k = W/heads,
+    computes softmax(Q_h K_h^T / sqrt(d_k)) V_h, and the heads are concatenated.
+
+    One tape node. Forward and backward loop over the heads; each head works on
+    contiguous (.., L, d_k) copies of its operands, so no (.., heads, L, L)
+    temporary is ever built.
+    """
+    q, k, v = _tensor(q), _tensor(k), _tensor(v)
+    if (
+        q.ndim < 2
+        or k.shape != v.shape
+        or k.ndim != q.ndim
+        or k.shape[:-2] != q.shape[:-2]
+        or k.shape[-1] != q.shape[-1]
+    ):
+        raise DimensionError(f"attention shapes disagree: q{q.shape}, k{k.shape}, v{v.shape}")
+    width = q.shape[-1]
+    if not isinstance(heads, int) or heads < 1 or width % heads:
+        raise DimensionError(f"attention heads={heads!r} must be an integer dividing width {width}")
+    d_k = width // heads
+    inv_scale = float(1.0 / np.sqrt(d_k))
+    cols = [np.s_[..., lo:lo + d_k] for lo in range(0, width, d_k)]
+    saved = []  # per head: Q_h, K_h^T, V_h, softmax weights
+    for col in cols:
+        q_h = q.values[col].copy()
+        k_t = _swap(k.values[col]).copy()
+        v_h = v.values[col].copy()
+        saved.append((q_h, k_t, v_h, _softmax(np.matmul(q_h, k_t) * inv_scale)))
+    values = np.concatenate([np.matmul(s, v_h) for _, _, v_h, s in saved], axis=-1)
+
+    def backward_fn(g):
+        for col, (q_h, k_t, v_h, s) in zip(cols, saved):
+            g_h = g[col].copy()
+            if v.requires_grad:
+                v.grad[col] += np.matmul(_swap(s), g_h)
+            if q.requires_grad or k.requires_grad:
+                g_scores = _softmax_grad(s, np.matmul(g_h, _swap(v_h))) * inv_scale
+                if q.requires_grad:
+                    q.grad[col] += np.matmul(g_scores, _swap(k_t))
+                if k.requires_grad:
+                    k.grad[col] += _swap(np.matmul(_swap(q_h), g_scores))
+
+    return _emit(values, (q, k, v), backward_fn)
 
 
 def _check_distribution(t: Tensor, label: str) -> None:

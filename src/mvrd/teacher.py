@@ -118,6 +118,13 @@ class ProjectionSpec:
     d: int
     seed: int
 
+    def __post_init__(self):
+        # named as in the teacher file's header
+        fields = (("d_t", self.d_t, 1), ("d", self.d, 1), ("projection_seed", self.seed, 0))
+        for name, value, least in fields:
+            if type(value) is not int or value < least:
+                raise ParameterError(f"{name} must be an integer >= {least}, got {value!r}")
+
     def matrix(self) -> np.ndarray:
         return _projection_matrix(self.d_t, self.d, self.seed)
 
@@ -197,11 +204,10 @@ def load_teacher_file(path) -> TeacherFileData:
     path = Path(path)
     header, lines = read_record_lines(path)
     check_format_version(path, header)
-    for key, least in (("d_t", 1), ("d", 1), ("projection_seed", 0)):
-        value = header.get(key)
-        if type(value) is not int or value < least:
-            raise FormatError(f"{path}: header {key} must be an integer >= {least}, got {value!r}")
-    spec = ProjectionSpec(header["d_t"], header["d"], header["projection_seed"])
+    try:
+        spec = ProjectionSpec(header.get("d_t"), header.get("d"), header.get("projection_seed"))
+    except ParameterError as exc:
+        raise FormatError(f"{path}: header {exc}") from exc
 
     records: list[ReasoningRecord] = []
     by_sample: dict[str, dict[str, ReasoningRecord]] = {}

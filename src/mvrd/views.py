@@ -15,6 +15,9 @@ or ``co_pool_and_project``. Both co-attention directions read the un-attended
 clip tokens. No positional encodings are used, so attention + mean pooling is
 permutation invariant over positions.
 
+``multi_head_attention`` is the W_Q, W_K and W_V projections, the fused
+``diffcore.attention`` op (all heads in one tape node) and W_O.
+
 Per-view tensors travel as ``dict[str, Tensor]`` keyed by ``VIEWS``.
 """
 
@@ -22,23 +25,18 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-import numpy as np
-
 from .diffcore import (
     DimensionError,
     Parameter,
     Tensor,
     ValidationError,
+    attention,
     concat,
     linear,
     make_parameter,
     matmul,
     mean,
-    narrow,
     parameter_seed,
-    scale,
-    softmax_temp,
-    transpose,
 )
 
 VIEWS = ("text", "image", "cross")
@@ -92,7 +90,8 @@ class AttentionParams:
 
 
 def multi_head_attention(q_tokens: Tensor, kv_tokens: Tensor, params: AttentionParams) -> Tensor:
-    """softmax(Q K^T / sqrt(d_k)) V per head, heads concatenated then mixed by W_O."""
+    """Project to Q, K, V, run ``diffcore.attention`` (softmax(Q K^T / sqrt(d_k)) V per
+    head, heads concatenated), then mix the heads with W_O."""
     if q_tokens.shape[-1] != params.w_query.tensor.shape[0]:
         raise DimensionError(
             f"query dim {q_tokens.shape[-1]} does not match W_Q {params.w_query.tensor.shape}"
@@ -104,19 +103,7 @@ def multi_head_attention(q_tokens: Tensor, kv_tokens: Tensor, params: AttentionP
     q = matmul(q_tokens, params.w_query)
     k = matmul(kv_tokens, params.w_key)
     v = matmul(kv_tokens, params.w_value)
-    d_k = params.width // params.heads
-    inv_scale = 1.0 / np.sqrt(d_k)
-    head_outputs = []
-    for i in range(params.heads):
-        lo, hi = i * d_k, (i + 1) * d_k
-        q_h = narrow(q, -1, lo, hi)
-        k_h = narrow(k, -1, lo, hi)
-        v_h = narrow(v, -1, lo, hi)
-        scores = scale(matmul(q_h, transpose(k_h)), inv_scale)
-        weights = softmax_temp(scores, 1.0)
-        head_outputs.append(matmul(weights, v_h))
-    stacked = head_outputs[0] if params.heads == 1 else concat(head_outputs, axis=-1)
-    return matmul(stacked, params.w_out)
+    return matmul(attention(q, k, v, params.heads), params.w_out)
 
 
 class ViewEncoderParams:

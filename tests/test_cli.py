@@ -110,6 +110,15 @@ class TestGenTeacher:
         assert loaded.spec.d_t == 16
         assert all(r.chain for r in loaded.records)
 
+    def test_zero_student_dim_is_an_error(self, data_dir, tmp_path, capsys):
+        out = tmp_path / "teacher-bad.jsonl"
+        argv = ["gen-teacher", "--features", str(data_dir / "features.jsonl"), "--mode", "mock"]
+        assert main(argv + ["--student-dim", "0", "--out", str(out)]) == 1
+        err = json.loads(capsys.readouterr().err.strip())
+        assert err["error"] == "ParameterError"
+        assert "d must be an integer >= 1" in err["message"]
+        assert not out.exists()
+
 
 class TestTTest:
     def test_textbook_example(self, capsys):

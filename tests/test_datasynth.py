@@ -197,6 +197,23 @@ class TestFeatureFile:
         with pytest.raises(FormatError, match="line 4"):
             load_features_file(path)
 
+    @pytest.mark.parametrize("label", [1.7, "1", True])
+    def test_label_must_be_json_integer(self, tmp_path, label):
+        # every record of a fake sample carries the bad label, so the records agree
+        import json
+
+        path = tmp_path / "features.jsonl"
+        save_features_file(generate_dataset(small_cfg(n_samples=2)), path)
+        lines = path.read_text("utf-8").splitlines()
+        records = [json.loads(line) for line in lines[1:]]
+        fake = next(r["sample_id"] for r in records if r["label"] == 1)
+        for r in records:
+            if r["sample_id"] == fake:
+                r["label"] = label
+        path.write_text("\n".join(lines[:1] + [json.dumps(r) for r in records]) + "\n", "utf-8")
+        with pytest.raises(FormatError, match="label"):
+            load_features_file(path)
+
     def test_invalid_utf8_rejected(self, tmp_path):
         path = tmp_path / "features.jsonl"
         path.write_bytes(b'{"format_version": 1, "d_in": {}}\n{"sample_id": "\xff"}\n')

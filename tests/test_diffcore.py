@@ -13,24 +13,27 @@ from mvrd.diffcore import (
     Tensor,
     ValidationError,
     add,
+    attention,
     backward,
     concat,
     cross_entropy,
-    dot,
     kl_divergence,
     linear,
     make_parameter,
     matmul,
     mean,
-    narrow,
     no_grad,
     relu,
     reshape,
     scale,
     softmax_temp,
-    tensor_sum,
-    transpose,
 )
+
+
+def total(x):
+    """Sum of all entries as a scalar, through reshape and a matmul with ones."""
+    n = int(np.prod(x.shape))
+    return reshape(matmul(reshape(x, (1, n)), Tensor(np.ones((n, 1)))), ())
 
 
 class TestMatmul:
@@ -88,6 +91,68 @@ class TestSoftmaxTemp:
         for tau in (0.0, -1.0):
             with pytest.raises(ParameterError):
                 softmax_temp(Tensor([1.0, 2.0]), tau)
+
+
+def attention_reference(q, k, v, heads):
+    """Per-head softmax(Q_h K_h^T / sqrt(d_k)) V_h in plain numpy, heads concatenated."""
+    d_k = q.shape[-1] // heads
+    outs = []
+    for h in range(heads):
+        cols = slice(h * d_k, (h + 1) * d_k)
+        scores = q[..., cols] @ np.swapaxes(k[..., cols], -1, -2) / math.sqrt(d_k)
+        e = np.exp(scores - scores.max(axis=-1, keepdims=True))
+        outs.append(e / e.sum(axis=-1, keepdims=True) @ v[..., cols])
+    return np.concatenate(outs, axis=-1)
+
+
+class TestAttention:
+    @pytest.mark.parametrize("heads", [1, 2, 4])
+    @pytest.mark.parametrize("lead", [(), (3,)])
+    @pytest.mark.parametrize("l_q, l_kv", [(1, 3), (4, 2), (3, 3)])
+    def test_matches_numpy_reference(self, heads, lead, l_q, l_kv):
+        rng = np.random.default_rng(heads * 100 + l_q * 10 + l_kv + len(lead))
+        q = rng.normal(size=lead + (l_q, 8))
+        k = rng.normal(size=lead + (l_kv, 8))
+        v = rng.normal(size=lead + (l_kv, 8))
+        out = attention(Tensor(q), Tensor(k), Tensor(v), heads)
+        assert out.shape == lead + (l_q, 8)
+        assert np.allclose(out.values, attention_reference(q, k, v, heads), rtol=0, atol=1e-12)
+
+    @pytest.mark.parametrize("heads", [3, 0, 16, 2.0])
+    def test_heads_must_divide_width(self, heads):
+        x = Tensor(np.zeros((2, 8)))
+        with pytest.raises(DimensionError, match="heads"):
+            attention(x, x, x, heads)
+
+    @pytest.mark.parametrize(
+        "q_shape, k_shape, v_shape",
+        [
+            ((2, 8), (3, 8), (2, 8)),  # k and v lengths disagree
+            ((2, 8), (3, 8), (3, 4)),  # k and v widths disagree
+            ((2, 2, 8), (3, 3, 8), (3, 3, 8)),  # leading axes differ
+            ((2, 8), (2, 3, 8), (2, 3, 8)),  # one side batched, the other not
+            ((2, 8), (3, 4), (3, 4)),  # q and k widths disagree
+            ((8,), (8,), (8,)),  # no position axis
+        ],
+    )
+    def test_shape_mismatch_rejected(self, q_shape, k_shape, v_shape):
+        with pytest.raises(DimensionError):
+            attention(Tensor(np.zeros(q_shape)), Tensor(np.zeros(k_shape)), Tensor(np.zeros(v_shape)), 1)
+
+    def test_default_step_records_99_nodes(self):
+        # each of the five attention blocks records a single attention node
+        from mvrd.config import TrainConfig
+        from mvrd.datasynth import SyntheticConfig, generate_dataset
+        from mvrd.model import Model, StackedDataset, infer_d_in
+
+        dataset = generate_dataset(SyntheticConfig(n_samples=64, seed=1))
+        model = Model(TrainConfig(), infer_d_in(dataset))
+        batch = StackedDataset.from_samples(dataset, include_teacher=True)
+        before = len(diffcore._state.tape)
+        breakdown = model.forward_loss(batch)
+        assert len(diffcore._state.tape) - before == 99
+        backward(breakdown.graph)
+        assert len(diffcore._state.tape) == 0
 
 
 class TestKLDivergence:
@@ -203,13 +268,6 @@ class TestElementwiseOps:
         assert relu(Tensor([-1.0, -0.5])).values.tolist() == [0.0, 0.0]
         assert relu(Tensor([-3.0, 0.0, 2.0])).values.tolist() == [0.0, 0.0, 2.0]
 
-    def test_transpose(self):
-        x = np.arange(6.0).reshape(2, 3)
-        assert np.array_equal(transpose(Tensor(x)).values, x.T)
-        assert np.array_equal(transpose(transpose(Tensor(x))).values, x)
-        with pytest.raises(DimensionError):
-            transpose(Tensor([1.0, 2.0]))
-
     def test_concat(self):
         out = concat([Tensor([1.0, 2.0]), Tensor([3.0])])
         assert out.values.tolist() == [1.0, 2.0, 3.0]
@@ -218,24 +276,10 @@ class TestElementwiseOps:
         with pytest.raises(DimensionError):
             concat([Tensor(np.zeros((2, 2))), Tensor(np.zeros((3, 2)))], axis=-1)
 
-    def test_narrow(self):
-        x = np.arange(10.0).reshape(2, 5)
-        out = narrow(Tensor(x), -1, 1, 3)
-        assert np.array_equal(out.values, x[:, 1:3])
-        with pytest.raises(DimensionError):
-            narrow(Tensor(x), -1, 4, 6)
-
     def test_mean_and_sum(self):
         x = np.arange(6.0).reshape(2, 3)
         assert mean(Tensor(x)).item() == x.mean()
         assert np.array_equal(mean(Tensor(x), axis=0).values, x.mean(axis=0))
-        assert tensor_sum(Tensor(x)).item() == x.sum()
-        assert np.array_equal(tensor_sum(Tensor(x), axis=1).values, x.sum(axis=1))
-
-    def test_dot(self):
-        assert dot(Tensor([1.0, 2.0]), Tensor([3.0, 4.0])).item() == 11.0
-        with pytest.raises(DimensionError):
-            dot(Tensor([1.0, 2.0]), Tensor([1.0, 2.0, 3.0]))
 
     def test_reshape_round_trip(self):
         x = np.arange(12.0).reshape(3, 4)
@@ -246,17 +290,17 @@ class TestElementwiseOps:
 class TestBackward:
     def test_sum_gives_ones(self):
         x = Tensor(np.arange(4.0), requires_grad=True)
-        backward(tensor_sum(x))
+        backward(total(x))
         assert np.array_equal(x.grad, np.ones(4))
 
     def test_dot_analytic(self):
         x = Tensor([1.0, 2.0], requires_grad=True)
-        backward(dot(x, x))
+        backward(reshape(matmul(reshape(x, (1, 2)), reshape(x, (2, 1))), ()))
         assert x.grad.tolist() == [2.0, 4.0]
 
     def test_detached_loss_leaves_grads_zero(self):
         x = Tensor([1.0, 2.0], requires_grad=True)
-        loss = tensor_sum(Tensor([5.0, 6.0]))
+        loss = total(Tensor([5.0, 6.0]))
         backward(loss)
         assert np.array_equal(x.grad, np.zeros(2))
 
@@ -267,16 +311,16 @@ class TestBackward:
 
     def test_accumulation_across_backwards(self):
         x = Tensor([1.0, 2.0], requires_grad=True)
-        backward(tensor_sum(x))
-        backward(tensor_sum(x))
+        backward(total(x))
+        backward(total(x))
         assert np.array_equal(x.grad, 2.0 * np.ones(2))
 
     def test_no_grad_disables_recording(self):
         x = Tensor([1.0, 2.0], requires_grad=True)
         with no_grad():
-            out = tensor_sum(scale(x, 3.0))
+            out = total(scale(x, 3.0))
         assert not out.requires_grad
-        backward(tensor_sum(x))  # only this graph exists
+        backward(total(x))  # only this graph exists
         assert np.array_equal(x.grad, np.ones(2))
 
 

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from mvrd.config import ConfigError
-from mvrd.diffcore import ParameterError, Tensor, backward, dot, mean, reshape
+from mvrd.diffcore import ParameterError, Tensor, backward, matmul, mean, reshape
 from mvrd.fusion import (
     FusionParams,
     build_view_set,
@@ -16,6 +16,12 @@ from mvrd.fusion import (
     pool_views,
     total_loss,
 )
+
+
+def weighted_sum(out, w):
+    """sum(out * w) as a scalar tensor, through reshape and matmul."""
+    n = w.size
+    return reshape(matmul(reshape(out, (1, n)), Tensor(w.reshape(n, 1))), ())
 
 
 def views_of(t, i, c, requires_grad=False):
@@ -38,7 +44,7 @@ class TestPoolViews:
 
     def test_gradient_splits_equally(self):
         c = views_of([1.0, 2.0], [3.0, 4.0], [5.0, 6.0], requires_grad=True)
-        backward(dot(pool_views(c), Tensor([1.0, 0.0])))
+        backward(weighted_sum(pool_views(c), np.array([1.0, 0.0])))
         for f in c.values():
             assert np.allclose(f.grad, [1.0 / 3.0, 0.0], atol=1e-15)
 
@@ -59,7 +65,7 @@ class TestBuildViewSet:
         out = build_view_set(c)
         w = np.zeros((3, 2))
         w[1, 0] = 1.0  # touch only the image row
-        backward(dot(reshape(out, (6,)), Tensor(w.reshape(6))))
+        backward(weighted_sum(out, w))
         assert np.array_equal(c["text"].grad, np.zeros(2))
         assert np.array_equal(c["image"].grad, np.array([1.0, 0.0]))
         assert np.array_equal(c["cross"].grad, np.zeros(2))
@@ -80,25 +86,21 @@ class TestCrossAttentionFuse:
 
     def test_uniform_weights_on_identical_views(self):
         # with three identical calibrated views the per-head weights are 1/3
-        from mvrd.views import multi_head_attention
-        from mvrd.diffcore import softmax_temp, matmul, narrow, scale, transpose
-
         d = 8
         params = FusionParams(d=d, heads=4, master_seed=2)
         rng = np.random.default_rng(3)
         row = rng.normal(size=d)
-        kv = Tensor(np.tile(row, (3, 1)))
-        q = Tensor(rng.normal(size=(1, d)))
-        qp = matmul(q, params.attn.w_query)
-        kp = matmul(kv, params.attn.w_key)
+        kv = np.tile(row, (3, 1))
+        q = rng.normal(size=(1, d))
+        qp = q @ params.attn.w_query.tensor.values
+        kp = kv @ params.attn.w_key.tensor.values
         d_k = d // 4
         for h in range(4):
-            scores = matmul(
-                narrow(qp, -1, h * d_k, (h + 1) * d_k),
-                transpose(narrow(kp, -1, h * d_k, (h + 1) * d_k)),
-            )
-            weights = softmax_temp(scale(scores, 1.0 / np.sqrt(d_k)), 1.0)
-            assert np.all(np.abs(weights.values - 1.0 / 3.0) <= 1e-12)
+            cols = slice(h * d_k, (h + 1) * d_k)
+            scores = qp[:, cols] @ kp[:, cols].T * (1.0 / np.sqrt(d_k))
+            e = np.exp(scores - scores.max(axis=-1, keepdims=True))
+            weights = e / e.sum(axis=-1, keepdims=True)
+            assert np.all(np.abs(weights - 1.0 / 3.0) <= 1e-12)
 
     def test_hand_unrolled_single_head(self):
         d = 2

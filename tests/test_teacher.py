@@ -171,6 +171,15 @@ class TestTeacherFile:
         with pytest.raises(FormatError, match=field):
             load_teacher_file(path)
 
+    @pytest.mark.parametrize(
+        "kwargs",
+        [dict(d_t=0), dict(d=0), dict(seed=-1), dict(d_t=8.0), dict(d="4"), dict(seed=True)],
+    )
+    def test_projection_spec_rejects_bad_fields(self, kwargs):
+        fields = dict(d_t=8, d=4, seed=0) | kwargs
+        with pytest.raises(ParameterError):
+            ProjectionSpec(**fields)
+
     @pytest.mark.parametrize("blob", [b"", b"\n \n", b'{"format_version": 1}\n\xff\xfe\n'])
     def test_missing_header_or_invalid_utf8_rejected(self, tmp_path, blob):
         path = tmp_path / "teacher.jsonl"
