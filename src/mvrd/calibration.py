@@ -1,19 +1,25 @@
 """Calibration distillation.
 
-Each view's correction vector is predicted from the *concatenation* of all
-three view features (holistic context), applied as an additive residual, and
-trained against the gradient-free teacher embedding with a temperature-scaled
-KL term plus an auxiliary per-view classification term:
+The views travel as one (B, 3, d) tensor, slots in ``VIEWS`` order. Each
+view's correction vector is predicted from the *concatenation* of all three
+view features (holistic context: that tensor reshaped to (B, 3d)), applied as
+an additive residual, and trained against the gradient-free teacher
+embedding with a temperature-scaled KL term plus an auxiliary per-view
+classification term:
 
     loss_v = alpha * tau^2 * KL(softmax(teacher/tau) || softmax(student/tau))
            + (1 - alpha) * CE(head_v(student), y)
 
-The KL direction is fixed: teacher is the reference distribution.
+Each per-view layer is one parameter with a slice per view, so all three
+views run in one pass. The KL direction is fixed: teacher is the reference
+distribution.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+
+import numpy as np
 
 from .diffcore import (
     ContractError,
@@ -27,14 +33,13 @@ from .diffcore import (
     cross_entropy,
     kl_divergence,
     linear,
-    make_parameter,
     mean,
-    parameter_seed,
     relu,
+    reshape,
     scale,
     softmax_temp,
 )
-from .views import VIEWS
+from .views import VIEWS, per_view_labels, stacked_parameter
 
 
 @dataclass(frozen=True)
@@ -54,9 +59,15 @@ class DistillConfig:
         if unknown:
             raise ValidationError(f"unknown views in enabled_views: {sorted(unknown)}")
 
+    @property
+    def view_weights(self) -> np.ndarray:
+        """1.0 for each enabled view and 0.0 for each disabled one, in ``VIEWS`` order."""
+        return np.array([float(view in self.enabled_views) for view in VIEWS])
+
 
 class CalibratorParams:
-    """Per-view correction MLPs (3d -> d_h -> d, ReLU) and auxiliary heads (d -> 2)."""
+    """Correction MLPs (3d -> d_h -> d per view, ReLU) and auxiliary heads
+    (d -> 2), each parameter stacked over the view axis: slice v is view v's."""
 
     def __init__(self, d: int, d_h: int | None = None, master_seed: int = 0):
         d_h = 2 * d if d_h is None else d_h
@@ -66,93 +77,57 @@ class CalibratorParams:
         self.d_h = d_h
 
         def param(name, shape, scheme):
-            full = f"calib.{name}"
-            return make_parameter(full, shape, scheme, parameter_seed(master_seed, full))
+            return stacked_parameter("calib.{view}." + name, shape, scheme, master_seed)
 
-        self.mlps = {}
-        self.heads = {}
-        for view in VIEWS:
-            self.mlps[view] = (
-                param(f"{view}.mlp.W1", (3 * d, d_h), "xavier_uniform"),
-                param(f"{view}.mlp.b1", (d_h,), "zeros"),
-                param(f"{view}.mlp.W2", (d_h, d), "xavier_uniform"),
-                param(f"{view}.mlp.b2", (d,), "zeros"),
-            )
-            self.heads[view] = (
-                param(f"{view}.head.W", (d, 2), "xavier_uniform"),
-                param(f"{view}.head.b", (2,), "zeros"),
-            )
+        self.w1 = param("mlp.W1", (3 * d, d_h), "xavier_uniform")
+        self.b1 = param("mlp.b1", (d_h,), "zeros")
+        self.w2 = param("mlp.W2", (d_h, d), "xavier_uniform")
+        self.b2 = param("mlp.b2", (d,), "zeros")
+        self.head = (param("head.W", (d, 2), "xavier_uniform"), param("head.b", (2,), "zeros"))
 
     def parameters(self) -> list[Parameter]:
-        out: list[Parameter] = []
-        for view in VIEWS:
-            out.extend(self.mlps[view])
-            out.extend(self.heads[view])
-        return out
+        return [self.w1, self.b1, self.w2, self.b2, *self.head]
 
     def zero_corrections(self) -> None:
         """Reset every correction MLP to the zero function (predictions then
         match an uncalibrated pipeline exactly)."""
-        for view in VIEWS:
-            for p in self.mlps[view]:
-                p.tensor.values[...] = 0.0
+        for p in (self.w1, self.b1, self.w2, self.b2):
+            p.tensor.values[...] = 0.0
 
 
-def concat_views(v: dict[str, Tensor]) -> Tensor:
-    """Concatenate the three view vectors in the fixed order text, image, cross."""
-    dims = {v[view].shape[-1] for view in VIEWS}
-    if len(dims) != 1:
-        raise DimensionError(f"views disagree on dimension: {sorted(dims)}")
-    return concat([v[view] for view in VIEWS], axis=-1)
+def calibrate_views(views: Tensor, params: CalibratorParams) -> Tensor:
+    """Predict every view's correction from the shared (.., 3d) context and add it
+    to that view: (.., 3, d) in, (.., 3, d) out.
 
-
-def predict_correction(f_concat: Tensor, params: CalibratorParams, view: str) -> Tensor:
-    """Two-layer ReLU MLP from the holistic 3d context to one view's correction."""
-    if view not in VIEWS:
-        raise ValidationError(f"unknown view {view!r}")
-    w1, b1, w2, b2 = params.mlps[view]
-    return linear(relu(linear(f_concat, w1, b1)), w2, b2)
-
-
-def calibrate(f_v: Tensor, correction: Tensor) -> Tensor:
-    """Apply a predicted correction as an additive residual."""
-    if f_v.shape != correction.shape:
-        raise DimensionError(f"calibrate shapes disagree: {f_v.shape} vs {correction.shape}")
-    return add(f_v, correction)
-
-
-def distill_loss(f_hat: Tensor, f_teacher: Tensor, y, cfg: DistillConfig, head) -> Tensor:
-    """One view's distillation loss (mean over any leading batch axis)."""
-    if f_teacher.requires_grad:
-        raise ContractError("teacher embeddings must be gradient-free")
-    if f_hat.shape != f_teacher.shape:
-        raise DimensionError(
-            f"student/teacher shapes disagree: {f_hat.shape} vs {f_teacher.shape}"
-        )
-    kl = kl_divergence(softmax_temp(f_teacher, cfg.tau), softmax_temp(f_hat, cfg.tau))
-    ce = cross_entropy(linear(f_hat, *head), y)
-    if kl.ndim > 0:
-        kl = mean(kl)
-        ce = mean(ce)
-    return add(scale(kl, cfg.alpha * cfg.tau * cfg.tau), scale(ce, 1.0 - cfg.alpha))
-
-
-def calibrate_views(v: dict[str, Tensor], params: CalibratorParams) -> dict[str, Tensor]:
-    """Predict all three corrections from the shared context and apply them."""
-    f_concat = concat_views(v)
-    return {
-        view: calibrate(v[view], predict_correction(f_concat, params, view)) for view in VIEWS
-    }
+    Each view slot gets its own copy of the context, so the first layer is one
+    modest GEMM per view rather than one 3x wider GEMM, which OpenBLAS would
+    spread over threads that contend inside the runners' worker processes.
+    """
+    n, d = len(VIEWS), params.d
+    if views.ndim < 2 or views.shape[-2:] != (n, d):
+        raise DimensionError(f"calibrate_views needs (.., {n}, {d}) views, got {views.shape}")
+    context = reshape(views, views.shape[:-2] + (1, n * d))
+    hidden = relu(linear(concat([context] * n, axis=-2), params.w1, params.b1))
+    return add(views, linear(hidden, params.w2, params.b2))
 
 
 def distill_losses(
-    c: dict[str, Tensor], t: dict[str, Tensor], y, cfg: DistillConfig, params: CalibratorParams
-) -> dict[str, Tensor]:
-    """Distillation loss for each enabled view; disabled views contribute nothing
-    (their teacher embedding is never touched). Disabled views are still
-    calibrated: ``calibrate_views`` runs for every view."""
-    return {
-        view: distill_loss(c[view], t[view], y, cfg, params.heads[view])
-        for view in VIEWS
-        if view in cfg.enabled_views
-    }
+    calibrated: Tensor, teacher: Tensor, y, cfg: DistillConfig, params: CalibratorParams
+) -> Tensor:
+    """The (3,) vector of per-view distillation losses, each a mean over the batch.
+
+    ``calibrated`` and ``teacher`` are (B, 3, d), or (3, d) for one sample. Every
+    view is computed; ``total_loss`` weights out the disabled ones.
+    """
+    if teacher.requires_grad:
+        raise ContractError("teacher embeddings must be gradient-free")
+    if calibrated.shape != teacher.shape:
+        raise DimensionError(
+            f"student/teacher shapes disagree: {calibrated.shape} vs {teacher.shape}"
+        )
+    kl = kl_divergence(softmax_temp(teacher, cfg.tau), softmax_temp(calibrated, cfg.tau))
+    ce = cross_entropy(linear(calibrated, *params.head), per_view_labels(y))
+    if kl.ndim > 1:
+        kl = mean(kl, axis=0)
+        ce = mean(ce, axis=0)
+    return add(scale(kl, cfg.alpha * cfg.tau * cfg.tau), scale(ce, 1.0 - cfg.alpha))

@@ -3,11 +3,13 @@
 Everything in this package that needs gradients runs through the small op set
 below, twelve ops in all. Multi-head attention is one of them: ``attention``
 runs the per-head softmax(Q K^T / sqrt(d_k)) V loop inside a single op, so an
-attention block records one node, not a chain per head. Each forward op
-appends a record to a thread-local tape; ``backward`` walks the tape in
-reverse and accumulates gradients into ``Tensor.grad`` buffers. Gradients
-accumulate across calls; callers (the optimizer) zero them between steps. The
-tape is freed after each backward pass.
+attention block records one node, not a chain per head. ``linear`` also takes
+a stacked weight, one matrix per slot of a view axis, so a per-view layer is
+one node too. Each forward op appends a record to a thread-local tape;
+``backward`` walks the tape in reverse and accumulates gradients into
+``Tensor.grad`` buffers. Gradients accumulate across calls; callers (the
+optimizer) zero them between steps. The tape is freed after each backward
+pass.
 
 Wherever an op is documented for 1-D or 2-D inputs, the implementation also
 accepts extra leading batch axes with the same semantics applied to the
@@ -122,9 +124,6 @@ class Tensor:
     def item(self) -> float:
         return float(self.values)
 
-    def detach(self) -> "Tensor":
-        return Tensor._wrap(self.values, False)
-
     def zero_grad(self) -> None:
         if self.grad is not None:
             self.grad[...] = 0.0
@@ -228,25 +227,38 @@ def matmul(a, b) -> Tensor:
 
 
 def linear(x, weight, bias) -> Tensor:
-    """x @ W + b with b broadcast over all leading axes of x."""
+    """x @ W + b with b broadcast over all leading axes of x.
+
+    A stacked W (V, n_in, n_out) with b (V, n_out) maps slot v of x's axis -2,
+    of length V, through W[v] and b[v]; a 2-D W is the one-slot case. Each
+    product is one GEMM per slot over all rows of x.
+    """
     x, w, b = _tensor(x), _tensor(weight), _tensor(bias)
-    if w.ndim != 2 or b.ndim != 1 or w.shape[1] != b.shape[0]:
+    if w.ndim not in (2, 3) or b.shape != w.shape[:-2] + w.shape[-1:]:
         raise DimensionError(f"linear parameter shapes disagree: W{w.shape}, b{b.shape}")
-    if x.ndim < 1 or x.shape[-1] != w.shape[0]:
+    slots = 1 if w.ndim == 2 else w.shape[0]
+    n_in, n_out = w.shape[-2:]
+    if x.ndim < w.ndim - 1 or x.shape[-1] != n_in or (w.ndim == 3 and x.shape[-2] != slots):
         raise DimensionError(f"linear input {x.shape} does not match W{w.shape}")
-    values = np.matmul(x.values, w.values) + b.values
-    n_in, n_out = w.shape
+    # slot-major views of (rows, slots, features) arrays: (V, N, features)
+    x3 = x.values.reshape(-1, slots, n_in).swapaxes(0, 1)
+    w3 = w.values.reshape(slots, n_in, n_out)
+    out = np.empty((x3.shape[1], slots, n_out))
+    np.matmul(x3, w3, out=out.swapaxes(0, 1))
+    out += b.values.reshape(slots, n_out)
 
     def backward_fn(g):
-        g2 = g.reshape(-1, n_out)
+        g3 = g.reshape(-1, slots, n_out).swapaxes(0, 1)
         if x.requires_grad:
-            x.grad += np.matmul(g, w.values.T).reshape(x.shape)
+            gx = np.empty((x3.shape[1], slots, n_in))
+            np.matmul(g3, _swap(w3), out=gx.swapaxes(0, 1))
+            x.grad += gx.reshape(x.shape)
         if w.requires_grad:
-            w.grad += np.matmul(x.values.reshape(-1, n_in).T, g2)
+            w.grad += np.matmul(_swap(x3), g3).reshape(w.shape)
         if b.requires_grad:
-            b.grad += g2.sum(axis=0)
+            b.grad += g3.sum(axis=1).reshape(b.shape)
 
-    return _emit(values, (x, w, b), backward_fn)
+    return _emit(out.reshape(x.shape[:-1] + (n_out,)), (x, w, b), backward_fn)
 
 
 def add(a, b) -> Tensor:

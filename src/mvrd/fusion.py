@@ -1,24 +1,25 @@
 """Multi-view fusion and the loss stack.
 
-A pooled summary of the calibrated views queries the stacked view set through
-one multi-head cross-attention block; the fused vector feeds the final
-classifier. Branch heads supervise the *uncalibrated* view features, and the
-total training objective combines classification with the weighted per-view
-distillation losses.
+The calibrated views arrive as one (B, 3, d) tensor, slots in ``VIEWS``
+order. Their mean over the view axis queries that same tensor through one
+multi-head cross-attention block; the fused vector feeds the final
+classifier. One stacked branch head supervises the *uncalibrated* view
+features, and the total training objective combines classification with the
+weighted per-view distillation losses.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 
+import numpy as np
+
 from .config import ConfigError
 from .diffcore import (
-    DimensionError,
     Parameter,
     ParameterError,
     Tensor,
     add,
-    concat,
     cross_entropy,
     linear,
     make_parameter,
@@ -27,11 +28,12 @@ from .diffcore import (
     reshape,
     scale,
 )
-from .views import VIEWS, AttentionParams, multi_head_attention
+from .views import VIEWS, AttentionParams, multi_head_attention, per_view_labels, stacked_parameter
 
 
 class FusionParams:
-    """Cross-attention projections, the final classifier, and branch heads."""
+    """Cross-attention projections, the final classifier, and the branch heads
+    stacked over the view axis."""
 
     def __init__(self, d: int, heads: int = 8, master_seed: int = 0):
         if heads < 1 or d % heads != 0:
@@ -39,44 +41,22 @@ class FusionParams:
         self.d = d
         self.heads = heads
         self.attn = AttentionParams("fusion.attn", d, d, d, heads, master_seed)
-
-        def head(name):
-            w_name, b_name = f"fusion.{name}.W", f"fusion.{name}.b"
-            return (
-                make_parameter(w_name, (d, 2), "xavier_uniform", parameter_seed(master_seed, w_name)),
-                make_parameter(b_name, (2,), "zeros", parameter_seed(master_seed, b_name)),
-            )
-
-        self.final_head = head("final")
-        self.branch_heads = {view: head(f"branch.{view}") for view in VIEWS}
+        w_name, b_name = "fusion.final.W", "fusion.final.b"
+        self.final_head = (
+            make_parameter(w_name, (d, 2), "xavier_uniform", parameter_seed(master_seed, w_name)),
+            make_parameter(b_name, (2,), "zeros", parameter_seed(master_seed, b_name)),
+        )
+        self.branch_head = (
+            stacked_parameter("fusion.branch.{view}.W", (d, 2), "xavier_uniform", master_seed),
+            stacked_parameter("fusion.branch.{view}.b", (2,), "zeros", master_seed),
+        )
 
     def parameters(self) -> list[Parameter]:
-        out = list(self.attn.parameters())
-        out.extend(self.final_head)
-        for view in VIEWS:
-            out.extend(self.branch_heads[view])
-        return out
-
-
-def pool_views(calibrated: dict[str, Tensor]) -> Tensor:
-    """Element-wise mean of the three calibrated view vectors."""
-    f_t, f_i, f_c = (calibrated[view] for view in VIEWS)
-    if not (f_t.shape == f_i.shape == f_c.shape):
-        raise DimensionError(
-            f"calibrated views disagree: {f_t.shape}, {f_i.shape}, {f_c.shape}"
-        )
-    return scale(add(add(f_t, f_i), f_c), 1.0 / 3.0)
-
-
-def build_view_set(calibrated: dict[str, Tensor]) -> Tensor:
-    """Stack the calibrated views into a (3, d) matrix, order text/image/cross."""
-    f_t = calibrated["text"]
-    stacked = concat([calibrated[view] for view in VIEWS], axis=-1)
-    return reshape(stacked, f_t.shape[:-1] + (3, f_t.shape[-1]))
+        return [*self.attn.parameters(), *self.final_head, *self.branch_head]
 
 
 def cross_attention_fuse(query: Tensor, view_set: Tensor, params: FusionParams) -> Tensor:
-    """Single cross-attention pass: the pooled query attends over the three views."""
+    """Single cross-attention pass: the (.., d) query attends over the (.., 3, d) views."""
     q_seq = reshape(query, query.shape[:-1] + (1, query.shape[-1]))
     fused = multi_head_attention(q_seq, view_set, params.attn)
     return reshape(fused, query.shape)
@@ -88,15 +68,13 @@ def _mean_ce(logits: Tensor, y) -> Tensor:
 
 
 def classification_losses(
-    f_final: Tensor, raw_views: dict[str, Tensor], y, params: FusionParams
+    f_final: Tensor, raw_views: Tensor, y, params: FusionParams
 ) -> tuple[Tensor, Tensor]:
-    """Final-head CE plus the summed branch CEs on the pre-calibration features."""
+    """Final-head CE plus the branch CEs on the (.., 3, d) pre-calibration
+    features, summed over views (each view's CE a mean over the batch)."""
     loss_final = _mean_ce(linear(f_final, *params.final_head), y)
-    branch_terms = [
-        _mean_ce(linear(raw_views[view], *params.branch_heads[view]), y)
-        for view in VIEWS
-    ]
-    loss_branch = add(add(branch_terms[0], branch_terms[1]), branch_terms[2])
+    branch_logits = linear(raw_views, *params.branch_head)
+    loss_branch = scale(_mean_ce(branch_logits, per_view_labels(y)), len(VIEWS))
     return loss_final, loss_branch
 
 
@@ -113,10 +91,7 @@ class LossBreakdown:
     graph: Tensor | None = field(default=None, repr=False, compare=False)
 
     def identity_errors(self) -> tuple[float, float]:
-        distill_sum = 0.0
-        for view in VIEWS:
-            if view in self.distill:
-                distill_sum += self.distill[view]
+        distill_sum = sum(self.distill[view] for view in VIEWS if view in self.distill)
         return (
             abs(self.classification - (self.final + self.branch)),
             abs(self.total - (self.classification + self.lambda_effective * distill_sum)),
@@ -126,11 +101,13 @@ class LossBreakdown:
 def total_loss(
     loss_final: Tensor,
     loss_branch: Tensor,
-    distill_losses: dict[str, Tensor],
+    distill: Tensor | None,
+    view_weights,
     lambda_: float,
 ) -> LossBreakdown:
-    """Assemble the total objective: classification + lambda * sum of enabled
-    distillation terms.
+    """Assemble the total objective: classification + lambda * the sum of the
+    (3,) per-view ``distill`` vector (None without a teacher) weighted by the
+    0/1 ``view_weights`` of the enabled views.
 
     With lambda_ == 0 the distillation values are recorded for reporting but
     the returned graph contains only the classification path, so the teacher
@@ -138,20 +115,19 @@ def total_loss(
     """
     if not lambda_ >= 0:
         raise ParameterError(f"lambda must be >= 0, got {lambda_}")
+    weights = np.asarray(view_weights, dtype=np.float64)
     loss_c = add(loss_final, loss_branch)
-    ordered = [distill_losses[v] for v in VIEWS if v in distill_losses]
-    if lambda_ > 0 and ordered:
-        distill_sum = ordered[0]
-        for term in ordered[1:]:
-            distill_sum = add(distill_sum, term)
-        total = add(loss_c, scale(distill_sum, lambda_))
-    else:
-        total = loss_c
+    total = loss_c
+    if distill is not None and lambda_ > 0 and weights.any():
+        weighted = linear(distill, (lambda_ * weights).reshape(-1, 1), np.zeros(1))
+        total = add(loss_c, reshape(weighted, ()))
     return LossBreakdown(
         final=loss_final.item(),
         branch=loss_branch.item(),
         classification=loss_c.item(),
-        distill={v: t.item() for v, t in distill_losses.items()},
+        distill={} if distill is None else {
+            v: float(x) for v, x, w in zip(VIEWS, distill.values, weights) if w
+        },
         total=total.item(),
         lambda_effective=lambda_,
         graph=total,

@@ -2,17 +2,18 @@
 
 There is one forward path, and it is batched: a ``StackedDataset`` holds
 (B, L, d_in) token arrays per source, ``Model.encode_batch`` turns them into
-per-view (B, d) mean-pooled features, ``calibrate_views`` adds the predicted
-corrections, and ``Model.fuse`` attends over the calibrated views. Per-view
-tensors are ``dict[str, Tensor]`` keyed by ``VIEWS``. Training slices
-minibatches out of one stacked dataset; prediction stacks each chunk of
-samples.
+one (B, 3, d) tensor of mean-pooled view features (slots in ``VIEWS`` order),
+``calibrate_views`` adds the predicted corrections, and ``Model.fuse`` pools
+over the view axis and attends over the calibrated views. The views stay on
+that one tensor axis down to the losses. Training slices minibatches out of
+one stacked dataset; prediction stacks each chunk of samples.
 
 The model owns three parameter groups (view encoders, calibrator, fusion) and
 implements the ablation switches from TrainConfig:
 
-* ``drop_text_view`` / ``drop_image_view``: the view feature is replaced by a
-  constant zero vector right after encoding, removing it everywhere downstream
+* ``drop_text_view`` / ``drop_image_view``: the view's slot is zeroed right
+  after encoding, removing it everywhere downstream
+* ``drop_L_*``: the view's distillation loss gets weight 0 in the total
 * ``no_feature_extractors_mode``: view features are raw mean-pooled input
   tokens (requires d_in == d)
 * ``no_attention_mode``: the attention step is skipped: encoders mean-pool
@@ -25,20 +26,19 @@ Stacking requires uniform sequence lengths per source across a batch.
 
 from __future__ import annotations
 
+from contextlib import nullcontext
 from dataclasses import dataclass
 
 import numpy as np
 
 from .calibration import CalibratorParams, DistillConfig, calibrate_views, distill_losses
 from .config import ConfigError, TrainConfig
-from .diffcore import Parameter, Tensor, ValidationError, add, linear, mean, no_grad, scale
+from .diffcore import Parameter, Tensor, ValidationError, add, concat, linear, mean, no_grad, reshape, scale
 from .fusion import (
     FusionParams,
     LossBreakdown,
-    build_view_set,
     classification_losses,
     cross_attention_fuse,
-    pool_views,
     total_loss,
 )
 from .views import (
@@ -69,7 +69,7 @@ def infer_d_in(samples) -> dict[str, int]:
 class StackedDataset:
     """Samples stacked into (N, L, d_in) arrays; ``batch`` slices rows out.
 
-    ``teacher`` holds one (N, d) array per view, in ``VIEWS`` order.
+    ``teacher`` is one (N, 3, d) array, view slots in ``VIEWS`` order.
     """
 
     text: np.ndarray
@@ -77,7 +77,7 @@ class StackedDataset:
     clip_text: np.ndarray
     clip_image: np.ndarray
     labels: np.ndarray
-    teacher: tuple[np.ndarray, np.ndarray, np.ndarray] | None
+    teacher: np.ndarray | None
 
     @classmethod
     def from_samples(cls, samples, include_teacher: bool) -> "StackedDataset":
@@ -96,8 +96,8 @@ class StackedDataset:
         if include_teacher:
             if any(s.teacher is None for s in samples):
                 raise ValidationError("some samples have no teacher embeddings attached")
-            teacher = tuple(
-                np.stack([s.teacher.view(v).values for s in samples]) for v in VIEWS
+            teacher = np.stack(
+                [np.stack([s.teacher.view(v).values for s in samples]) for v in VIEWS], axis=1
             )
         return cls(
             text=stack("text-tokens"),
@@ -116,7 +116,7 @@ class StackedDataset:
             clip_text=self.clip_text[idx],
             clip_image=self.clip_image[idx],
             labels=self.labels[idx],
-            teacher=None if self.teacher is None else tuple(arr[idx] for arr in self.teacher),
+            teacher=None if self.teacher is None else self.teacher[idx],
         )
 
 
@@ -143,19 +143,18 @@ class Model:
 
     # -- forward ------------------------------------------------------------
 
-    def encode_batch(self, batch: StackedDataset) -> dict[str, Tensor]:
-        """Per-view (B, d) features of a stacked batch, keyed by ``VIEWS``."""
+    def encode_batch(self, batch: StackedDataset) -> Tensor:
+        """The (B, 3, d) view features of a stacked batch, slots in ``VIEWS`` order."""
         cfg, enc = self.cfg, self.encoder
-        text = Tensor(batch.text)
-        image = Tensor(batch.image)
-        clip_t = Tensor(batch.clip_text)
-        clip_i = Tensor(batch.clip_image)
+        text, image, clip_t, clip_i = (
+            Tensor(a) for a in (batch.text, batch.image, batch.clip_text, batch.clip_image)
+        )
         if cfg.no_feature_extractors_mode:
-            views = {
-                "text": mean(text, axis=-2),
-                "image": mean(image, axis=-2),
-                "cross": scale(add(mean(clip_i, axis=-2), mean(clip_t, axis=-2)), 0.5),
-            }
+            views = [
+                mean(text, axis=-2),
+                mean(image, axis=-2),
+                scale(add(mean(clip_i, axis=-2), mean(clip_t, axis=-2)), 0.5),
+            ]
         else:
             if not cfg.no_attention_mode:
                 text = multi_head_attention(text, text, enc.text_attn)
@@ -164,45 +163,42 @@ class Model:
                     multi_head_attention(clip_i, clip_t, enc.cross_i2t),
                     multi_head_attention(clip_t, clip_i, enc.cross_t2i),
                 )
-            views = {
-                "text": pool_and_project(text, enc.text_proj),
-                "image": pool_and_project(image, enc.image_proj),
-                "cross": co_pool_and_project(clip_i, clip_t, enc),
-            }
+            views = [
+                pool_and_project(text, enc.text_proj),
+                pool_and_project(image, enc.image_proj),
+                co_pool_and_project(clip_i, clip_t, enc),
+            ]
+        n = len(batch.labels)
         if cfg.drop_text_view:
-            views["text"] = Tensor(np.zeros((len(batch.labels), cfg.d)))
+            views[0] = Tensor(np.zeros((n, cfg.d)))
         if cfg.drop_image_view:
-            views["image"] = Tensor(np.zeros((len(batch.labels), cfg.d)))
-        return views
+            views[1] = Tensor(np.zeros((n, cfg.d)))
+        return reshape(concat(views, axis=-1), (n, len(VIEWS), cfg.d))
 
     def forward_loss(self, batch: StackedDataset) -> LossBreakdown:
         lam = self.cfg.lambda_effective
         views = self.encode_batch(batch)
         calibrated = calibrate_views(views, self.calibrator)
-        teacher = None
-        if batch.teacher is not None:
-            teacher = {view: Tensor(arr) for view, arr in zip(VIEWS, batch.teacher)}
-        if lam > 0 and teacher is None:
+        if lam > 0 and batch.teacher is None:
             raise ConfigError("distillation is enabled but the batch has no teacher embeddings")
-        distill = {}
-        if teacher is not None:
-            args = (calibrated, teacher, batch.labels, self.distill_cfg, self.calibrator)
-            if lam > 0:
-                distill = distill_losses(*args)
-            else:
-                # report-only values: computed outside the tape so the teacher
-                # can never touch the parameter trajectory
-                with no_grad():
-                    distill = distill_losses(*args)
+        distill = None
+        if batch.teacher is not None:
+            # at lambda = 0 the values are report-only: computed outside the
+            # tape so the teacher can never touch the parameter trajectory
+            with no_grad() if lam == 0 else nullcontext():
+                distill = distill_losses(
+                    calibrated, Tensor(batch.teacher), batch.labels, self.distill_cfg, self.calibrator
+                )
         f_final = self.fuse(calibrated)
         loss_final, loss_branch = classification_losses(f_final, views, batch.labels, self.fusion)
-        return total_loss(loss_final, loss_branch, distill, lam)
+        return total_loss(loss_final, loss_branch, distill, self.distill_cfg.view_weights, lam)
 
-    def fuse(self, calibrated) -> Tensor:
-        pooled = pool_views(calibrated)
+    def fuse(self, calibrated: Tensor) -> Tensor:
+        """(B, 3, d) calibrated views to the (B, d) fused vector."""
+        pooled = mean(calibrated, axis=-2)
         if self.cfg.no_attention_mode:
             return pooled
-        return cross_attention_fuse(pooled, build_view_set(calibrated), self.fusion)
+        return cross_attention_fuse(pooled, calibrated, self.fusion)
 
     # -- inference ----------------------------------------------------------
 

@@ -16,6 +16,7 @@ import hashlib
 import json
 import math
 import os
+import threading
 import time
 from dataclasses import asdict, dataclass, field, replace
 from pathlib import Path
@@ -39,7 +40,7 @@ from .teacher import TeacherEmbeddings, fallback_embed
 from .views import SOURCE_TAGS
 
 CHECKPOINT_MAGIC = b"MVRD-CKPT\n"
-CHECKPOINT_VERSION = 1
+CHECKPOINT_VERSION = 2
 
 
 class Adam:
@@ -215,6 +216,8 @@ def _table(
     """
     if n_seeds < 1:
         raise ParameterError(f"a table needs n_seeds >= 1, got {n_seeds}")
+    if not (train_set and test_set):
+        raise ValidationError("a table needs a nonempty train set and test set")
     jobs = [
         cfg.replace(master_seed=cfg.master_seed + k, **overrides)
         for _, overrides in variants
@@ -258,7 +261,9 @@ def _run_jobs(jobs: list[TrainConfig], train_set, test_set) -> list[Metrics]:
     by name (Python 3.14 defaults to forkserver): it hands the datasets to the
     workers without pickling them, so per job only the config goes out and
     only the metrics come back. The pool closes before this returns, and a
-    failed job raises its own exception here.
+    failed job raises its own exception here. While the caller runs other
+    threads, the jobs run in this process instead: a fork copies any lock such
+    a thread holds, and a worker that then takes it would wait forever.
     """
     # imported here: only the runners need them, and they add ~0.9 MiB of
     # resident memory to every process that imports the trainer
@@ -270,7 +275,8 @@ def _run_jobs(jobs: list[TrainConfig], train_set, test_set) -> list[Metrics]:
     except AttributeError:  # platforms without CPU affinity
         cpus = os.cpu_count() or 1
     workers = min(len(jobs), cpus)
-    if workers <= 1 or "fork" not in multiprocessing.get_all_start_methods():
+    forkable = "fork" in multiprocessing.get_all_start_methods() and threading.active_count() == 1
+    if workers <= 1 or not forkable:
         return [_job_metrics(cfg, train_set, test_set) for cfg in jobs]
     with ProcessPoolExecutor(
         workers,
@@ -415,6 +421,8 @@ def load_checkpoint(path) -> tuple[dict, dict[str, np.ndarray]]:
             isinstance(shape, list) and all(type(n) is int and n >= 0 for n in shape)
         ):
             raise FormatError(f"{path}: parameter meta line needs a name and a shape: {meta}")
+        if name in arrays:
+            raise FormatError(f"{path}: parameter {name!r} appears twice")
         nbytes = math.prod(shape) * 8
         if cursor + nbytes + 1 > len(blob):
             raise FormatError(f"{path}: truncated checkpoint at parameter {name!r}")
@@ -423,25 +431,27 @@ def load_checkpoint(path) -> tuple[dict, dict[str, np.ndarray]]:
     return header, arrays
 
 
-def _check_arrays(params: list[Parameter], arrays: dict[str, np.ndarray]) -> None:
-    """Every parameter must be in the checkpoint, with the model's shape."""
+def _check_arrays(params: list[Parameter], header: dict, arrays: dict[str, np.ndarray]) -> None:
+    """The checkpoint must hold exactly the model's parameters, with the model's
+    shapes, and its header must record the model's layout hash."""
+    names, saved = {p.name for p in params}, set(arrays)
+    if saved != names:
+        raise FormatError(f"checkpoint lacks {sorted(names - saved)} and has extra {sorted(saved - names)}")
     for p in params:
-        if p.name not in arrays:
-            raise FormatError(f"checkpoint is missing parameter {p.name!r}")
         if arrays[p.name].shape != p.tensor.shape:
             raise FormatError(
                 f"parameter {p.name!r}: checkpoint shape {arrays[p.name].shape} "
                 f"does not match model shape {p.tensor.shape}"
             )
+    if header.get("layout_hash") != _layout_hash(params):
+        raise FormatError("checkpoint layout differs from the model's parameter layout")
 
 
 def restore_into_model(model: Model, path) -> None:
     """Load parameter values into an existing model; shapes must match exactly."""
     header, arrays = load_checkpoint(path)
     params = model.parameters()
-    _check_arrays(params, arrays)
-    if header.get("layout_hash") != _layout_hash(params):
-        raise FormatError("checkpoint layout differs from the model's parameter layout")
+    _check_arrays(params, header, arrays)
     for p in params:
         p.tensor.values[...] = arrays[p.name]
 
@@ -467,7 +477,7 @@ def load_model(path) -> Model:
     except ConfigError as exc:
         raise FormatError(f"{path}: checkpoint records an invalid model ({exc})") from exc
     params = model.parameters()
-    _check_arrays(params, arrays)
+    _check_arrays(params, header, arrays)
     for p in params:
         p.tensor.values[...] = arrays[p.name]
     return model

@@ -18,12 +18,16 @@ permutation invariant over positions.
 ``multi_head_attention`` is the W_Q, W_K and W_V projections, the fused
 ``diffcore.attention`` op (all heads in one tape node) and W_O.
 
-Per-view tensors travel as ``dict[str, Tensor]`` keyed by ``VIEWS``.
+From the end of ``Model.encode_batch`` to the losses, the views travel as one
+(B, 3, d) tensor, slots in ``VIEWS`` order; the per-view layers downstream
+each hold one ``stacked_parameter`` with a slice per view.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+
+import numpy as np
 
 from .diffcore import (
     DimensionError,
@@ -41,6 +45,20 @@ from .diffcore import (
 
 VIEWS = ("text", "image", "cross")
 SOURCE_TAGS = ("text-tokens", "image-patches", "clip-text", "clip-image")
+
+
+def stacked_parameter(slice_name: str, shape: tuple[int, ...], scheme: str, master_seed: int) -> Parameter:
+    """One (3, *shape) parameter with a slice per view, in ``VIEWS`` order, named
+    ``slice_name`` without its ``{view}.`` part. Slice v is initialised as the
+    parameter ``slice_name.format(view=v)`` of ``shape`` would be."""
+    names = [slice_name.format(view=view) for view in VIEWS]
+    slices = [make_parameter(n, shape, scheme, parameter_seed(master_seed, n)).tensor.values for n in names]
+    return Parameter(slice_name.replace("{view}.", ""), Tensor(np.stack(slices), requires_grad=True))
+
+
+def per_view_labels(y) -> np.ndarray:
+    """Labels (..) repeated for each view slot, (.., 3), to match per-view logits."""
+    return np.repeat(np.asarray(y)[..., None], len(VIEWS), axis=-1)
 
 
 @dataclass

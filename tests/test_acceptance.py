@@ -12,7 +12,7 @@ import time
 import numpy as np
 import pytest
 
-from mvrd.calibration import CalibratorParams, DistillConfig, calibrate, distill_loss
+from mvrd.calibration import CalibratorParams, DistillConfig, calibrate_views, distill_losses
 from mvrd.config import TrainConfig
 from mvrd.datasynth import SyntheticConfig, generate_dataset, split
 from mvrd.diffcore import Tensor, backward, grad_check
@@ -86,10 +86,17 @@ def test_criterion_1_gradient_fidelity():
 
 
 def test_criterion_2_loss_identities():
+    # the views travel as one (3, d) tensor; each check reads the text slot's
+    # loss, with the same student and teacher vector in every slot
     rng = np.random.default_rng(42)
     d = 4
     params = CalibratorParams(d=d, master_seed=7)
-    head = params.heads["text"]
+    text = 0
+
+    def distill_loss(student_values, teacher_values, y, cfg):
+        student = Tensor(np.tile(student_values, (3, 1)), requires_grad=True)
+        teacher = Tensor(np.tile(teacher_values, (3, 1)))
+        return distill_losses(student, teacher, y, cfg, params)
 
     # (a) both LossBreakdown identities on 100 random configurations
     from mvrd.fusion import total_loss
@@ -99,16 +106,12 @@ def test_criterion_2_loss_identities():
         lam = float(rng.uniform(0, 3))
         tau = float(rng.uniform(0.5, 5))
         alpha = float(rng.uniform(0, 1))
-        f_hat = Tensor(rng.normal(size=d), requires_grad=True)
-        teacher = Tensor(rng.normal(size=d))
-        distill = {
-            view: distill_loss(f_hat, teacher, 0, DistillConfig(tau, alpha), head)
-            for view in ("text", "image", "cross")
-        }
+        distill = distill_loss(rng.normal(size=d), rng.normal(size=d), 0, DistillConfig(tau, alpha))
         breakdown = total_loss(
             mean(Tensor(rng.uniform(0, 2, size=1), requires_grad=True)),
             mean(Tensor(rng.uniform(0, 2, size=1), requires_grad=True)),
             distill,
+            np.ones(3),
             lam,
         )
         err_c, err_total = breakdown.identity_errors()
@@ -118,14 +121,8 @@ def test_criterion_2_loss_identities():
     # (b) distill loss vanishes when the student matches the teacher at alpha=1
     for tau in (0.5, 1.0, 2.0, 5.0):
         values = rng.normal(size=d)
-        loss = distill_loss(
-            Tensor(values, requires_grad=True),
-            Tensor(values.copy()),
-            0,
-            DistillConfig(tau, 1.0),
-            head,
-        )
-        assert loss.item() == 0.0
+        loss = distill_loss(values, values.copy(), 0, DistillConfig(tau, 1.0))
+        assert loss.values[text] == 0.0
 
     # (c) alpha-affinity and (d) the tau^2 scaling law vs an independent KL
     def np_softmax(x, tau):
@@ -142,12 +139,10 @@ def test_criterion_2_loss_identities():
         s_values = rng.normal(size=d)
         t_values = rng.normal(size=d)
         tau = float(rng.uniform(0.5, 5))
-        student = Tensor(s_values, requires_grad=True)
-        teacher = Tensor(t_values)
-        k = distill_loss(student, teacher, 1, DistillConfig(tau, 1.0), head).item()
-        c = distill_loss(student, teacher, 1, DistillConfig(tau, 0.0), head).item()
+        k = distill_loss(s_values, t_values, 1, DistillConfig(tau, 1.0)).values[text]
+        c = distill_loss(s_values, t_values, 1, DistillConfig(tau, 0.0)).values[text]
         for alpha in (0.0, 0.25, 0.5, 1.0):
-            loss = distill_loss(student, teacher, 1, DistillConfig(tau, alpha), head).item()
+            loss = distill_loss(s_values, t_values, 1, DistillConfig(tau, alpha)).values[text]
             assert abs(loss - (alpha * k + (1 - alpha) * c)) <= 1e-10
         independent = tau * tau * np_kl(np_softmax(t_values, tau), np_softmax(s_values, tau))
         assert abs(k - independent) <= 1e-10
@@ -155,13 +150,19 @@ def test_criterion_2_loss_identities():
 
 
 def test_criterion_3_residual_calibration():
-    # bit-exact residual recovery: inputs on a dyadic grid so addition is exact
+    # bit-exact residual recovery: inputs on a dyadic grid so addition is
+    # exact; a calibrator with zero MLP weights and output bias p adds exactly p
     rng = np.random.default_rng(11)
+    residual = {}
     for _ in range(1000):
         n = int(rng.integers(1, 12))
-        f = np.round(rng.uniform(-2, 2, size=n) * 2**20) / 2**20
-        p = np.round(rng.uniform(-2, 2, size=n) * 2**20) / 2**20
-        calibrated = calibrate(Tensor(f), Tensor(p))
+        if n not in residual:
+            residual[n] = CalibratorParams(d=n, master_seed=0)
+            residual[n].zero_corrections()
+        f = np.round(rng.uniform(-2, 2, size=(3, n)) * 2**20) / 2**20
+        p = np.round(rng.uniform(-2, 2, size=(3, n)) * 2**20) / 2**20
+        residual[n].b2.tensor.values[...] = p
+        calibrated = calibrate_views(Tensor(f), residual[n])
         assert np.array_equal(calibrated.values - p, f)
 
     # zero-initialized correction MLPs leave predictions bitwise identical to
@@ -301,7 +302,7 @@ def test_criterion_9_teacher_constancy():
         optimizer = Adam(model.parameters(), cfg0.learning_rate)
         for step, lo in enumerate(range(0, len(ds), 16)):
             if swap and step == 2:
-                data.teacher = tuple(arr * -3.0 + 7.0 for arr in data.teacher)
+                data.teacher = data.teacher * -3.0 + 7.0
             batch = data.batch(np.arange(lo, min(lo + 16, len(ds))))
             optimizer.zero_grad()
             backward(model.forward_loss(batch).graph)

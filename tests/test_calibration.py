@@ -1,5 +1,9 @@
 """Calibration distillation contracts: residual identity, holistic context,
-the combined KL+CE loss, and its alpha/tau structure."""
+the combined KL+CE loss, and its alpha/tau structure.
+
+The views travel as one (.., 3, d) tensor, slots in text, image, cross order;
+where a test reads one view it indexes that view's slot.
+"""
 
 import math
 
@@ -9,12 +13,8 @@ import pytest
 from mvrd.calibration import (
     CalibratorParams,
     DistillConfig,
-    calibrate,
     calibrate_views,
-    concat_views,
-    distill_loss,
     distill_losses,
-    predict_correction,
 )
 from mvrd.diffcore import (
     ContractError,
@@ -22,16 +22,20 @@ from mvrd.diffcore import (
     ParameterError,
     Tensor,
     backward,
+    concat,
+    linear,
+    relu,
+    reshape,
     zero_grads,
 )
+from mvrd.fusion import total_loss
+from mvrd.views import VIEWS
+
+TEXT, IMAGE, CROSS = range(3)
 
 
 def views_of(t, i, c, requires_grad=False):
-    return {
-        "text": Tensor(t, requires_grad=requires_grad),
-        "image": Tensor(i, requires_grad=requires_grad),
-        "cross": Tensor(c, requires_grad=requires_grad),
-    }
+    return Tensor(np.stack([t, i, c]), requires_grad=requires_grad)
 
 
 def np_softmax(x, tau):
@@ -46,140 +50,183 @@ def np_kl(p, q):
     return float(np.where(p > 0, p * (np.log(np.maximum(p, 1e-12)) - np.log(q)), 0.0).sum())
 
 
+def weighted_sum(out, w):
+    """sum(out * w) as a scalar tensor."""
+    n = w.size
+    return reshape(linear(reshape(out, (n,)), Tensor(w.reshape(n, 1)), Tensor(np.zeros(1))), ())
+
+
+def residual_params(d, p=None):
+    """A calibrator whose correction is the constant p (3, d): the MLP weights
+    are zero, so the output layer adds only its bias."""
+    params = CalibratorParams(d=d, master_seed=0)
+    params.zero_corrections()
+    if p is not None:
+        params.b2.tensor.values[...] = p
+    return params
+
+
+def correction_of(views, params):
+    """What calibrate_views adds to each view slot."""
+    return calibrate_views(views, params).values - views.values
+
+
 class TestConcatViews:
+    """The holistic context every correction reads: the three view vectors
+    concatenated in the fixed order text, image, cross."""
+
     def test_fixed_order(self):
-        out = concat_views(views_of([1.0, 2.0], [3.0, 4.0], [5.0, 6.0]))
-        assert out.values.tolist() == [1.0, 2.0, 3.0, 4.0, 5.0, 6.0]
+        # the text correction's first entry reads context entry k alone
+        params = CalibratorParams(d=2, d_h=2, master_seed=0)
+        params.zero_corrections()
+        params.w2.tensor.values[TEXT, 0, 0] = 1.0
+        v = views_of([1.0, 2.0], [3.0, 4.0], [5.0, 6.0])
+        context = []
+        for k in range(6):
+            params.w1.tensor.values[...] = 0.0
+            params.w1.tensor.values[TEXT, k, 0] = 1.0
+            context.append(float(correction_of(v, params)[TEXT, 0]))
+        assert context == [1.0, 2.0, 3.0, 4.0, 5.0, 6.0]
 
     def test_zeros(self):
-        out = concat_views(views_of([0.0, 0.0], [0.0, 0.0], [0.0, 0.0]))
-        assert np.array_equal(out.values, np.zeros(6))
+        # zero views with zero biases give a zero context, so zero corrections
+        out = calibrate_views(views_of([0.0, 0.0], [0.0, 0.0], [0.0, 0.0]), CalibratorParams(d=2))
+        assert np.array_equal(out.values, np.zeros((3, 2)))
 
     def test_slot_gradient_isolation(self):
-        # a loss on slot 3 must flow only into the image view
+        # a loss on entry 3 of the flattened views must flow only into the image view
         v = views_of([1.0, 2.0], [3.0, 4.0], [5.0, 6.0], requires_grad=True)
-        out = concat_views(v)
-        from mvrd.diffcore import matmul, reshape
-
-        w = np.zeros((6, 1))
+        out = calibrate_views(v, residual_params(2))
+        w = np.zeros(6)
         w[3] = 1.0
-        backward(reshape(matmul(reshape(out, (1, 6)), Tensor(w)), ()))
-        assert np.array_equal(v["text"].grad, np.zeros(2))
-        assert np.array_equal(v["image"].grad, np.array([0.0, 1.0]))
-        assert np.array_equal(v["cross"].grad, np.zeros(2))
+        backward(weighted_sum(out, w))
+        assert np.array_equal(v.grad[TEXT], np.zeros(2))
+        assert np.array_equal(v.grad[IMAGE], np.array([0.0, 1.0]))
+        assert np.array_equal(v.grad[CROSS], np.zeros(2))
 
     def test_dim_mismatch(self):
         with pytest.raises(DimensionError):
-            concat_views(views_of([1.0, 2.0], [3.0], [5.0, 6.0]))
+            calibrate_views(Tensor(np.zeros((3, 1))), CalibratorParams(d=2))
 
 
 class TestPredictCorrection:
     def test_zero_weights_give_zero_correction(self):
         params = CalibratorParams(d=4, master_seed=0)
         params.zero_corrections()
-        out = predict_correction(Tensor(np.ones(12)), params, "text")
-        assert np.array_equal(out.values, np.zeros(4))
+        out = correction_of(Tensor(np.ones((3, 4))), params)
+        assert np.array_equal(out, np.zeros((3, 4)))
 
     def test_output_dimension(self):
         params = CalibratorParams(d=5, master_seed=1)
-        for view in ("text", "image", "cross"):
-            out = predict_correction(Tensor(np.random.default_rng(0).normal(size=15)), params, view)
-            assert out.shape == (5,)
+        out = calibrate_views(Tensor(np.random.default_rng(0).normal(size=(3, 5))), params)
+        for slot in range(len(VIEWS)):
+            assert out.values[slot].shape == (5,)
+        batched = calibrate_views(Tensor(np.zeros((7, 3, 5))), params)
+        assert batched.shape == (7, 3, 5)
 
     def test_holistic_context_sensitivity(self):
-        # perturbing the text slots changes the image correction: finite
+        # perturbing the text slot changes the image correction: finite
         # difference of d_image^pred w.r.t. f_text is nonzero for generic weights
         params = CalibratorParams(d=4, master_seed=2)
-        base = np.random.default_rng(3).normal(size=12)
+        base = np.random.default_rng(3).normal(size=(3, 4))
         h = 1e-5
         bumped = base.copy()
-        bumped[0] += h
-        before = predict_correction(Tensor(base), params, "image").values
-        after = predict_correction(Tensor(bumped), params, "image").values
+        bumped[TEXT, 0] += h
+        before = correction_of(Tensor(base), params)[IMAGE]
+        after = correction_of(Tensor(bumped), params)[IMAGE]
         assert np.linalg.norm((after - before) / h) > 1e-3
 
     def test_unknown_view(self):
+        # a fourth view slot (say audio) has no correction to run
         params = CalibratorParams(d=4)
         with pytest.raises(Exception):
-            predict_correction(Tensor(np.zeros(12)), params, "audio")
+            calibrate_views(Tensor(np.zeros((4, 4))), params)
 
 
 class TestCalibrate:
+    """The correction is an additive residual: with a constant correction p
+    the calibrated views are exactly f + p."""
+
     def test_zero_correction_is_identity(self):
-        f = Tensor([1.0, -2.0, 3.0])
-        out = calibrate(f, Tensor(np.zeros(3)))
+        f = Tensor(np.array([[1.0, -2.0, 3.0]] * 3))
+        out = calibrate_views(f, residual_params(3))
         assert np.array_equal(out.values, f.values)
 
     def test_arithmetic(self):
-        out = calibrate(Tensor([1.0, 2.0]), Tensor([0.5, -2.0]))
-        assert out.values.tolist() == [1.5, 0.0]
+        p = np.array([[0.5, -2.0]] * 3)
+        out = calibrate_views(Tensor(np.array([[1.0, 2.0]] * 3)), residual_params(2, p))
+        for slot in range(3):
+            assert out.values[slot].tolist() == [1.5, 0.0]
 
     def test_residual_identity_bit_exact(self):
         # inputs on a dyadic grid make float addition exact, so recovering the
         # original feature from (calibrated, correction) is bitwise
         rng = np.random.default_rng(4)
+        params = residual_params(6)
         for _ in range(1000):
-            f = np.round(rng.uniform(-2, 2, size=6) * 2**20) / 2**20
-            p = np.round(rng.uniform(-2, 2, size=6) * 2**20) / 2**20
-            calibrated = calibrate(Tensor(f), Tensor(p))
+            f = np.round(rng.uniform(-2, 2, size=(3, 6)) * 2**20) / 2**20
+            p = np.round(rng.uniform(-2, 2, size=(3, 6)) * 2**20) / 2**20
+            params.b2.tensor.values[...] = p
+            calibrated = calibrate_views(Tensor(f), params)
             assert np.array_equal(calibrated.values - p, f)
 
     def test_additivity_is_bitwise(self):
         rng = np.random.default_rng(5)
-        f, p = rng.normal(size=8), rng.normal(size=8)
-        assert np.array_equal(calibrate(Tensor(f), Tensor(p)).values, f + p)
+        f, p = rng.normal(size=(3, 8)), rng.normal(size=(3, 8))
+        assert np.array_equal(calibrate_views(Tensor(f), residual_params(8, p)).values, f + p)
 
     def test_dim_mismatch(self):
         with pytest.raises(DimensionError):
-            calibrate(Tensor([1.0, 2.0]), Tensor([1.0]))
+            calibrate_views(Tensor(np.zeros((3, 2))), residual_params(1))
 
 
-def head_of(params, view):
-    return params.heads[view]
+def text_loss(f, t, y, cfg, params, requires_grad=False):
+    """The text slot's distillation loss, with f and t in every view slot."""
+    student = Tensor(np.tile(np.asarray(f, dtype=float), (3, 1)), requires_grad=requires_grad)
+    teacher = Tensor(np.tile(np.asarray(t, dtype=float), (3, 1)))
+    return distill_losses(student, teacher, y, cfg, params), student, teacher
 
 
 class TestDistillLoss:
     def test_zero_when_student_matches_teacher_at_alpha_one(self):
         params = CalibratorParams(d=4, master_seed=6)
-        f = Tensor(np.array([0.3, -1.0, 2.0, 0.1]), requires_grad=True)
-        t = Tensor(f.values.copy())
+        f = np.array([0.3, -1.0, 2.0, 0.1])
         for tau in (0.5, 1.0, 2.0, 5.0):
             cfg = DistillConfig(tau=tau, alpha=1.0)
-            loss = distill_loss(f, t, 0, cfg, head_of(params, "text"))
-            assert loss.item() == 0.0
+            loss, _, _ = text_loss(f, f.copy(), 0, cfg, params, requires_grad=True)
+            assert loss.values[TEXT] == 0.0
+            assert np.array_equal(loss.values, np.zeros(3))
 
     def test_alpha_zero_reduces_to_cross_entropy(self):
-        from mvrd.diffcore import cross_entropy, linear
+        from mvrd.diffcore import cross_entropy
 
         params = CalibratorParams(d=4, master_seed=7)
-        f = Tensor(np.array([0.5, 1.0, -0.5, 0.2]), requires_grad=True)
-        t = Tensor(np.array([1.0, 0.0, 0.0, 0.0]))
+        f = np.array([0.5, 1.0, -0.5, 0.2])
+        t = np.array([1.0, 0.0, 0.0, 0.0])
         cfg = DistillConfig(tau=2.0, alpha=0.0)
-        loss = distill_loss(f, t, 1, cfg, head_of(params, "text"))
-        expected = cross_entropy(linear(f.detach(), *head_of(params, "text")), 1).item()
-        assert loss.item() == expected
+        loss, _, _ = text_loss(f, t, 1, cfg, params, requires_grad=True)
+        head_w, head_b = (p.tensor.values[TEXT] for p in params.head)
+        expected = cross_entropy(linear(Tensor(f), Tensor(head_w), Tensor(head_b)), 1).item()
+        assert loss.values[TEXT] == expected
 
     def test_hand_value_two_dim(self):
         # tau^2 * KL([0.7311, 0.2689] || [0.2689, 0.7311]) = 0.46212
         params = CalibratorParams(d=2, d_h=2, master_seed=8)
-        f_hat = Tensor(np.array([0.0, 1.0]), requires_grad=True)
-        f_teacher = Tensor(np.array([1.0, 0.0]))
         cfg = DistillConfig(tau=1.0, alpha=1.0)
-        loss = distill_loss(f_hat, f_teacher, 0, cfg, head_of(params, "text"))
+        loss, _, _ = text_loss([0.0, 1.0], [1.0, 0.0], 0, cfg, params, requires_grad=True)
         p = np_softmax([1.0, 0.0], 1.0)
         q = np_softmax([0.0, 1.0], 1.0)
-        assert loss.item() == pytest.approx(np_kl(p, q), abs=1e-12)
-        assert loss.item() == pytest.approx(0.46211715726000974, abs=1e-10)
+        assert loss.values[TEXT] == pytest.approx(np_kl(p, q), abs=1e-12)
+        assert loss.values[TEXT] == pytest.approx(0.46211715726000974, abs=1e-10)
 
     def test_alpha_affinity(self):
         params = CalibratorParams(d=4, master_seed=9)
         rng = np.random.default_rng(10)
-        f = Tensor(rng.normal(size=4), requires_grad=True)
-        t = Tensor(rng.normal(size=4))
-        k = distill_loss(f, t, 0, DistillConfig(2.0, 1.0), head_of(params, "text")).item()
-        c = distill_loss(f, t, 0, DistillConfig(2.0, 0.0), head_of(params, "text")).item()
+        f, t = rng.normal(size=4), rng.normal(size=4)
+        k = text_loss(f, t, 0, DistillConfig(2.0, 1.0), params)[0].values[TEXT]
+        c = text_loss(f, t, 0, DistillConfig(2.0, 0.0), params)[0].values[TEXT]
         for alpha in (0.0, 0.25, 0.5, 1.0):
-            loss = distill_loss(f, t, 0, DistillConfig(2.0, alpha), head_of(params, "text")).item()
+            loss = text_loss(f, t, 0, DistillConfig(2.0, alpha), params)[0].values[TEXT]
             assert abs(loss - (alpha * k + (1 - alpha) * c)) < 1e-10
 
     def test_tau_squared_scaling_law(self):
@@ -187,32 +234,32 @@ class TestDistillLoss:
         rng = np.random.default_rng(12)
         f_values = rng.normal(size=5)
         t_values = rng.normal(size=5)
-        f = Tensor(f_values, requires_grad=True)
-        t = Tensor(t_values)
         for tau in (0.5, 1.0, 2.0, 5.0):
-            loss = distill_loss(f, t, 0, DistillConfig(tau, 1.0), head_of(params, "text")).item()
+            loss = text_loss(f_values, t_values, 0, DistillConfig(tau, 1.0), params)[0]
             independent = tau * tau * np_kl(np_softmax(t_values, tau), np_softmax(f_values, tau))
-            assert abs(loss - independent) < 1e-10
+            assert abs(loss.values[TEXT] - independent) < 1e-10
 
     def test_gradient_reaches_student_not_teacher(self):
         params = CalibratorParams(d=4, master_seed=13)
         rng = np.random.default_rng(14)
-        f = Tensor(rng.normal(size=4), requires_grad=True)
-        t = Tensor(rng.normal(size=4))
+        loss, f, t = text_loss(
+            rng.normal(size=4), rng.normal(size=4), 1, DistillConfig(2.0, 0.5), params,
+            requires_grad=True,
+        )
         zero_grads(params.parameters())
-        backward(distill_loss(f, t, 1, DistillConfig(2.0, 0.5), head_of(params, "text")))
-        assert np.any(f.grad != 0)
+        backward(weighted_sum(loss, np.array([1.0, 0.0, 0.0])))
+        assert np.any(f.grad[TEXT] != 0)
         assert t.grad is None
-        head_w, head_b = head_of(params, "text")
-        assert np.any(head_w.tensor.grad != 0)
-        assert np.any(head_b.tensor.grad != 0)
+        head_w, head_b = params.head
+        assert np.any(head_w.tensor.grad[TEXT] != 0)
+        assert np.any(head_b.tensor.grad[TEXT] != 0)
 
     def test_teacher_with_gradients_rejected(self):
         params = CalibratorParams(d=4)
-        f = Tensor(np.zeros(4), requires_grad=True)
-        t = Tensor(np.zeros(4), requires_grad=True)
+        f = Tensor(np.zeros((3, 4)), requires_grad=True)
+        t = Tensor(np.zeros((3, 4)), requires_grad=True)
         with pytest.raises(ContractError):
-            distill_loss(f, t, 0, DistillConfig(), head_of(params, "text"))
+            distill_losses(f, t, 0, DistillConfig(), params)
 
     def test_invalid_config_rejected(self):
         with pytest.raises(ParameterError):
@@ -222,31 +269,39 @@ class TestDistillLoss:
 
 
 class TestCalibrationForward:
-    """calibrate_views then distill_losses, as Model.forward_loss runs them."""
+    """calibrate_views, distill_losses and total_loss, as Model.forward_loss runs them."""
 
     def make_inputs(self, d=4, seed=15):
         rng = np.random.default_rng(seed)
         v = views_of(rng.normal(size=d), rng.normal(size=d), rng.normal(size=d), requires_grad=True)
-        t = {view: Tensor(rng.normal(size=d)) for view in ("text", "image", "cross")}
+        t = Tensor(rng.normal(size=(3, d)))
         return v, t
+
+    @staticmethod
+    def scalar(x):
+        return Tensor(np.array(x), requires_grad=True)
 
     def test_disabled_views_contribute_no_loss(self):
         params = CalibratorParams(d=4, master_seed=16)
         v, t = self.make_inputs()
         cfg = DistillConfig(enabled_views=frozenset())
         calibrated = calibrate_views(v, params)
-        assert distill_losses(calibrated, t, 0, cfg, params) == {}
+        losses = distill_losses(calibrated, t, 0, cfg, params)
+        breakdown = total_loss(self.scalar(0.5), self.scalar(0.25), losses, cfg.view_weights, 1.0)
+        assert breakdown.distill == {}
+        assert breakdown.total == breakdown.classification
         # features still flow through calibration
-        assert calibrated["text"].shape == (4,)
+        assert calibrated.values[TEXT].shape == (4,)
 
     def test_full_enablement_gives_nonnegative_kl(self):
         params = CalibratorParams(d=4, master_seed=17)
         v, t = self.make_inputs(seed=18)
         cfg = DistillConfig(tau=2.0, alpha=1.0)
         losses = distill_losses(calibrate_views(v, params), t, 0, cfg, params)
-        assert set(losses) == {"text", "image", "cross"}
-        for loss in losses.values():
-            assert loss.item() >= -1e-12
+        breakdown = total_loss(self.scalar(0.5), self.scalar(0.25), losses, cfg.view_weights, 1.0)
+        assert set(breakdown.distill) == {"text", "image", "cross"}
+        for loss in losses.values:
+            assert loss >= -1e-12
 
     def test_hand_composed_toy(self):
         # chain concat -> MLP -> residual -> loss by hand on d = 2
@@ -261,30 +316,45 @@ class TestCalibrationForward:
         calibrated = calibrate_views(v, params)
         losses = distill_losses(calibrated, t, 1, cfg, params)
 
-        f_concat = np.concatenate([v[view].values for view in ("text", "image", "cross")])
-        for view in ("text", "image", "cross"):
-            f_raw, f_teacher = v[view].values, t[view].values
-            w1, b1, w2, b2 = (weights[f"calib.{view}.mlp.{n}"] for n in ("W1", "b1", "W2", "b2"))
-            hw, hb = weights[f"calib.{view}.head.W"], weights[f"calib.{view}.head.b"]
+        f_concat = v.values.reshape(-1)
+        for slot in range(len(VIEWS)):
+            f_raw, f_teacher = v.values[slot], t.values[slot]
+            w1, b1 = weights["calib.mlp.W1"][slot], weights["calib.mlp.b1"][slot]
+            w2, b2 = weights["calib.mlp.W2"][slot], weights["calib.mlp.b2"][slot]
+            hw, hb = weights["calib.head.W"][slot], weights["calib.head.b"][slot]
             correction = np.maximum(f_concat @ w1 + b1, 0.0) @ w2 + b2
             f_hat = f_raw + correction
-            assert np.allclose(calibrated[view].values, f_hat, atol=1e-12)
+            assert np.allclose(calibrated.values[slot], f_hat, atol=1e-12)
             kl = np_kl(np_softmax(f_teacher, 1.5), np_softmax(f_hat, 1.5))
             logits = f_hat @ hw + hb
             ce = -(logits[1] - np.log(np.exp(logits - logits.max()).sum()) - logits.max())
             expected = 0.7 * 1.5**2 * kl + 0.3 * ce
-            assert losses[view].item() == pytest.approx(expected, abs=1e-10)
+            assert losses.values[slot] == pytest.approx(expected, abs=1e-10)
 
     def test_calibrated_views_keep_corrections(self):
-        # calibrated = raw + predict_correction(holistic context), bitwise
+        # calibrated = raw + correction(holistic context), bitwise
         params = CalibratorParams(d=4, master_seed=22)
         v, _ = self.make_inputs(seed=23)
         calibrated = calibrate_views(v, params)
-        f_concat = concat_views(v)
-        for view, raw in v.items():
-            correction = predict_correction(f_concat, params, view)
-            assert np.array_equal(calibrated[view].values, raw.values + correction.values)
+        context = concat([reshape(v, (1, 12))] * 3, axis=-2)
+        correction = linear(relu(linear(context, params.w1, params.b1)), params.w2, params.b2)
+        for slot in range(len(VIEWS)):
+            raw = v.values[slot]
+            assert np.array_equal(calibrated.values[slot], raw + correction.values[slot])
 
     def test_hidden_width_floor(self):
         with pytest.raises(Exception, match="d_h"):
             CalibratorParams(d=8, d_h=4)
+
+    def test_stacked_slices_keep_per_view_init(self):
+        # every slice is drawn from its own per-view name and seed
+        from mvrd.diffcore import make_parameter, parameter_seed
+
+        params = CalibratorParams(d=4, master_seed=24)
+        for slot, view in enumerate(VIEWS):
+            name = f"calib.{view}.mlp.W1"
+            w1 = make_parameter(name, (12, 8), "xavier_uniform", parameter_seed(24, name))
+            assert np.array_equal(params.w1.tensor.values[slot], w1.tensor.values)
+            name = f"calib.{view}.head.W"
+            head = make_parameter(name, (4, 2), "xavier_uniform", parameter_seed(24, name))
+            assert np.array_equal(params.head[0].tensor.values[slot], head.tensor.values)

@@ -210,3 +210,28 @@ class TestSweepCommand:
         assert code == 1
         err = json.loads(capsys.readouterr().err.strip())
         assert err["error"] == "ParameterError"
+
+
+class TestAblateCommand:
+    def test_empty_test_split_is_validation_error(self, data_dir, config_file, capsys, monkeypatch):
+        # --train-frac 1.0 leaves no test set: refused before any job trains
+        def no_training(*args, **kwargs):
+            raise AssertionError("a job was trained")
+
+        monkeypatch.setattr("mvrd.trainer.train", no_training)
+        code = main(
+            [
+                "ablate",
+                "--config",
+                str(config_file),
+                "--features",
+                str(data_dir / "features.jsonl"),
+                "--teacher",
+                str(data_dir / "teacher.jsonl"),
+                "--train-frac",
+                "1.0",
+            ]
+        )
+        assert code == 1
+        err = json.loads(capsys.readouterr().err.strip())
+        assert err["error"] == "ValidationError"

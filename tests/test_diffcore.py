@@ -63,6 +63,45 @@ class TestMatmul:
             assert np.allclose(out[i], a[i] @ b)
 
 
+class TestStackedLinear:
+    @pytest.mark.parametrize("slots", [1, 3])
+    @pytest.mark.parametrize("lead", [(), (5,), (2, 4)])
+    def test_matches_per_slot_loop(self, slots, lead):
+        rng = np.random.default_rng(slots * 10 + len(lead))
+        x = rng.normal(size=lead + (slots, 4))
+        w = rng.normal(size=(slots, 4, 3))
+        b = rng.normal(size=(slots, 3))
+        out = linear(Tensor(x), Tensor(w), Tensor(b))
+        assert out.shape == lead + (slots, 3)
+        assert out.values.flags["C_CONTIGUOUS"]
+        for v in range(slots):
+            expected = x[..., v, :] @ w[v] + b[v]
+            assert np.allclose(out.values[..., v, :], expected, rtol=0, atol=1e-12)
+
+    def test_one_slot_equals_plain_weight(self):
+        rng = np.random.default_rng(7)
+        x, w, b = rng.normal(size=(6, 1, 4)), rng.normal(size=(4, 3)), rng.normal(size=3)
+        stacked = linear(Tensor(x), Tensor(w[None]), Tensor(b[None]))
+        plain = linear(Tensor(x[:, 0]), Tensor(w), Tensor(b))
+        assert np.array_equal(stacked.values[:, 0], plain.values)
+
+    @pytest.mark.parametrize(
+        "x_shape, w_shape, b_shape",
+        [
+            ((2, 3, 4), (3, 4, 2), (2,)),  # bias not stacked
+            ((2, 3, 4), (3, 4, 2), (2, 2)),  # bias slot count differs
+            ((2, 3, 4), (3, 4, 2), (3, 3)),  # bias width differs
+            ((2, 2, 4), (3, 4, 2), (3, 2)),  # x has 2 slots, W has 3
+            ((2, 3, 5), (3, 4, 2), (3, 2)),  # x width differs from n_in
+            ((4,), (3, 4, 2), (3, 2)),  # no slot axis
+            ((2, 3, 4), (1, 3, 4, 2), (1, 3, 2)),  # 4-D weight
+        ],
+    )
+    def test_shape_mismatch_rejected(self, x_shape, w_shape, b_shape):
+        with pytest.raises(DimensionError):
+            linear(Tensor(np.zeros(x_shape)), Tensor(np.zeros(w_shape)), Tensor(np.zeros(b_shape)))
+
+
 class TestSoftmaxTemp:
     def test_uniform_on_constant(self):
         out = softmax_temp(Tensor([0.0, 0.0, 0.0]), 3.7)
@@ -139,8 +178,9 @@ class TestAttention:
         with pytest.raises(DimensionError):
             attention(Tensor(np.zeros(q_shape)), Tensor(np.zeros(k_shape)), Tensor(np.zeros(v_shape)), 1)
 
-    def test_default_step_records_99_nodes(self):
-        # each of the five attention blocks records a single attention node
+    def test_default_step_records_64_nodes(self):
+        # each of the five attention blocks records a single attention node, and
+        # the per-view layers run once over the (B, 3, d) view tensor
         from mvrd.config import TrainConfig
         from mvrd.datasynth import SyntheticConfig, generate_dataset
         from mvrd.model import Model, StackedDataset, infer_d_in
@@ -150,7 +190,7 @@ class TestAttention:
         batch = StackedDataset.from_samples(dataset, include_teacher=True)
         before = len(diffcore._state.tape)
         breakdown = model.forward_loss(batch)
-        assert len(diffcore._state.tape) - before == 99
+        assert len(diffcore._state.tape) - before == 64
         backward(breakdown.graph)
         assert len(diffcore._state.tape) == 0
 

@@ -96,6 +96,17 @@ def test_linear_gradients():
         assert_grads_match_fd(lambda: scalarize(linear(x, w, b)), [x, w, b])
 
 
+@pytest.mark.parametrize("slots", [1, 3])
+@pytest.mark.parametrize("lead", [(), (2,), (2, 3)])
+def test_stacked_linear_gradients(slots, lead):
+    # W (V, n_in, n_out) maps slot v of x's axis -2 through W[v] and b[v]
+    for rng in trials(f"stacked-linear-{slots}-{lead}")[:30]:
+        x = Tensor(u(rng, *lead, slots, 4), requires_grad=True)
+        w = Tensor(u(rng, slots, 4, 3), requires_grad=True)
+        b = Tensor(u(rng, slots, 3), requires_grad=True)
+        assert_grads_match_fd(lambda: scalarize(linear(x, w, b)), [x, w, b])
+
+
 def test_add_gradients():
     for rng in trials("add"):
         a = Tensor(u(rng, 2, 5), requires_grad=True)

@@ -1,21 +1,29 @@
 """Fusion contracts: pooling, the stacked view set, cross-attention, and the
-loss stack identities."""
+loss stack identities.
+
+The views travel as one (.., 3, d) tensor, slots in text, image, cross order;
+where a test reads one view it indexes that view's slot.
+"""
 
 import math
 
 import numpy as np
 import pytest
 
-from mvrd.config import ConfigError
-from mvrd.diffcore import ParameterError, Tensor, backward, matmul, mean, reshape
+from mvrd.config import ConfigError, TrainConfig
+from mvrd.datasynth import Sample
+from mvrd.diffcore import ParameterError, Tensor, backward, matmul, mean, reshape, zero_grads
 from mvrd.fusion import (
     FusionParams,
-    build_view_set,
     classification_losses,
     cross_attention_fuse,
-    pool_views,
     total_loss,
 )
+from mvrd.model import Model, StackedDataset
+from mvrd.views import SOURCE_TAGS, EmbeddedSequence
+
+TEXT, IMAGE, CROSS = range(3)
+ALL_VIEWS = np.ones(3)
 
 
 def weighted_sum(out, w):
@@ -25,50 +33,77 @@ def weighted_sum(out, w):
 
 
 def views_of(t, i, c, requires_grad=False):
-    return {
-        "text": Tensor(t, requires_grad=requires_grad),
-        "image": Tensor(i, requires_grad=requires_grad),
-        "cross": Tensor(c, requires_grad=requires_grad),
-    }
+    return Tensor(np.stack([t, i, c]), requires_grad=requires_grad)
+
+
+def pool(views):
+    """Model.fuse with attention off: the mean over the view axis."""
+    cfg = TrainConfig(d=4, d_h=8, heads=1, encoder_heads=1, no_attention_mode=True)
+    return Model(cfg, {tag: 4 for tag in SOURCE_TAGS}).fuse(views)
+
+
+def encode_constant(model, t, i, c):
+    """Model.encode_batch on one sample whose every token is t (text), i
+    (image) or c (both clip sequences)."""
+    rows = {"text-tokens": t, "image-patches": i, "clip-text": c, "clip-image": c}
+    seqs = [EmbeddedSequence(Tensor(np.tile(rows[tag], (2, 1))), tag) for tag in SOURCE_TAGS]
+    sample = Sample("x", 0, "none", *seqs)
+    return model.encode_batch(StackedDataset.from_samples([sample], include_teacher=False))
+
+
+def raw_pooling_model(d):
+    cfg = TrainConfig(d=d, d_h=2 * d, heads=1, encoder_heads=1, no_feature_extractors_mode=True)
+    return Model(cfg, {tag: d for tag in SOURCE_TAGS})
 
 
 class TestPoolViews:
     def test_identical_views(self):
         v = [1.0, -2.0, 0.5, 3.0]
-        out = pool_views(views_of(v, v, v))
+        out = pool(views_of(v, v, v))
         assert np.allclose(out.values, v, atol=1e-15)
 
     def test_arithmetic(self):
-        out = pool_views(views_of([1.0, 0.0], [0.0, 1.0], [2.0, 2.0]))
+        out = pool(views_of([1.0, 0.0], [0.0, 1.0], [2.0, 2.0]))
         assert out.values.tolist() == [1.0, 1.0]
 
     def test_gradient_splits_equally(self):
         c = views_of([1.0, 2.0], [3.0, 4.0], [5.0, 6.0], requires_grad=True)
-        backward(weighted_sum(pool_views(c), np.array([1.0, 0.0])))
-        for f in c.values():
-            assert np.allclose(f.grad, [1.0 / 3.0, 0.0], atol=1e-15)
+        backward(weighted_sum(pool(c), np.array([1.0, 0.0])))
+        for f in c.grad:
+            assert np.allclose(f, [1.0 / 3.0, 0.0], atol=1e-15)
 
 
 class TestBuildViewSet:
+    """Model.encode_batch stacks the views into one (B, 3, d) tensor."""
+
     def test_rows_read_back(self):
         t, i, c = [1.0, 2.0], [3.0, 4.0], [5.0, 6.0]
-        out = build_view_set(views_of(t, i, c))
-        assert out.shape == (3, 2)
-        assert np.array_equal(out.values, np.array([t, i, c]))
+        out = encode_constant(raw_pooling_model(2), t, i, c)
+        assert out.shape == (1, 3, 2)
+        assert np.array_equal(out.values[0], np.array([t, i, c]))
 
     def test_zeros(self):
-        out = build_view_set(views_of([0.0] * 3, [0.0] * 3, [0.0] * 3))
-        assert np.array_equal(out.values, np.zeros((3, 3)))
+        out = encode_constant(raw_pooling_model(3), [0.0] * 3, [0.0] * 3, [0.0] * 3)
+        assert np.array_equal(out.values[0], np.zeros((3, 3)))
 
     def test_row_gradient_isolation(self):
-        c = views_of([1.0, 2.0], [3.0, 4.0], [5.0, 6.0], requires_grad=True)
-        out = build_view_set(c)
-        w = np.zeros((3, 2))
-        w[1, 0] = 1.0  # touch only the image row
+        cfg = TrainConfig(d=2, d_h=4, heads=1, encoder_heads=1)
+        model = Model(cfg, {tag: 2 for tag in SOURCE_TAGS})
+        enc = model.encoder
+        zero_grads(model.parameters())
+        out = encode_constant(model, [1.0, 2.0], [3.0, 4.0], [5.0, 6.0])
+        w = np.zeros((1, 3, 2))
+        w[0, IMAGE, 0] = 1.0  # touch only the image row
         backward(weighted_sum(out, w))
-        assert np.array_equal(c["text"].grad, np.zeros(2))
-        assert np.array_equal(c["image"].grad, np.array([1.0, 0.0]))
-        assert np.array_equal(c["cross"].grad, np.zeros(2))
+        groups = {
+            TEXT: enc.text_attn.parameters() + list(enc.text_proj),
+            IMAGE: enc.image_attn.parameters() + list(enc.image_proj),
+            CROSS: enc.cross_i2t.parameters() + enc.cross_t2i.parameters() + list(enc.cross_proj),
+        }
+        assert all(np.array_equal(p.tensor.grad, np.zeros_like(p.tensor.grad)) for p in groups[TEXT])
+        assert np.array_equal(enc.image_proj[0].tensor.grad[:, 1], np.zeros(2))
+        assert np.array_equal(enc.image_proj[1].tensor.grad, np.array([1.0, 0.0]))
+        assert all(np.array_equal(p.tensor.grad, np.zeros_like(p.tensor.grad)) for p in groups[CROSS])
 
 
 class TestCrossAttentionFuse:
@@ -144,7 +179,7 @@ class TestClassificationLosses:
     def test_zero_initialized_heads_give_log2(self):
         d = 4
         params = FusionParams(d=d, heads=2, master_seed=7)
-        for w, b in [params.final_head, *params.branch_heads.values()]:
+        for w, b in [params.final_head, params.branch_head]:
             w.tensor.values[...] = 0.0
             b.tensor.values[...] = 0.0
         rng = np.random.default_rng(8)
@@ -159,12 +194,12 @@ class TestClassificationLosses:
         params = FusionParams(d=d, heads=1, master_seed=9)
         rng = np.random.default_rng(10)
         weights = {}
-        for w, b in [params.final_head, *params.branch_heads.values()]:
+        for w, b in [params.final_head, params.branch_head]:
             weights[w.name] = rng.normal(size=w.tensor.shape)
             weights[b.name] = rng.normal(size=b.tensor.shape)
             w.tensor.values[...] = weights[w.name]
             b.tensor.values[...] = weights[b.name]
-        views_np = {v: rng.normal(size=d) for v in ("text", "image", "cross")}
+        views_np = rng.normal(size=(3, d))
         f_final_np = rng.normal(size=d)
 
         def np_ce(logits, y):
@@ -174,10 +209,10 @@ class TestClassificationLosses:
         y = 1
         expected_final = np_ce(f_final_np @ weights["fusion.final.W"] + weights["fusion.final.b"], y)
         expected_branch = sum(
-            np_ce(views_np[v] @ weights[f"fusion.branch.{v}.W"] + weights[f"fusion.branch.{v}.b"], y)
-            for v in ("text", "image", "cross")
+            np_ce(views_np[v] @ weights["fusion.branch.W"][v] + weights["fusion.branch.b"][v], y)
+            for v in (TEXT, IMAGE, CROSS)
         )
-        views = views_of(views_np["text"], views_np["image"], views_np["cross"])
+        views = views_of(views_np[TEXT], views_np[IMAGE], views_np[CROSS])
         loss_final, loss_branch = classification_losses(Tensor(f_final_np), views, y, params)
         assert loss_final.item() == pytest.approx(expected_final, abs=1e-12)
         assert loss_branch.item() == pytest.approx(expected_branch, abs=1e-12)
@@ -191,35 +226,47 @@ class TestClassificationLosses:
 
 
 class TestTotalLoss:
+    """total_loss takes the (3,) per-view distillation vector and a 0/1 weight
+    per view; a view left out of a test has weight 0."""
+
     def scalar(self, x):
         return mean(Tensor(np.array([x]), requires_grad=True))
 
+    def vector(self, text=0.0, image=0.0, cross=0.0):
+        return Tensor(np.array([text, image, cross]), requires_grad=True)
+
     def test_lambda_zero_equals_classification(self):
-        breakdown = total_loss(self.scalar(0.7), self.scalar(1.1), {"text": self.scalar(5.0)}, 0.0)
+        breakdown = total_loss(
+            self.scalar(0.7), self.scalar(1.1), self.vector(text=5.0), np.array([1.0, 0, 0]), 0.0
+        )
         assert breakdown.total == breakdown.classification
         assert breakdown.classification == pytest.approx(1.8, abs=1e-15)
 
     def test_zero_distill_terms(self):
-        breakdown = total_loss(
-            self.scalar(0.7), self.scalar(1.1), {v: self.scalar(0.0) for v in ("text", "image", "cross")}, 3.0
-        )
+        breakdown = total_loss(self.scalar(0.7), self.scalar(1.1), self.vector(), ALL_VIEWS, 3.0)
         assert breakdown.total == breakdown.classification
 
     def test_arithmetic(self):
         breakdown = total_loss(
-            self.scalar(0.4), self.scalar(0.6), {"text": self.scalar(0.1), "cross": self.scalar(0.3)}, 0.5
+            self.scalar(0.4),
+            self.scalar(0.6),
+            self.vector(text=0.1, image=9.9, cross=0.3),
+            np.array([1.0, 0.0, 1.0]),
+            0.5,
         )
         assert breakdown.total == pytest.approx(1.2, abs=1e-12)
+        assert set(breakdown.distill) == {"text", "cross"}
 
     def test_identities_within_tolerance(self):
         rng = np.random.default_rng(12)
         for _ in range(100):
             lam = float(rng.uniform(0, 3))
-            distill = {v: self.scalar(float(rng.uniform(0, 2))) for v in ("text", "image", "cross")}
+            distill = self.vector(*rng.uniform(0, 2, size=3))
             breakdown = total_loss(
                 self.scalar(float(rng.uniform(0, 2))),
                 self.scalar(float(rng.uniform(0, 2))),
                 distill,
+                ALL_VIEWS,
                 lam,
             )
             err_c, err_total = breakdown.identity_errors()
@@ -228,10 +275,10 @@ class TestTotalLoss:
 
     def test_negative_lambda_rejected(self):
         with pytest.raises(ParameterError):
-            total_loss(self.scalar(1.0), self.scalar(1.0), {}, -0.1)
+            total_loss(self.scalar(1.0), self.scalar(1.0), None, ALL_VIEWS, -0.1)
 
     def test_graph_backpropagates(self):
         final = self.scalar(0.5)
         branch = self.scalar(0.25)
-        breakdown = total_loss(final, branch, {}, 1.0)
+        breakdown = total_loss(final, branch, None, ALL_VIEWS, 1.0)
         backward(breakdown.graph)

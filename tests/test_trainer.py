@@ -142,10 +142,33 @@ class TestTrain:
             rng = np.random.default_rng(77)
             for step, lo in enumerate(range(0, 64, 16)):
                 if swap and step == 2:
-                    data.teacher = tuple(arr + 100.0 for arr in data.teacher)
+                    data.teacher = data.teacher + 100.0
                 batch = data.batch(np.arange(lo, lo + 16))
                 optimizer.zero_grad()
                 backward(model.forward_loss(batch).graph)
+                optimizer.step()
+            return params_snapshot(model)
+
+        assert_params_equal(manual_run(swap=False), manual_run(swap=True))
+
+    def test_disabled_view_teacher_slot_is_bitwise_invisible(self):
+        # drop_L_cross weights the cross loss by 0: rewriting only the cross
+        # slot of the stacked teacher mid-run changes no parameter bit
+        ds = tiny_dataset()
+        cfg = tiny_cfg(drop_L_cross=True, epochs=1)
+
+        def manual_run(swap):
+            model = Model(cfg, infer_d_in(ds))
+            data = StackedDataset.from_samples(ds, include_teacher=True)
+            optimizer = Adam(model.parameters(), cfg.learning_rate)
+            for step, lo in enumerate(range(0, 64, 16)):
+                if swap and step == 2:
+                    data.teacher[:, 2] = data.teacher[:, 2] * -3.0 + 7.0
+                batch = data.batch(np.arange(lo, lo + 16))
+                optimizer.zero_grad()
+                breakdown = model.forward_loss(batch)
+                assert set(breakdown.distill) == {"text", "image"}
+                backward(breakdown.graph)
                 optimizer.step()
             return params_snapshot(model)
 
@@ -242,6 +265,19 @@ class TestAblationRunner:
         with pytest.raises(Exception):
             ablation_suite(tiny_cfg(), ds, ds, n_seeds=2)
 
+    def test_empty_split_rejected_before_any_job(self, monkeypatch):
+        ds = tiny_dataset()
+
+        def no_training(*args, **kwargs):
+            raise AssertionError("a job was trained")
+
+        monkeypatch.setattr(trainer, "train", no_training)
+        for train_set, test_set in ((ds, []), ([], ds)):
+            with pytest.raises(ValidationError, match="nonempty"):
+                ablation_suite(tiny_cfg(), train_set, test_set, n_seeds=3)
+            with pytest.raises(ValidationError, match="nonempty"):
+                sweep(tiny_cfg(), "tau", [1.0], train_set, test_set, n_seeds=1)
+
 
 class TestParallelRunner:
     """The runners train in forked workers; every number must equal a serial
@@ -294,6 +330,28 @@ class TestParallelRunner:
         pooled = ablation_suite(cfg, tr, te, n_seeds=self.N_SEEDS)
         monkeypatch.setattr("os.sched_getaffinity", lambda pid: {0})
         assert ablation_suite(cfg, tr, te, n_seeds=self.N_SEEDS) == pooled
+
+    def test_live_thread_keeps_jobs_in_process(self, corpus, three_cpus, monkeypatch):
+        # forking while another thread may hold a lock can deadlock a worker
+        import concurrent.futures
+        import threading
+
+        tr, te = corpus
+        cfg = tiny_cfg(epochs=1)
+        pooled = ablation_suite(cfg, tr, te, n_seeds=self.N_SEEDS)
+
+        def no_pool(*args, **kwargs):
+            raise AssertionError("a process pool was built")
+
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", no_pool)
+        stop = threading.Event()
+        thread = threading.Thread(target=stop.wait, daemon=True)
+        thread.start()
+        try:
+            assert ablation_suite(cfg, tr, te, n_seeds=self.N_SEEDS) == pooled
+        finally:
+            stop.set()
+            thread.join()
 
     def test_failing_job_raises_its_own_error(self, corpus, three_cpus):
         tr, te = corpus
@@ -425,11 +483,14 @@ class TestCheckpoints:
             lambda h: h.update(d_in={**h["d_in"], "text-tokens": 0}),
             lambda h: h["d_in"].pop("clip-image"),
             lambda h: h.update(train_config={**h["train_config"], "pooling": "mean"}),
+            # version 1 held one parameter per view; its layout cannot load
+            lambda h: h.update(format_version=1),
         ],
         ids=[
             "no-train_config", "no-d_in", "train_config-list", "str-int-field",
             "float-int-field", "int-bool-field", "unknown-field", "bad-head-count",
             "d_in-int", "str-d_in", "zero-d_in", "missing-source", "retired-field",
+            "format-version-1",
         ],
     )
     def test_bad_header_fields_are_format_error(self, tmp_path, edit):
@@ -444,6 +505,51 @@ class TestCheckpoints:
         path.write_bytes(blob[:header_start] + json.dumps(header).encode() + blob[header_end:])
         with pytest.raises(FormatError):
             load_model(path)
+
+    @staticmethod
+    def saved_blob(tmp_path):
+        model = Model(tiny_cfg(), infer_d_in(tiny_dataset(n_samples=4)))
+        path = tmp_path / "ckpt.bin"
+        save_checkpoint(model, path)
+        return model, path, path.read_bytes()
+
+    @staticmethod
+    def first_parameter(blob):
+        """The first parameter's meta line and data, with their newlines."""
+        header_end = blob.index(b"\n", len(CHECKPOINT_MAGIC))
+        meta_end = blob.index(b"\n", header_end + 1)
+        meta = json.loads(blob[header_end + 1 : meta_end])
+        data_end = meta_end + 1 + 8 * int(np.prod(meta["shape"])) + 1
+        return blob[header_end + 1 : data_end]
+
+    def test_extra_parameter_rejected_by_both_loaders(self, tmp_path):
+        model, path, blob = self.saved_blob(tmp_path)
+        meta = json.dumps({"name": "bogus.extra", "shape": [2]}).encode()
+        path.write_bytes(blob + meta + b"\n" + np.zeros(2).astype("<f8").tobytes() + b"\n")
+        with pytest.raises(FormatError, match="bogus.extra"):
+            load_model(path)
+        with pytest.raises(FormatError, match="bogus.extra"):
+            restore_into_model(model, path)
+
+    def test_repeated_parameter_rejected_by_both_loaders(self, tmp_path):
+        model, path, blob = self.saved_blob(tmp_path)
+        path.write_bytes(blob + self.first_parameter(blob))
+        with pytest.raises(FormatError, match="twice"):
+            load_model(path)
+        with pytest.raises(FormatError, match="twice"):
+            restore_into_model(model, path)
+
+    def test_layout_hash_checked_by_both_loaders(self, tmp_path):
+        model, path, blob = self.saved_blob(tmp_path)
+        header_start = len(CHECKPOINT_MAGIC)
+        header_end = blob.index(b"\n", header_start)
+        header = json.loads(blob[header_start:header_end])
+        header["layout_hash"] = "0" * 64
+        path.write_bytes(blob[:header_start] + json.dumps(header).encode() + blob[header_end:])
+        with pytest.raises(FormatError, match="layout"):
+            load_model(path)
+        with pytest.raises(FormatError, match="layout"):
+            restore_into_model(model, path)
 
     def test_failed_save_keeps_previous_checkpoint(self, tmp_path):
         model = Model(tiny_cfg(), infer_d_in(tiny_dataset(n_samples=4)))
@@ -490,8 +596,8 @@ class TestAblationModes:
         model = Model(cfg, infer_d_in(ds))
         data = StackedDataset.from_samples(ds, include_teacher=True)
         views = model.encode_batch(data.batch(np.arange(8)))
-        assert np.array_equal(views["text"].values, np.zeros((8, 8)))
-        assert np.any(views["image"].values != 0)
+        assert np.array_equal(views.values[:, 0], np.zeros((8, 8)))
+        assert np.any(views.values[:, 1] != 0)
 
     def test_no_feature_extractors_requires_matching_dims(self):
         ds = tiny_dataset()  # d_in = 8
@@ -504,7 +610,7 @@ class TestAblationModes:
         data = StackedDataset.from_samples(ds, include_teacher=True)
         batch = data.batch(np.arange(4))
         views = model.encode_batch(batch)
-        assert np.allclose(views["text"].values, batch.text.mean(axis=1), atol=1e-15)
+        assert np.allclose(views.values[:, 0], batch.text.mean(axis=1), atol=1e-15)
 
     def test_no_attention_mode_trains(self):
         ds = tiny_dataset()

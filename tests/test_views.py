@@ -1,7 +1,8 @@
 """View encoder contracts: shapes, symmetry, hand-unrolled attention oracle.
 
-The encoders run only batched, through ``Model.encode_batch``; the oracles
-below read the result for a one-row batch, or call the building blocks
+The encoders run only batched, through ``Model.encode_batch``, which returns
+one (B, 3, d) tensor with the views in text, image, cross slots; the oracles
+below read one slot for a one-row batch, or call the building blocks
 (``multi_head_attention``, ``pool_and_project``) directly.
 """
 
@@ -10,7 +11,7 @@ import pytest
 
 from mvrd.config import TrainConfig
 from mvrd.datasynth import Sample
-from mvrd.diffcore import DimensionError, Tensor, ValidationError, add, backward, mean, zero_grads
+from mvrd.diffcore import DimensionError, Tensor, ValidationError, backward, mean, zero_grads
 from mvrd.model import Model, StackedDataset
 from mvrd.views import (
     SOURCE_TAGS,
@@ -19,6 +20,8 @@ from mvrd.views import (
     multi_head_attention,
     pool_and_project,
 )
+
+TEXT, IMAGE, CROSS = range(3)
 
 
 def make_model(d=6, heads=2, seed=0, d_in=8, **flags):
@@ -128,7 +131,7 @@ class TestSelfAttentionPool:
 
         other = np.zeros((1, 2))
         views = encode(model, [sample_of(x, other, other, other)])
-        assert np.allclose(views["text"].values[0], expected, atol=1e-12)
+        assert np.allclose(views.values[0, TEXT], expected, atol=1e-12)
 
     def test_permutation_invariance(self):
         model = make_model()
@@ -163,14 +166,14 @@ class TestCoAttention:
         for p_i2t, p_t2i in zip(enc.cross_i2t.parameters(), enc.cross_t2i.parameters()):
             p_t2i.tensor.values[...] = p_i2t.tensor.values
         token = np.random.default_rng(5).normal(size=(1, 4))
-        out = encode(model, [sample_of(token, token, token, token)])["cross"]
+        out = encode(model, [sample_of(token, token, token, token)]).values[:, CROSS]
 
         wv = enc.cross_i2t.w_value.tensor.values
         wo = enc.cross_i2t.w_out.tensor.values
         pooled = ((token @ wv) @ wo)[0]
         w, b = enc.cross_proj[0].tensor.values, enc.cross_proj[1].tensor.values
         expected = np.concatenate([pooled, pooled]) @ w + b
-        assert np.allclose(out.values[0], expected, atol=1e-12)
+        assert np.allclose(out[0], expected, atol=1e-12)
 
     def test_single_key_gives_unit_weight(self):
         # one position on the text side: image->text attention must output that
@@ -211,8 +214,8 @@ class TestCoAttention:
         )
         expected = pooled @ enc.cross_proj[0].tensor.values + enc.cross_proj[1].tensor.values
         other = np.zeros((1, 2))
-        out = encode(model, [sample_of(other, other, b, a)])["cross"]
-        assert np.allclose(out.values[0], expected, atol=1e-12)
+        out = encode(model, [sample_of(other, other, b, a)]).values[:, CROSS]
+        assert np.allclose(out[0], expected, atol=1e-12)
 
     def test_tag_order_enforced(self):
         # the clip-image and clip-text slots cannot be swapped
@@ -229,15 +232,15 @@ class TestEncodeViews:
         model = make_model(d=6)
         rng = np.random.default_rng(8)
         views = encode(model, [rand_sample(rng) for _ in range(3)])
-        assert set(views) == {"text", "image", "cross"}
-        for view in views.values():
-            assert view.shape == (3, 6)
+        assert views.shape == (3, 3, 6)
+        for slot in (TEXT, IMAGE, CROSS):
+            assert views.values[:, slot].shape == (3, 6)
 
     def test_image_patch_permutation_invariance(self):
         model = make_model(d=6, heads=1)
         rng = np.random.default_rng(9)
         s = rand_sample(rng)
-        base = encode(model, [s])["image"].values
+        base = encode(model, [s]).values[:, IMAGE]
         perm = rng.permutation(s.image_seq.length)
         permuted = sample_of(
             s.text_seq.tokens.values,
@@ -245,7 +248,7 @@ class TestEncodeViews:
             s.clip_text_seq.tokens.values,
             s.clip_image_seq.tokens.values,
         )
-        out = encode(model, [permuted])["image"].values
+        out = encode(model, [permuted]).values[:, IMAGE]
         assert np.allclose(out, base, atol=1e-10)
 
     def test_deterministic_across_runs(self):
@@ -255,7 +258,7 @@ class TestEncodeViews:
 
         def run():
             views = encode(make_model(d=6, seed=42), [s])
-            return [views[v].values for v in ("text", "image", "cross")]
+            return [views.values[:, slot] for slot in (TEXT, IMAGE, CROSS)]
 
         a, b = run(), run()
         for x, y in zip(a, b):
@@ -267,7 +270,7 @@ class TestEncodeViews:
         rng = np.random.default_rng(11)
         zero_grads(params)
         views = encode(model, [rand_sample(rng) for _ in range(8)])  # a generic batch
-        backward(add(add(mean(views["text"]), mean(views["image"])), mean(views["cross"])))
+        backward(mean(views))
         total = sum(int(np.prod(p.tensor.shape)) for p in params)
         nonzero = sum(int((p.tensor.grad != 0).sum()) for p in params)
         assert nonzero / total >= 0.99
@@ -281,8 +284,8 @@ class TestEncodeViews:
         batched = encode(model, samples)
         for i, s in enumerate(samples):
             row = encode(model, [s])
-            for view in ("text", "image", "cross"):
-                assert np.allclose(batched[view].values[i], row[view].values[0],
+            for slot in (TEXT, IMAGE, CROSS):
+                assert np.allclose(batched.values[i, slot], row.values[0, slot],
                                    rtol=0, atol=1e-12)
 
 
