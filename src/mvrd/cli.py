@@ -70,6 +70,14 @@ def _load_dataset(features_path, teacher_path=None):
     return samples
 
 
+def _numbers(text: str, flag: str) -> list[float]:
+    """A flag's comma-separated list of numbers."""
+    try:
+        return [float(v) for v in text.split(",")]
+    except ValueError:
+        raise diffcore.ValidationError(f"{flag} must be comma-separated numbers, got {text!r}") from None
+
+
 def _print_rows(rows) -> None:
     keys = ("accuracy", "f1_fake", "f1_real", "auc")
     width = max(len(r.name) for r in rows) + 2
@@ -188,10 +196,10 @@ def cmd_ablate(args) -> int:
 
 
 def cmd_sweep(args) -> int:
+    values = _numbers(args.values, "--values")
     train_cfg, _ = _load_configs(args)
     samples = _load_dataset(args.features, args.teacher)
     train_set, test_set = split(samples, (args.train_frac, 1.0 - args.train_frac), train_cfg.master_seed)
-    values = [float(v) for v in args.values.split(",")]
     rows = sweep(train_cfg, args.axis, values, train_set, test_set, n_seeds=args.seeds)
     _print_rows(rows)
     if args.out:
@@ -205,9 +213,7 @@ def cmd_sweep(args) -> int:
 
 
 def cmd_ttest(args) -> int:
-    a = [float(v) for v in args.a.split(",")]
-    b = [float(v) for v in args.b.split(",")]
-    result = welch_ttest(a, b)
+    result = welch_ttest(_numbers(args.a, "--a"), _numbers(args.b, "--b"))
     print(json.dumps({"t": result.t, "dof": result.dof, "p": result.p}))
     return 0
 

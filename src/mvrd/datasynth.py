@@ -264,6 +264,8 @@ def attach_teacher(samples: list[Sample], embeddings: dict[str, TeacherEmbedding
 
 def save_features_file(samples: list[Sample], path) -> None:
     """Write the four sequences of every sample as line-delimited records."""
+    if not samples:
+        raise ValidationError("cannot save an empty sample list: the header needs its d_in widths")
     path = Path(path)
     d_in = {}
     for s in samples:
@@ -293,8 +295,10 @@ def load_features_file(path) -> list[Sample]:
         return []
     check_format_version(path, header)
     d_in = header.get("d_in")
-    if not isinstance(d_in, dict):
-        raise FormatError(f"{path}: header is missing the d_in map")
+    if not (
+        isinstance(d_in, dict) and all(type(d_in.get(tag)) is int and d_in[tag] >= 1 for tag in SOURCE_TAGS)
+    ):
+        raise FormatError(f"{path}: header d_in must map every source tag to an integer >= 1, got {d_in!r}")
 
     order: list[str] = []
     meta: dict[str, tuple[int, str]] = {}

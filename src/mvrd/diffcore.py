@@ -1,11 +1,12 @@
 """Minimal reverse-mode autodiff over float64 numpy arrays.
 
 Everything in this package that needs gradients runs through the small op set
-below, twelve ops in all. Multi-head attention is one of them: ``attention``
-runs the per-head softmax(Q K^T / sqrt(d_k)) V loop inside a single op, so an
-attention block records one node, not a chain per head. ``linear`` also takes
-a stacked weight, one matrix per slot of a view axis, so a per-view layer is
-one node too. Each forward op appends a record to a thread-local tape;
+below, eleven ops in all. A whole multi-head attention block is one of them:
+``attention`` projects its inputs to Q, K and V, runs the per-head
+softmax(Q K^T / sqrt(d_k)) V loop and mixes the heads with W_O inside a single
+op, so an attention block records one node. ``linear`` also takes a stacked
+weight, one matrix per slot of a view axis, so a per-view layer is one node
+too. Each forward op appends a record to a thread-local tape;
 ``backward`` walks the tape in reverse and accumulates gradients into
 ``Tensor.grad`` buffers. Gradients accumulate across calls; callers (the
 optimizer) zero them between steps. The tape is freed after each backward
@@ -41,7 +42,6 @@ __all__ = [
     "kl_divergence",
     "linear",
     "make_parameter",
-    "matmul",
     "mean",
     "no_grad",
     "parameter_seed",
@@ -196,34 +196,8 @@ def _swap(a: np.ndarray) -> np.ndarray:
     return np.swapaxes(a, -1, -2)
 
 
-def _sum_to_shape(g: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
-    extra = g.ndim - len(shape)
-    if extra:
-        g = g.sum(axis=tuple(range(extra)))
-    axes = tuple(i for i, n in enumerate(shape) if n == 1 and g.shape[i] != 1)
-    if axes:
-        g = g.sum(axis=axes, keepdims=True)
-    return g
-
-
 # ---------------------------------------------------------------------------
 # ops
-
-
-def matmul(a, b) -> Tensor:
-    """Matrix product a[m x k] @ b[k x n]; extra leading axes broadcast."""
-    a, b = _tensor(a), _tensor(b)
-    if a.ndim < 2 or b.ndim < 2 or a.shape[-1] != b.shape[-2]:
-        raise DimensionError(f"matmul shapes disagree: {a.shape} vs {b.shape}")
-    values = np.matmul(a.values, b.values)
-
-    def backward_fn(g):
-        if a.requires_grad:
-            a.grad += _sum_to_shape(np.matmul(g, _swap(b.values)), a.shape)
-        if b.requires_grad:
-            b.grad += _sum_to_shape(np.matmul(_swap(a.values), g), b.shape)
-
-    return _emit(values, (a, b), backward_fn)
 
 
 def linear(x, weight, bias) -> Tensor:
@@ -389,51 +363,77 @@ def softmax_temp(x, tau: float) -> Tensor:
     return _emit(s, (x,), backward_fn)
 
 
-def attention(q, k, v, heads: int) -> Tensor:
-    """Multi-head scaled dot-product attention over projected q (.., L_q, W) and
-    k, v (.., L_kv, W): head h reads columns [h*d_k, (h+1)*d_k) with d_k = W/heads,
-    computes softmax(Q_h K_h^T / sqrt(d_k)) V_h, and the heads are concatenated.
+def attention(x_q, x_kv, w_q, w_k, w_v, w_o, heads: int) -> Tensor:
+    """One multi-head attention block: queries from x_q (.., L_q, d_q), keys and
+    values from x_kv (.., L_kv, d_kv).
+
+    Q = x_q W_Q, K = x_kv W_K and V = x_kv W_V, each (.., L, W). Head h reads
+    columns [h*d_k, (h+1)*d_k) with d_k = W/heads and computes
+    softmax(Q_h K_h^T / sqrt(d_k)) V_h; the heads are concatenated and mixed by
+    W_O (W, n_out).
 
     One tape node. Forward and backward loop over the heads; each head works on
     contiguous (.., L, d_k) copies of its operands, so no (.., heads, L, L)
-    temporary is ever built.
+    temporary is ever built. A weight gradient is the batched product summed
+    over the leading axes.
     """
-    q, k, v = _tensor(q), _tensor(k), _tensor(v)
+    x_q, x_kv, w_q, w_k, w_v, w_o = (_tensor(t) for t in (x_q, x_kv, w_q, w_k, w_v, w_o))
+    if x_q.ndim < 2 or x_kv.ndim != x_q.ndim or x_kv.shape[:-2] != x_q.shape[:-2]:
+        raise DimensionError(f"attention inputs disagree: x_q{x_q.shape}, x_kv{x_kv.shape}")
     if (
-        q.ndim < 2
-        or k.shape != v.shape
-        or k.ndim != q.ndim
-        or k.shape[:-2] != q.shape[:-2]
-        or k.shape[-1] != q.shape[-1]
+        any(w.ndim != 2 for w in (w_q, w_k, w_v, w_o))
+        or w_k.shape[1] != w_q.shape[1]
+        or w_v.shape != w_k.shape
+        or w_o.shape[0] != w_q.shape[1]
     ):
-        raise DimensionError(f"attention shapes disagree: q{q.shape}, k{k.shape}, v{v.shape}")
-    width = q.shape[-1]
+        raise DimensionError(
+            f"attention weights disagree: W_Q{w_q.shape}, W_K{w_k.shape}, W_V{w_v.shape}, W_O{w_o.shape}"
+        )
+    if x_q.shape[-1] != w_q.shape[0]:
+        raise DimensionError(f"query dim {x_q.shape[-1]} does not match W_Q {w_q.shape}")
+    if x_kv.shape[-1] != w_k.shape[0]:
+        raise DimensionError(f"key/value dim {x_kv.shape[-1]} does not match W_K {w_k.shape}")
+    width = w_q.shape[1]
     if not isinstance(heads, int) or heads < 1 or width % heads:
         raise DimensionError(f"attention heads={heads!r} must be an integer dividing width {width}")
+    q = np.matmul(x_q.values, w_q.values)
+    k = np.matmul(x_kv.values, w_k.values)
+    v = np.matmul(x_kv.values, w_v.values)
     d_k = width // heads
     inv_scale = float(1.0 / np.sqrt(d_k))
     cols = [np.s_[..., lo:lo + d_k] for lo in range(0, width, d_k)]
     saved = []  # per head: Q_h, K_h^T, V_h, softmax weights
     for col in cols:
-        q_h = q.values[col].copy()
-        k_t = _swap(k.values[col]).copy()
-        v_h = v.values[col].copy()
+        q_h = q[col].copy()
+        k_t = _swap(k[col]).copy()
+        v_h = v[col].copy()
         saved.append((q_h, k_t, v_h, _softmax(np.matmul(q_h, k_t) * inv_scale)))
-    values = np.concatenate([np.matmul(s, v_h) for _, _, v_h, s in saved], axis=-1)
+    heads_out = np.concatenate([np.matmul(s, v_h) for _, _, v_h, s in saved], axis=-1)
+
+    lead = tuple(range(x_q.ndim - 2))
+
+    def weight_grad(x, g):
+        return np.matmul(_swap(x), g).sum(axis=lead)
 
     def backward_fn(g):
+        if w_o.requires_grad:
+            w_o.grad += weight_grad(heads_out, g)
+        g_heads = np.matmul(g, _swap(w_o.values))
+        g_q, g_k, g_v = np.zeros_like(q), np.zeros_like(k), np.zeros_like(v)
         for col, (q_h, k_t, v_h, s) in zip(cols, saved):
-            g_h = g[col].copy()
-            if v.requires_grad:
-                v.grad[col] += np.matmul(_swap(s), g_h)
-            if q.requires_grad or k.requires_grad:
-                g_scores = _softmax_grad(s, np.matmul(g_h, _swap(v_h))) * inv_scale
-                if q.requires_grad:
-                    q.grad[col] += np.matmul(g_scores, _swap(k_t))
-                if k.requires_grad:
-                    k.grad[col] += _swap(np.matmul(_swap(q_h), g_scores))
+            g_h = g_heads[col].copy()
+            g_v[col] += np.matmul(_swap(s), g_h)
+            g_scores = _softmax_grad(s, np.matmul(g_h, _swap(v_h))) * inv_scale
+            g_q[col] += np.matmul(g_scores, _swap(k_t))
+            g_k[col] += _swap(np.matmul(_swap(q_h), g_scores))
+        # V, then K, then Q: x_kv.grad sums its two paths in this fixed order
+        for x, w, g_proj in ((x_kv, w_v, g_v), (x_kv, w_k, g_k), (x_q, w_q, g_q)):
+            if x.requires_grad:
+                x.grad += np.matmul(g_proj, _swap(w.values))
+            if w.requires_grad:
+                w.grad += weight_grad(x.values, g_proj)
 
-    return _emit(values, (q, k, v), backward_fn)
+    return _emit(np.matmul(heads_out, w_o.values), (x_q, x_kv, w_q, w_k, w_v, w_o), backward_fn)
 
 
 def _check_distribution(t: Tensor, label: str) -> None:

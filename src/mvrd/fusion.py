@@ -20,6 +20,7 @@ from .diffcore import (
     ParameterError,
     Tensor,
     add,
+    attention,
     cross_entropy,
     linear,
     make_parameter,
@@ -28,7 +29,7 @@ from .diffcore import (
     reshape,
     scale,
 )
-from .views import VIEWS, AttentionParams, multi_head_attention, per_view_labels, stacked_parameter
+from .views import VIEWS, attention_params, per_view_labels, stacked_parameter
 
 
 class FusionParams:
@@ -40,7 +41,7 @@ class FusionParams:
             raise ConfigError(f"fusion heads={heads} must divide d={d}")
         self.d = d
         self.heads = heads
-        self.attn = AttentionParams("fusion.attn", d, d, d, heads, master_seed)
+        self.attn = attention_params("fusion.attn", d, d, master_seed)
         w_name, b_name = "fusion.final.W", "fusion.final.b"
         self.final_head = (
             make_parameter(w_name, (d, 2), "xavier_uniform", parameter_seed(master_seed, w_name)),
@@ -52,13 +53,13 @@ class FusionParams:
         )
 
     def parameters(self) -> list[Parameter]:
-        return [*self.attn.parameters(), *self.final_head, *self.branch_head]
+        return [*self.attn, *self.final_head, *self.branch_head]
 
 
 def cross_attention_fuse(query: Tensor, view_set: Tensor, params: FusionParams) -> Tensor:
     """Single cross-attention pass: the (.., d) query attends over the (.., 3, d) views."""
     q_seq = reshape(query, query.shape[:-1] + (1, query.shape[-1]))
-    fused = multi_head_attention(q_seq, view_set, params.attn)
+    fused = attention(q_seq, view_set, *params.attn, params.heads)
     return reshape(fused, query.shape)
 
 

@@ -47,16 +47,9 @@ def auc_rank(labels: np.ndarray, scores: np.ndarray) -> float:
     n_real = int((labels == 0).sum())
     if n_fake == 0 or n_real == 0:
         return 0.5
-    order = np.argsort(scores, kind="mergesort")
-    ranks = np.empty(len(scores))
-    sorted_scores = scores[order]
-    i = 0
-    while i < len(scores):
-        j = i
-        while j + 1 < len(scores) and sorted_scores[j + 1] == sorted_scores[i]:
-            j += 1
-        ranks[order[i : j + 1]] = (i + j) / 2.0 + 1.0  # average rank, 1-based
-        i = j + 1
+    # 1-based rank of each distinct score, averaged over its ties
+    _, inverse, counts = np.unique(scores, return_inverse=True, return_counts=True)
+    ranks = (np.cumsum(counts) - (counts - 1) / 2.0)[inverse]
     rank_sum = ranks[labels == 1].sum()
     u = rank_sum - n_fake * (n_fake + 1) / 2.0
     return float(u / (n_fake * n_real))
@@ -183,14 +176,19 @@ def welch_ttest(runs_a, runs_b) -> WelchResult:
     b = np.asarray(runs_b, dtype=np.float64)
     if a.size < 2 or b.size < 2:
         raise ParameterError("welch_ttest needs at least 2 values per sample")
-    var_a = a.var(ddof=1)
-    var_b = b.var(ddof=1)
-    sa, sb = var_a / a.size, var_b / b.size
-    se2 = sa + sb
-    if se2 <= 0.0:
-        raise ParameterError(
-            "degenerate variance: both samples are constant; compare the exact tie counts instead"
-        )
-    t = (a.mean() - b.mean()) / math.sqrt(se2)
-    dof = se2 * se2 / (sa * sa / (a.size - 1) + sb * sb / (b.size - 1))
+    if not (np.isfinite(a).all() and np.isfinite(b).all()):
+        raise ValidationError("welch_ttest needs finite values")
+    with np.errstate(over="ignore", invalid="ignore"):  # an overflow is reported below
+        var_a = a.var(ddof=1)
+        var_b = b.var(ddof=1)
+        sa, sb = var_a / a.size, var_b / b.size
+        se2 = sa + sb
+        if se2 <= 0.0:
+            raise ParameterError(
+                "degenerate variance: both samples are constant; compare the exact tie counts instead"
+            )
+        t = (a.mean() - b.mean()) / math.sqrt(se2)
+        dof = se2 * se2 / (sa * sa / (a.size - 1) + sb * sb / (b.size - 1))
+    if not (math.isfinite(t) and math.isfinite(dof)):
+        raise ValidationError("welch_ttest: the variances are too large for float64")
     return WelchResult(t=float(t), dof=float(dof), p=t_sf_two_sided(float(t), float(dof)))

@@ -33,7 +33,9 @@ import numpy as np
 
 from .calibration import CalibratorParams, DistillConfig, calibrate_views, distill_losses
 from .config import ConfigError, TrainConfig
-from .diffcore import Parameter, Tensor, ValidationError, add, concat, linear, mean, no_grad, reshape, scale
+from .diffcore import (
+    Parameter, Tensor, ValidationError, add, attention, concat, linear, mean, no_grad, reshape, scale,
+)
 from .fusion import (
     FusionParams,
     LossBreakdown,
@@ -41,14 +43,7 @@ from .fusion import (
     cross_attention_fuse,
     total_loss,
 )
-from .views import (
-    SOURCE_TAGS,
-    VIEWS,
-    ViewEncoderParams,
-    co_pool_and_project,
-    multi_head_attention,
-    pool_and_project,
-)
+from .views import SOURCE_TAGS, VIEWS, ViewEncoderParams, co_pool_and_project, pool_and_project
 
 
 def infer_d_in(samples) -> dict[str, int]:
@@ -157,11 +152,11 @@ class Model:
             ]
         else:
             if not cfg.no_attention_mode:
-                text = multi_head_attention(text, text, enc.text_attn)
-                image = multi_head_attention(image, image, enc.image_attn)
+                text = attention(text, text, *enc.text_attn, enc.heads)
+                image = attention(image, image, *enc.image_attn, enc.heads)
                 clip_i, clip_t = (
-                    multi_head_attention(clip_i, clip_t, enc.cross_i2t),
-                    multi_head_attention(clip_t, clip_i, enc.cross_t2i),
+                    attention(clip_i, clip_t, *enc.cross_i2t, enc.heads),
+                    attention(clip_t, clip_i, *enc.cross_t2i, enc.heads),
                 )
             views = [
                 pool_and_project(text, enc.text_proj),

@@ -447,15 +447,6 @@ def _check_arrays(params: list[Parameter], header: dict, arrays: dict[str, np.nd
         raise FormatError("checkpoint layout differs from the model's parameter layout")
 
 
-def restore_into_model(model: Model, path) -> None:
-    """Load parameter values into an existing model; shapes must match exactly."""
-    header, arrays = load_checkpoint(path)
-    params = model.parameters()
-    _check_arrays(params, header, arrays)
-    for p in params:
-        p.tensor.values[...] = arrays[p.name]
-
-
 def load_model(path) -> Model:
     """Rebuild the model architecture recorded in a checkpoint and load it."""
     header, arrays = load_checkpoint(path)

@@ -9,14 +9,12 @@ stacked batch of (B, L, d_in) token arrays:
 * cross view: bidirectional co-attention between the two aligned (clip-style)
   sequences, each direction mean-pooled, concatenated, projected
 
-``Model.encode_batch`` composes the pieces: ``multi_head_attention`` on each
-sequence (skipped in the attention-free ablation), then ``pool_and_project``
-or ``co_pool_and_project``. Both co-attention directions read the un-attended
-clip tokens. No positional encodings are used, so attention + mean pooling is
-permutation invariant over positions.
-
-``multi_head_attention`` is the W_Q, W_K and W_V projections, the fused
-``diffcore.attention`` op (all heads in one tape node) and W_O.
+``Model.encode_batch`` composes the pieces: one ``diffcore.attention`` block
+per sequence (skipped in the attention-free ablation), then
+``pool_and_project`` or ``co_pool_and_project``. Each block's (W_Q, W_K, W_V,
+W_O) tuple comes from ``attention_params``. Both co-attention directions read
+the un-attended clip tokens. No positional encodings are used, so attention +
+mean pooling is permutation invariant over positions.
 
 From the end of ``Model.encode_batch`` to the losses, the views travel as one
 (B, 3, d) tensor, slots in ``VIEWS`` order; the per-view layers downstream
@@ -34,11 +32,9 @@ from .diffcore import (
     Parameter,
     Tensor,
     ValidationError,
-    attention,
     concat,
     linear,
     make_parameter,
-    matmul,
     mean,
     parameter_seed,
 )
@@ -85,43 +81,21 @@ class EmbeddedSequence:
         return self.tokens.shape[1]
 
 
-class AttentionParams:
-    """Projections for one scaled dot-product attention block."""
+def attention_params(prefix: str, d_q: int, d_kv: int, master_seed: int) -> tuple[Parameter, ...]:
+    """(W_Q, W_K, W_V, W_O) of one attention block, named ``{prefix}.W_Q`` and so
+    on, in the order ``diffcore.attention`` takes them. The block's width is
+    d_q, so its output has the query's width."""
 
-    def __init__(self, prefix: str, d_q: int, d_kv: int, width: int, heads: int, master_seed: int):
-        if width % heads != 0:
-            raise ValidationError(f"{prefix}: heads={heads} must divide width={width}")
-        self.width = width
-        self.heads = heads
+    def param(name, shape):
+        full = f"{prefix}.{name}"
+        return make_parameter(full, shape, "xavier_uniform", parameter_seed(master_seed, full))
 
-        def param(name, shape):
-            full = f"{prefix}.{name}"
-            return make_parameter(full, shape, "xavier_uniform", parameter_seed(master_seed, full))
-
-        self.w_query = param("W_Q", (d_q, width))
-        self.w_key = param("W_K", (d_kv, width))
-        self.w_value = param("W_V", (d_kv, width))
-        self.w_out = param("W_O", (width, width))
-
-    def parameters(self) -> list[Parameter]:
-        return [self.w_query, self.w_key, self.w_value, self.w_out]
-
-
-def multi_head_attention(q_tokens: Tensor, kv_tokens: Tensor, params: AttentionParams) -> Tensor:
-    """Project to Q, K, V, run ``diffcore.attention`` (softmax(Q K^T / sqrt(d_k)) V per
-    head, heads concatenated), then mix the heads with W_O."""
-    if q_tokens.shape[-1] != params.w_query.tensor.shape[0]:
-        raise DimensionError(
-            f"query dim {q_tokens.shape[-1]} does not match W_Q {params.w_query.tensor.shape}"
-        )
-    if kv_tokens.shape[-1] != params.w_key.tensor.shape[0]:
-        raise DimensionError(
-            f"key/value dim {kv_tokens.shape[-1]} does not match W_K {params.w_key.tensor.shape}"
-        )
-    q = matmul(q_tokens, params.w_query)
-    k = matmul(kv_tokens, params.w_key)
-    v = matmul(kv_tokens, params.w_value)
-    return matmul(attention(q, k, v, params.heads), params.w_out)
+    return (
+        param("W_Q", (d_q, d_q)),
+        param("W_K", (d_kv, d_q)),
+        param("W_V", (d_kv, d_q)),
+        param("W_O", (d_q, d_q)),
+    )
 
 
 class ViewEncoderParams:
@@ -131,6 +105,9 @@ class ViewEncoderParams:
         missing = [tag for tag in SOURCE_TAGS if tag not in d_in]
         if missing:
             raise ValidationError(f"d_in missing source tags: {missing}")
+        widths = sorted({d_in[tag] for tag in SOURCE_TAGS})
+        if heads < 1 or any(w % heads for w in widths):
+            raise ValidationError(f"encoder heads={heads} must divide every input width {widths}")
         self.d_in = dict(d_in)
         self.d = d
         self.heads = heads
@@ -144,22 +121,20 @@ class ViewEncoderParams:
         w_text = d_in["text-tokens"]
         w_image = d_in["image-patches"]
         w_ct, w_ci = d_in["clip-text"], d_in["clip-image"]
-        self.text_attn = AttentionParams("views.text.attn", w_text, w_text, w_text, heads, master_seed)
-        self.image_attn = AttentionParams("views.image.attn", w_image, w_image, w_image, heads, master_seed)
+        self.text_attn = attention_params("views.text.attn", w_text, w_text, master_seed)
+        self.image_attn = attention_params("views.image.attn", w_image, w_image, master_seed)
         # co-attention pair: image side queries text, and vice versa
-        self.cross_i2t = AttentionParams("views.cross.i2t", w_ci, w_ct, w_ci, heads, master_seed)
-        self.cross_t2i = AttentionParams("views.cross.t2i", w_ct, w_ci, w_ct, heads, master_seed)
+        self.cross_i2t = attention_params("views.cross.i2t", w_ci, w_ct, master_seed)
+        self.cross_t2i = attention_params("views.cross.t2i", w_ct, w_ci, master_seed)
         self.text_proj = proj("text", w_text)
         self.image_proj = proj("image", w_image)
         self.cross_proj = proj("cross", w_ci + w_ct)
 
     def parameters(self) -> list[Parameter]:
-        params: list[Parameter] = []
-        for attn in (self.text_attn, self.image_attn, self.cross_i2t, self.cross_t2i):
-            params.extend(attn.parameters())
-        for w, b in (self.text_proj, self.image_proj, self.cross_proj):
-            params.extend([w, b])
-        return params
+        return [
+            *self.text_attn, *self.image_attn, *self.cross_i2t, *self.cross_t2i,
+            *self.text_proj, *self.image_proj, *self.cross_proj,
+        ]
 
 
 # ---------------------------------------------------------------------------

@@ -128,6 +128,17 @@ class TestTTest:
         assert out["dof"] == pytest.approx(8.0, abs=1e-12)
         assert out["p"] == pytest.approx(0.3466, abs=1e-3)
 
+    @pytest.mark.parametrize(
+        "a, b, flag",
+        [("1,nan", "2,3", "finite"), ("1e308,-1e308", "2,3", "variance"), ("1,2", "2,x", "--b")],
+        ids=["nan", "overflow", "not-a-number"],
+    )
+    def test_bad_sample_is_validation_error(self, capsys, a, b, flag):
+        assert main(["ttest", "--a", a, "--b", b]) == 1
+        err = json.loads(capsys.readouterr().err.strip())
+        assert err["error"] == "ValidationError"
+        assert flag in err["message"]
+
 
 class TestGradCheckCommand:
     def test_passes_on_tiny_model(self, capsys):
@@ -210,6 +221,25 @@ class TestSweepCommand:
         assert code == 1
         err = json.loads(capsys.readouterr().err.strip())
         assert err["error"] == "ParameterError"
+
+    def test_non_numeric_value_is_validation_error(self, data_dir, config_file, capsys):
+        code = main(
+            [
+                "sweep",
+                "--config",
+                str(config_file),
+                "--features",
+                str(data_dir / "features.jsonl"),
+                "--axis",
+                "tau",
+                "--values",
+                "1,x",
+            ]
+        )
+        assert code == 1
+        err = json.loads(capsys.readouterr().err.strip())
+        assert err["error"] == "ValidationError"
+        assert "--values" in err["message"]
 
 
 class TestAblateCommand:

@@ -17,7 +17,7 @@ from mvrd.datasynth import (
 from mvrd.diffcore import ParameterError, Tensor, ValidationError
 from mvrd.fileio import FormatError
 from mvrd.metrics import welch_ttest
-from mvrd.views import EmbeddedSequence
+from mvrd.views import SOURCE_TAGS, EmbeddedSequence
 
 
 def small_cfg(**kw):
@@ -185,6 +185,9 @@ class TestFeatureFile:
         for text in ("", " \n\n\t\n"):
             path.write_text(text, "utf-8")
             assert load_features_file(path) == []
+        # an empty sample list has no widths to declare, so it is not saved
+        with pytest.raises(ValidationError, match="empty"):
+            save_features_file([], path)
 
     @pytest.mark.parametrize("literal", ["NaN", "Infinity", "-Infinity", "1e999"])
     def test_non_finite_token_rejected(self, tmp_path, literal):
@@ -239,6 +242,25 @@ class TestFeatureFile:
         path = tmp_path / "features.jsonl"
         path.write_text('{"format_version": 1, "d_in": {}}\nnot-json\n', "utf-8")
         with pytest.raises(FormatError, match="line 2"):
+            load_features_file(path)
+
+    @pytest.mark.parametrize(
+        "width, tokens",
+        [(0, [[]]), (True, [[0.5]]), (-1, [[0.5]]), (1.0, [[0.5]]), ("1", [[0.5]]), (None, [[0.5]])],
+        ids=["zero", "bool", "negative", "float", "str", "missing"],
+    )
+    def test_header_widths_must_be_positive_integers(self, tmp_path, width, tokens):
+        import json
+
+        d_in = {tag: width for tag in SOURCE_TAGS if width is not None}
+        lines = [json.dumps({"format_version": 1, "d_in": d_in})] + [
+            json.dumps({"sample_id": "s", "label": 0, "corruption": "none", "source_tag": tag,
+                        "tokens": tokens})
+            for tag in SOURCE_TAGS
+        ]
+        path = tmp_path / "features.jsonl"
+        path.write_text("\n".join(lines) + "\n", "utf-8")
+        with pytest.raises(FormatError, match="d_in"):
             load_features_file(path)
 
     def test_missing_source_named(self, tmp_path):

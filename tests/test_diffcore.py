@@ -20,7 +20,6 @@ from mvrd.diffcore import (
     kl_divergence,
     linear,
     make_parameter,
-    matmul,
     mean,
     no_grad,
     relu,
@@ -31,36 +30,9 @@ from mvrd.diffcore import (
 
 
 def total(x):
-    """Sum of all entries as a scalar, through reshape and a matmul with ones."""
+    """Sum of all entries as a scalar, through reshape and a linear map onto ones."""
     n = int(np.prod(x.shape))
-    return reshape(matmul(reshape(x, (1, n)), Tensor(np.ones((n, 1)))), ())
-
-
-class TestMatmul:
-    def test_identity(self):
-        b = [[3.0, 4.0], [5.0, 6.0]]
-        out = matmul(Tensor(np.eye(2)), Tensor(b))
-        assert np.array_equal(out.values, b)
-
-    def test_hand_value(self):
-        out = matmul(Tensor([[1.0, 2.0]]), Tensor([[3.0], [4.0]]))
-        assert out.values.tolist() == [[11.0]]
-
-    def test_zero_annihilates(self):
-        out = matmul(Tensor(np.zeros((2, 3))), Tensor(np.arange(6.0).reshape(3, 2)))
-        assert np.array_equal(out.values, np.zeros((2, 2)))
-
-    def test_shape_mismatch_names_both_shapes(self):
-        with pytest.raises(DimensionError, match=r"\(2, 3\).*\(2, 2\)"):
-            matmul(Tensor(np.zeros((2, 3))), Tensor(np.zeros((2, 2))))
-
-    def test_batched_matches_loop(self):
-        rng = np.random.default_rng(0)
-        a = rng.normal(size=(4, 3, 5))
-        b = rng.normal(size=(5, 2))
-        out = matmul(Tensor(a), Tensor(b)).values
-        for i in range(4):
-            assert np.allclose(out[i], a[i] @ b)
+    return reshape(linear(reshape(x, (1, n)), np.ones((n, 1)), np.zeros(1)), ())
 
 
 class TestStackedLinear:
@@ -144,6 +116,17 @@ def attention_reference(q, k, v, heads):
     return np.concatenate(outs, axis=-1)
 
 
+def attend(q, k, v, heads):
+    """The attention block over given Q, K and V: x_kv holds K and V side by side,
+    W_K and W_V select them, and W_Q and W_O are identities."""
+    width = q.shape[-1]
+    eye, zero = np.eye(width), np.zeros((width, width))
+    return attention(
+        Tensor(q), Tensor(np.concatenate([k, v], axis=-1)),
+        eye, np.vstack([eye, zero]), np.vstack([zero, eye]), eye, heads,
+    )
+
+
 class TestAttention:
     @pytest.mark.parametrize("heads", [1, 2, 4])
     @pytest.mark.parametrize("lead", [(), (3,)])
@@ -153,34 +136,56 @@ class TestAttention:
         q = rng.normal(size=lead + (l_q, 8))
         k = rng.normal(size=lead + (l_kv, 8))
         v = rng.normal(size=lead + (l_kv, 8))
-        out = attention(Tensor(q), Tensor(k), Tensor(v), heads)
+        out = attend(q, k, v, heads)
         assert out.shape == lead + (l_q, 8)
         assert np.allclose(out.values, attention_reference(q, k, v, heads), rtol=0, atol=1e-12)
 
+    def test_projections_match_numpy_reference(self):
+        # co-attention widths: d_q != d_kv, and a non-square W_O
+        rng = np.random.default_rng(5)
+        x_q, x_kv = rng.normal(size=(2, 3, 5)), rng.normal(size=(2, 4, 6))
+        w_q, w_k, w_v = rng.normal(size=(5, 4)), rng.normal(size=(6, 4)), rng.normal(size=(6, 4))
+        w_o = rng.normal(size=(4, 7))
+        out = attention(x_q, x_kv, w_q, w_k, w_v, w_o, 2)
+        expected = attention_reference(x_q @ w_q, x_kv @ w_k, x_kv @ w_v, 2) @ w_o
+        assert out.shape == (2, 3, 7)
+        assert np.allclose(out.values, expected, rtol=0, atol=1e-12)
+
     @pytest.mark.parametrize("heads", [3, 0, 16, 2.0])
     def test_heads_must_divide_width(self, heads):
-        x = Tensor(np.zeros((2, 8)))
+        x, w = Tensor(np.zeros((2, 8))), np.eye(8)
         with pytest.raises(DimensionError, match="heads"):
-            attention(x, x, x, heads)
+            attention(x, x, w, w, w, w, heads)
 
     @pytest.mark.parametrize(
-        "q_shape, k_shape, v_shape",
+        "x_q, x_kv, w_q, w_k, w_v, w_o, match",
         [
-            ((2, 8), (3, 8), (2, 8)),  # k and v lengths disagree
-            ((2, 8), (3, 8), (3, 4)),  # k and v widths disagree
-            ((2, 2, 8), (3, 3, 8), (3, 3, 8)),  # leading axes differ
-            ((2, 8), (2, 3, 8), (2, 3, 8)),  # one side batched, the other not
-            ((2, 8), (3, 4), (3, 4)),  # q and k widths disagree
-            ((8,), (8,), (8,)),  # no position axis
+            ((2, 2, 8), (3, 3, 8), (8, 8), (8, 8), (8, 8), (8, 8), "inputs"),
+            ((2, 8), (2, 3, 8), (8, 8), (8, 8), (8, 8), (8, 8), "inputs"),
+            ((8,), (8,), (8, 8), (8, 8), (8, 8), (8, 8), "inputs"),
+            ((2, 8), (3, 8), (8, 8), (8, 8), (8, 4), (8, 8), "weights"),
+            ((2, 8), (3, 8), (8, 8), (8, 4), (8, 4), (8, 8), "weights"),
+            ((2, 8), (3, 8), (8, 8), (8, 8), (6, 8), (8, 8), "weights"),
+            ((2, 8), (3, 8), (8, 8), (8, 8), (8, 8), (4, 8), "weights"),
+            ((2, 8), (3, 8), (8, 8), (8, 8), (8, 8), (1, 8, 8), "weights"),
+            ((2, 6), (3, 8), (8, 8), (8, 8), (8, 8), (8, 8), "query dim 6"),
+            ((2, 8), (3, 4), (8, 8), (8, 8), (8, 8), (8, 8), "key/value dim 4"),
+        ],
+        ids=[
+            "leading-axes-differ", "one-side-batched", "no-position-axis", "k-v-widths-differ",
+            "q-k-widths-differ", "k-v-rows-differ", "w_o-rows-differ", "w_o-not-2d",
+            "x_q-width", "x_kv-width",
         ],
     )
-    def test_shape_mismatch_rejected(self, q_shape, k_shape, v_shape):
-        with pytest.raises(DimensionError):
-            attention(Tensor(np.zeros(q_shape)), Tensor(np.zeros(k_shape)), Tensor(np.zeros(v_shape)), 1)
+    def test_shape_mismatch_rejected(self, x_q, x_kv, w_q, w_k, w_v, w_o, match):
+        shapes = (x_q, x_kv, w_q, w_k, w_v, w_o)
+        with pytest.raises(DimensionError, match=match):
+            attention(*(Tensor(np.zeros(shape)) for shape in shapes), 1)
 
-    def test_default_step_records_64_nodes(self):
-        # each of the five attention blocks records a single attention node, and
-        # the per-view layers run once over the (B, 3, d) view tensor
+    def test_default_step_records_44_nodes(self):
+        # each of the five attention blocks, projections included, records a
+        # single attention node, and the per-view layers run once over the
+        # (B, 3, d) view tensor
         from mvrd.config import TrainConfig
         from mvrd.datasynth import SyntheticConfig, generate_dataset
         from mvrd.model import Model, StackedDataset, infer_d_in
@@ -190,7 +195,7 @@ class TestAttention:
         batch = StackedDataset.from_samples(dataset, include_teacher=True)
         before = len(diffcore._state.tape)
         breakdown = model.forward_loss(batch)
-        assert len(diffcore._state.tape) - before == 64
+        assert len(diffcore._state.tape) - before == 44
         backward(breakdown.graph)
         assert len(diffcore._state.tape) == 0
 
@@ -335,7 +340,7 @@ class TestBackward:
 
     def test_dot_analytic(self):
         x = Tensor([1.0, 2.0], requires_grad=True)
-        backward(reshape(matmul(reshape(x, (1, 2)), reshape(x, (2, 1))), ()))
+        backward(reshape(linear(reshape(x, (1, 2)), reshape(x, (2, 1)), np.zeros(1)), ()))
         assert x.grad.tolist() == [2.0, 4.0]
 
     def test_detached_loss_leaves_grads_zero(self):
@@ -372,7 +377,7 @@ class TestDeterminism:
 
         def run():
             t = Tensor(x, requires_grad=True)
-            out = softmax_temp(matmul(relu(t), Tensor(w)), 2.0)
+            out = softmax_temp(linear(relu(t), w, np.zeros(2)), 2.0)
             loss = mean(kl_divergence(Tensor(np.full((3, 2), 0.5)), out))
             backward(loss)
             return out.values.copy(), t.grad.copy(), loss.item()

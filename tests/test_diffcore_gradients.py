@@ -21,7 +21,6 @@ from mvrd.diffcore import (
     kl_divergence,
     linear,
     make_parameter,
-    matmul,
     mean,
     no_grad,
     relu,
@@ -40,7 +39,7 @@ def scalarize(out, seed=0):
     n = int(np.prod(out.shape)) if out.shape else 1
     w = np.random.default_rng(seed).normal(size=n)
     row = reshape(out, (1, n))
-    return reshape(matmul(row, Tensor(w.reshape(n, 1))), ())
+    return reshape(linear(row, w.reshape(n, 1), np.zeros(1)), ())
 
 
 def assert_grads_match_fd(build, tensors, tol=TOL):
@@ -72,20 +71,6 @@ def trials(test_id):
 
 def u(rng, *shape):
     return rng.uniform(-2.0, 2.0, size=shape)
-
-
-def test_matmul_gradients():
-    for rng in trials("matmul"):
-        a = Tensor(u(rng, 3, 4), requires_grad=True)
-        b = Tensor(u(rng, 4, 2), requires_grad=True)
-        assert_grads_match_fd(lambda: scalarize(matmul(a, b)), [a, b])
-
-
-def test_matmul_batched_gradients():
-    for rng in trials("matmul-batched")[:30]:
-        a = Tensor(u(rng, 2, 3, 4), requires_grad=True)
-        b = Tensor(u(rng, 4, 2), requires_grad=True)
-        assert_grads_match_fd(lambda: scalarize(matmul(a, b)), [a, b])
 
 
 def test_linear_gradients():
@@ -168,19 +153,48 @@ ATTENTION_CASES = [
 
 
 def test_attention_gradients():
+    # Q, K and V given directly: x_kv holds K and V side by side, W_K and W_V
+    # select them, and W_Q and W_O are identities
     for k, rng in enumerate(trials("attention")):
         heads, lead, l_q, l_kv, width = ATTENTION_CASES[k % len(ATTENTION_CASES)]
         q = Tensor(u(rng, *lead, l_q, width), requires_grad=True)
         kk = Tensor(u(rng, *lead, l_kv, width), requires_grad=True)
         v = Tensor(u(rng, *lead, l_kv, width), requires_grad=True)
-        assert_grads_match_fd(lambda: scalarize(attention(q, kk, v, heads)), [q, kk, v])
+        eye, zero = np.eye(width), np.zeros((width, width))
+        w_k, w_v = np.vstack([eye, zero]), np.vstack([zero, eye])
+
+        def build():
+            return scalarize(attention(q, concat([kk, v], axis=-1), eye, w_k, w_v, eye, heads))
+
+        assert_grads_match_fd(build, [q, kk, v])
 
 
 def test_attention_self_gradients():
-    # one tensor as q, k and v: the three gradient paths accumulate
+    # one tensor as x_q and x_kv, identity projections: the Q, K and V
+    # gradient paths accumulate
+    eye = np.eye(4)
     for k, rng in enumerate(trials("attention-self")[:30]):
         x = Tensor(u(rng, 2, 3, 4), requires_grad=True)
-        assert_grads_match_fd(lambda: scalarize(attention(x, x, x, (1, 2, 4)[k % 3])), [x])
+        heads = (1, 2, 4)[k % 3]
+        assert_grads_match_fd(lambda: scalarize(attention(x, x, eye, eye, eye, eye, heads)), [x])
+
+
+@pytest.mark.parametrize("lead", [(), (2,)])
+def test_attention_projection_gradients(lead):
+    # co-attention widths (d_q = 3 != d_kv = 5) and a non-square W_O; every
+    # input and all four weights get gradients
+    for k, rng in enumerate(trials(f"attention-projections-{lead}")[:20]):
+        heads = (1, 2)[k % 2]
+        x_q = Tensor(u(rng, *lead, 2, 3), requires_grad=True)
+        x_kv = Tensor(u(rng, *lead, 4, 5), requires_grad=True)
+        # weights in [-0.5, 0.5]: scores of a few units keep the softmax off
+        # saturation, where gradients shrink to the size of the FD roundoff
+        w_q, w_k, w_v, w_o = (
+            Tensor(u(rng, *shape) / 4.0, requires_grad=True)
+            for shape in ((3, 4), (5, 4), (5, 4), (4, 6))
+        )
+        tensors = [x_q, x_kv, w_q, w_k, w_v, w_o]
+        assert_grads_match_fd(lambda: scalarize(attention(*tensors, heads)), tensors)
 
 
 def test_cross_entropy_gradients():
@@ -221,7 +235,8 @@ def test_grad_check_quadratic_form():
 
     def f():
         # theta^T A theta; reshaping the (4, 1) column to (1, 4) is its transpose
-        return reshape(matmul(matmul(reshape(p.tensor, (1, 4)), Tensor(a)), p.tensor), ())
+        row = linear(reshape(p.tensor, (1, 4)), a, np.zeros(4))
+        return reshape(linear(row, p.tensor, np.zeros(1)), ())
 
     report = grad_check(f, [p], h=1e-5, tol=1e-4)
     # central differences are exact for quadratics up to roundoff
@@ -264,5 +279,5 @@ def test_grad_check_rejects_bad_step():
 def test_grad_check_restores_parameter_values():
     p = make_parameter("theta", (3, 2), "xavier_uniform", 4)
     before = p.tensor.values.copy()
-    grad_check(lambda: mean(matmul(p.tensor, reshape(p.tensor, (2, 3)))), [p])
+    grad_check(lambda: mean(linear(p.tensor, reshape(p.tensor, (2, 3)), np.zeros(3))), [p])
     assert np.array_equal(p.tensor.values, before)

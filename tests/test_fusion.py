@@ -12,7 +12,7 @@ import pytest
 
 from mvrd.config import ConfigError, TrainConfig
 from mvrd.datasynth import Sample
-from mvrd.diffcore import ParameterError, Tensor, backward, matmul, mean, reshape, zero_grads
+from mvrd.diffcore import ParameterError, Tensor, backward, linear, mean, reshape, zero_grads
 from mvrd.fusion import (
     FusionParams,
     classification_losses,
@@ -27,9 +27,9 @@ ALL_VIEWS = np.ones(3)
 
 
 def weighted_sum(out, w):
-    """sum(out * w) as a scalar tensor, through reshape and matmul."""
+    """sum(out * w) as a scalar tensor, through reshape and a linear map."""
     n = w.size
-    return reshape(matmul(reshape(out, (1, n)), Tensor(w.reshape(n, 1))), ())
+    return reshape(linear(reshape(out, (1, n)), w.reshape(n, 1), np.zeros(1)), ())
 
 
 def views_of(t, i, c, requires_grad=False):
@@ -96,9 +96,9 @@ class TestBuildViewSet:
         w[0, IMAGE, 0] = 1.0  # touch only the image row
         backward(weighted_sum(out, w))
         groups = {
-            TEXT: enc.text_attn.parameters() + list(enc.text_proj),
-            IMAGE: enc.image_attn.parameters() + list(enc.image_proj),
-            CROSS: enc.cross_i2t.parameters() + enc.cross_t2i.parameters() + list(enc.cross_proj),
+            TEXT: [*enc.text_attn, *enc.text_proj],
+            IMAGE: [*enc.image_attn, *enc.image_proj],
+            CROSS: [*enc.cross_i2t, *enc.cross_t2i, *enc.cross_proj],
         }
         assert all(np.array_equal(p.tensor.grad, np.zeros_like(p.tensor.grad)) for p in groups[TEXT])
         assert np.array_equal(enc.image_proj[0].tensor.grad[:, 1], np.zeros(2))
@@ -115,7 +115,8 @@ class TestCrossAttentionFuse:
         kv = Tensor(np.tile(row, (3, 1)))
         out_a = cross_attention_fuse(Tensor(rng.normal(size=d)), kv, params)
         out_b = cross_attention_fuse(Tensor(rng.normal(size=d)), kv, params)
-        expected = (row @ params.attn.w_value.tensor.values) @ params.attn.w_out.tensor.values
+        w_v, w_o = (p.tensor.values for p in params.attn[2:])
+        expected = (row @ w_v) @ w_o
         assert np.allclose(out_a.values, expected, atol=1e-12)
         assert np.allclose(out_a.values, out_b.values, atol=1e-12)
 
@@ -127,8 +128,9 @@ class TestCrossAttentionFuse:
         row = rng.normal(size=d)
         kv = np.tile(row, (3, 1))
         q = rng.normal(size=(1, d))
-        qp = q @ params.attn.w_query.tensor.values
-        kp = kv @ params.attn.w_key.tensor.values
+        w_q, w_k = (p.tensor.values for p in params.attn[:2])
+        qp = q @ w_q
+        kp = kv @ w_k
         d_k = d // 4
         for h in range(4):
             cols = slice(h * d_k, (h + 1) * d_k)
@@ -141,8 +143,8 @@ class TestCrossAttentionFuse:
         d = 2
         params = FusionParams(d=d, heads=1, master_seed=4)
         rng = np.random.default_rng(5)
-        mats = {p.name: rng.normal(size=p.tensor.shape) for p in params.attn.parameters()}
-        for p in params.attn.parameters():
+        mats = {p.name: rng.normal(size=p.tensor.shape) for p in params.attn}
+        for p in params.attn:
             p.tensor.values[...] = mats[p.name]
         q = rng.normal(size=d)
         kv = rng.normal(size=(3, d))
@@ -159,10 +161,8 @@ class TestCrossAttentionFuse:
         d = 4
         params = FusionParams(d=d, heads=1, master_seed=6)
         # identity projections isolate the softmax behaviour
-        params.attn.w_query.tensor.values[...] = np.eye(d)
-        params.attn.w_key.tensor.values[...] = np.eye(d)
-        params.attn.w_value.tensor.values[...] = np.eye(d)
-        params.attn.w_out.tensor.values[...] = np.eye(d)
+        for p in params.attn:
+            p.tensor.values[...] = np.eye(d)
         q = np.array([1.0, 0.0, 0.0, 0.0])
         kv = np.array(
             [[60.0, 0.0, 0.0, 0.0], [0.0, 1.0, 0.0, 0.0], [0.0, 0.0, 1.0, 0.0]]

@@ -5,6 +5,8 @@ import numpy as np
 import pytest
 import scipy.special
 import scipy.stats
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from mvrd.diffcore import ParameterError, ValidationError
 from mvrd.metrics import (
@@ -39,6 +41,19 @@ class TestAUC:
             # quantized scores force plenty of ties
             scores = np.round(rng.uniform(0, 1, size=n), 2)
             assert auc_rank(labels, scores) == auc_pairwise(labels, scores)
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        rows=st.lists(
+            st.tuples(st.integers(0, 1), st.sampled_from([-1.0, -0.0, 0.0, 0.25, 0.5, 1.0, 3.0])),
+            min_size=1,
+            max_size=300,
+        )
+    )
+    def test_heavy_ties_match_pairwise_oracle(self, rows):
+        labels = np.array([label for label, _ in rows])
+        scores = np.array([score for _, score in rows])
+        assert auc_rank(labels, scores) == auc_pairwise(labels, scores)
 
     def test_reversed_scores_complement(self):
         rng = np.random.default_rng(8)
@@ -151,6 +166,22 @@ class TestWelch:
     def test_degenerate_variance_rejected(self):
         with pytest.raises(ParameterError, match="tie"):
             welch_ttest([2.0, 2.0, 2.0], [2.0, 2.0])
+
+    @pytest.mark.parametrize(
+        "a, b",
+        [([1.0, float("nan")], [2.0, 3.0]), ([1.0, 2.0], [float("inf"), 3.0])],
+        ids=["nan", "inf"],
+    )
+    def test_non_finite_value_rejected(self, a, b):
+        with pytest.raises(ValidationError, match="finite"):
+            welch_ttest(a, b)
+
+    @pytest.mark.parametrize(
+        "a", [[1e308, -1e308], [1e308, 1e308, 0.0], [5e153, -5e153]], ids=["var", "mean", "dof"]
+    )
+    def test_overflowing_variance_rejected(self, a):
+        with pytest.raises(ValidationError, match="variance"):
+            welch_ttest(a, [2.0, 3.0])
 
     def test_too_few_values_rejected(self):
         with pytest.raises(ParameterError):

@@ -109,3 +109,32 @@ def test_deep_nesting_rejected(tmp_path, name):
     path.write_bytes(prefix + b"[" * 100_000 + b"\n")
     with pytest.raises(FormatError):
         load(path)
+
+
+WIDTHS = st.one_of(st.integers(-1, 3), st.booleans(), st.floats(0, 3), st.text(max_size=2), st.none())
+
+
+@FUZZ
+@given(
+    d_in=WIDTHS.map(lambda w: dict.fromkeys(SOURCE_TAGS, w))
+    | st.dictionaries(st.sampled_from(SOURCE_TAGS), WIDTHS),
+    width=st.integers(0, 3),
+)
+def test_features_header_widths(tmp_path, d_in, width):
+    """A features file loads only if its header maps every source tag to an
+    integer >= 1 (not a bool) and its tokens have that width."""
+    import json
+
+    lines = [json.dumps({"format_version": 1, "d_in": d_in})] + [
+        json.dumps({"sample_id": "s", "label": 0, "corruption": "none", "source_tag": tag,
+                    "tokens": [[0.5] * width]})
+        for tag in SOURCE_TAGS
+    ]
+    path = tmp_path / "features.jsonl"
+    path.write_text("\n".join(lines) + "\n", "utf-8")
+    try:
+        samples = load_features_file(path)
+    except (FormatError, ValidationError):
+        return
+    assert all(type(d_in.get(tag)) is int and d_in[tag] == width >= 1 for tag in SOURCE_TAGS)
+    assert [s.text_seq.dim for s in samples] == [width]

@@ -3,7 +3,7 @@
 The encoders run only batched, through ``Model.encode_batch``, which returns
 one (B, 3, d) tensor with the views in text, image, cross slots; the oracles
 below read one slot for a one-row batch, or call the building blocks
-(``multi_head_attention``, ``pool_and_project``) directly.
+(``diffcore.attention``, ``pool_and_project``) directly.
 """
 
 import numpy as np
@@ -11,15 +11,9 @@ import pytest
 
 from mvrd.config import TrainConfig
 from mvrd.datasynth import Sample
-from mvrd.diffcore import DimensionError, Tensor, ValidationError, backward, mean, zero_grads
+from mvrd.diffcore import DimensionError, Tensor, ValidationError, attention, backward, mean, zero_grads
 from mvrd.model import Model, StackedDataset
-from mvrd.views import (
-    SOURCE_TAGS,
-    AttentionParams,
-    EmbeddedSequence,
-    multi_head_attention,
-    pool_and_project,
-)
+from mvrd.views import SOURCE_TAGS, EmbeddedSequence, ViewEncoderParams, pool_and_project
 
 TEXT, IMAGE, CROSS = range(3)
 
@@ -63,7 +57,7 @@ def encode_text(model, tokens):
     """The text view of (..., L, d_in) tokens, through the encoder blocks."""
     enc = model.encoder
     x = Tensor(tokens)
-    return pool_and_project(multi_head_attention(x, x, enc.text_attn), enc.text_proj)
+    return pool_and_project(attention(x, x, *enc.text_attn, enc.heads), enc.text_proj)
 
 
 class TestEmbeddedSequence:
@@ -95,7 +89,7 @@ class TestSelfAttentionPool:
         token = rng.normal(size=(1, 8))
         out = encode_text(model, token)
 
-        wq, wk, wv, wo = (p.tensor.values for p in enc.text_attn.parameters())
+        wq, wk, wv, wo = (p.tensor.values for p in enc.text_attn)
         w, b = enc.text_proj[0].tensor.values, enc.text_proj[1].tensor.values
         expected = ((token @ wv) @ wo)[0] @ w + b  # weights=[1] make W_Q/W_K irrelevant
         assert np.allclose(out.values, expected, atol=1e-12)
@@ -118,7 +112,7 @@ class TestSelfAttentionPool:
         wo = np.array([[2.0, 0.0], [0.0, -1.0]])
         pw = np.array([[1.0, 2.0], [3.0, -1.0]])
         pb = np.array([0.1, -0.2])
-        for p, v in zip(enc.text_attn.parameters(), (wq, wk, wv, wo)):
+        for p, v in zip(enc.text_attn, (wq, wk, wv, wo)):
             p.tensor.values[...] = v
         enc.text_proj[0].tensor.values[...] = pw
         enc.text_proj[1].tensor.values[...] = pb
@@ -163,13 +157,12 @@ class TestCoAttention:
         # both directional outputs equal the same pooled vector
         model = make_model(d=3, heads=1, d_in=4)
         enc = model.encoder
-        for p_i2t, p_t2i in zip(enc.cross_i2t.parameters(), enc.cross_t2i.parameters()):
+        for p_i2t, p_t2i in zip(enc.cross_i2t, enc.cross_t2i):
             p_t2i.tensor.values[...] = p_i2t.tensor.values
         token = np.random.default_rng(5).normal(size=(1, 4))
         out = encode(model, [sample_of(token, token, token, token)]).values[:, CROSS]
 
-        wv = enc.cross_i2t.w_value.tensor.values
-        wo = enc.cross_i2t.w_out.tensor.values
+        wv, wo = (p.tensor.values for p in enc.cross_i2t[2:])
         pooled = ((token @ wv) @ wo)[0]
         w, b = enc.cross_proj[0].tensor.values, enc.cross_proj[1].tensor.values
         expected = np.concatenate([pooled, pooled]) @ w + b
@@ -183,9 +176,8 @@ class TestCoAttention:
         rng = np.random.default_rng(6)
         img = rng.normal(size=(3, 4))
         txt = rng.normal(size=(1, 4))
-        attended = multi_head_attention(Tensor(img), Tensor(txt), enc.cross_i2t)
-        wv = enc.cross_i2t.w_value.tensor.values
-        wo = enc.cross_i2t.w_out.tensor.values
+        attended = attention(Tensor(img), Tensor(txt), *enc.cross_i2t, enc.heads)
+        wv, wo = (p.tensor.values for p in enc.cross_i2t[2:])
         expected = np.tile((txt @ wv) @ wo, (3, 1))
         assert np.allclose(attended.values, expected, atol=1e-12)
 
@@ -200,14 +192,13 @@ class TestCoAttention:
         a = np.array([[0.3, -1.2], [2.0, 0.1]])  # clip-image
         b = np.array([[1.0, 0.5], [-0.4, 0.9]])  # clip-text
 
-        def direction(q_tokens, kv_tokens, ap):
-            q = q_tokens @ ap.w_query.tensor.values
-            k = kv_tokens @ ap.w_key.tensor.values
-            v = kv_tokens @ ap.w_value.tensor.values
+        def direction(q_tokens, kv_tokens, block):
+            wq, wk, wv, wo = (p.tensor.values for p in block)
+            q, k, v = q_tokens @ wq, kv_tokens @ wk, kv_tokens @ wv
             scores = q @ k.T / np.sqrt(2.0)
             e = np.exp(scores - scores.max(axis=1, keepdims=True))
             weights = e / e.sum(axis=1, keepdims=True)
-            return ((weights @ v) @ ap.w_out.tensor.values).mean(axis=0)
+            return ((weights @ v) @ wo).mean(axis=0)
 
         pooled = np.concatenate(
             [direction(a, b, enc.cross_i2t), direction(b, a, enc.cross_t2i)]
@@ -290,5 +281,8 @@ class TestEncodeViews:
 
 
 def test_head_divisibility_enforced():
-    with pytest.raises(ValidationError):
-        AttentionParams("x", 8, 8, 8, 3, 0)
+    # every encoder attention block has its input's width
+    d_in = {tag: 8 for tag in SOURCE_TAGS}
+    for heads, widths in ((3, d_in), (0, d_in), (4, {**d_in, "clip-image": 6})):
+        with pytest.raises(ValidationError, match="heads"):
+            ViewEncoderParams(widths, 6, heads)
