@@ -12,22 +12,18 @@ classification term:
 
 Each per-view layer is one parameter with a slice per view, so all three
 views run in one pass. The KL direction is fixed: teacher is the reference
-distribution.
+distribution. tau, alpha and the per-view weights are the run's
+``TrainConfig`` settings, checked by its ``validate``.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
-import numpy as np
-
+from .config import TrainConfig
 from .diffcore import (
     ContractError,
     DimensionError,
     Parameter,
-    ParameterError,
     Tensor,
-    ValidationError,
     add,
     concat,
     cross_entropy,
@@ -42,39 +38,12 @@ from .diffcore import (
 from .views import VIEWS, per_view_labels, stacked_parameter
 
 
-@dataclass(frozen=True)
-class DistillConfig:
-    """Temperature, KL/CE mix, and which views contribute a distillation term."""
-
-    tau: float = 2.0
-    alpha: float = 0.5
-    enabled_views: frozenset = frozenset(VIEWS)
-
-    def __post_init__(self):
-        if not self.tau > 0.0:
-            raise ParameterError(f"tau must be positive, got {self.tau}")
-        if not 0.0 <= self.alpha <= 1.0:
-            raise ParameterError(f"alpha must lie in [0, 1], got {self.alpha}")
-        unknown = set(self.enabled_views) - set(VIEWS)
-        if unknown:
-            raise ValidationError(f"unknown views in enabled_views: {sorted(unknown)}")
-
-    @property
-    def view_weights(self) -> np.ndarray:
-        """1.0 for each enabled view and 0.0 for each disabled one, in ``VIEWS`` order."""
-        return np.array([float(view in self.enabled_views) for view in VIEWS])
-
-
 class CalibratorParams:
     """Correction MLPs (3d -> d_h -> d per view, ReLU) and auxiliary heads
     (d -> 2), each parameter stacked over the view axis: slice v is view v's."""
 
-    def __init__(self, d: int, d_h: int | None = None, master_seed: int = 0):
-        d_h = 2 * d if d_h is None else d_h
-        if d_h < d:
-            raise ValidationError(f"hidden width d_h={d_h} must be >= d={d}")
+    def __init__(self, d: int, d_h: int, master_seed: int = 0):
         self.d = d
-        self.d_h = d_h
 
         def param(name, shape, scheme):
             return stacked_parameter("calib.{view}." + name, shape, scheme, master_seed)
@@ -112,12 +81,14 @@ def calibrate_views(views: Tensor, params: CalibratorParams) -> Tensor:
 
 
 def distill_losses(
-    calibrated: Tensor, teacher: Tensor, y, cfg: DistillConfig, params: CalibratorParams
+    calibrated: Tensor, teacher: Tensor, y, cfg: TrainConfig, params: CalibratorParams
 ) -> Tensor:
-    """The (3,) vector of per-view distillation losses, each a mean over the batch.
+    """The (3,) vector of per-view distillation losses, each a mean over the batch,
+    at the run's ``cfg.tau`` and ``cfg.alpha``.
 
     ``calibrated`` and ``teacher`` are (B, 3, d), or (3, d) for one sample. Every
-    view is computed; ``total_loss`` weights out the disabled ones.
+    view is computed; ``total_loss`` weights out the disabled ones with
+    ``cfg.view_weights``.
     """
     if teacher.requires_grad:
         raise ContractError("teacher embeddings must be gradient-free")

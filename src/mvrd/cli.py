@@ -63,11 +63,16 @@ def _load_configs(args) -> tuple[TrainConfig, SyntheticConfig]:
     return train_cfg, synth_cfg
 
 
-def _load_dataset(features_path, teacher_path=None):
-    samples = load_features_file(features_path)
-    if teacher_path:
-        attach_teacher(samples, load_teacher_file(teacher_path).embeddings)
-    return samples
+def _load_split(args):
+    """The run's config and the train/test split of ``--features`` (with
+    ``--teacher`` attached), for train, ablate and sweep."""
+    train_cfg, _ = _load_configs(args)
+    samples = load_features_file(args.features)
+    if args.teacher:
+        attach_teacher(samples, load_teacher_file(args.teacher).embeddings)
+    fractions = (args.train_frac, 1.0 - args.train_frac)
+    train_set, test_set = split(samples, fractions, train_cfg.master_seed)
+    return train_cfg, train_set, test_set
 
 
 def _numbers(text: str, flag: str) -> list[float]:
@@ -160,9 +165,7 @@ def cmd_gen_teacher(args) -> int:
 
 
 def cmd_train(args) -> int:
-    train_cfg, _ = _load_configs(args)
-    samples = _load_dataset(args.features, args.teacher)
-    train_set, test_set = split(samples, (args.train_frac, 1.0 - args.train_frac), train_cfg.master_seed)
+    train_cfg, train_set, test_set = _load_split(args)
     model, report = train(train_cfg, train_set, eval_dataset=test_set)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
@@ -184,9 +187,7 @@ def cmd_eval(args) -> int:
 
 
 def cmd_ablate(args) -> int:
-    train_cfg, _ = _load_configs(args)
-    samples = _load_dataset(args.features, args.teacher)
-    train_set, test_set = split(samples, (args.train_frac, 1.0 - args.train_frac), train_cfg.master_seed)
+    train_cfg, train_set, test_set = _load_split(args)
     rows = ablation_suite(train_cfg, train_set, test_set, n_seeds=args.seeds)
     _print_rows(rows)
     if args.out:
@@ -197,9 +198,7 @@ def cmd_ablate(args) -> int:
 
 def cmd_sweep(args) -> int:
     values = _numbers(args.values, "--values")
-    train_cfg, _ = _load_configs(args)
-    samples = _load_dataset(args.features, args.teacher)
-    train_set, test_set = split(samples, (args.train_frac, 1.0 - args.train_frac), train_cfg.master_seed)
+    train_cfg, train_set, test_set = _load_split(args)
     rows = sweep(train_cfg, args.axis, values, train_set, test_set, n_seeds=args.seeds)
     _print_rows(rows)
     if args.out:
@@ -267,6 +266,12 @@ def build_parser() -> argparse.ArgumentParser:
         if out_default is not None:
             p.add_argument("--out", default=out_default, help="output directory/file")
 
+    def data(p):
+        """The features, teacher and split flags that ``_load_split`` reads."""
+        p.add_argument("--features", required=True)
+        p.add_argument("--teacher")
+        p.add_argument("--train-frac", type=float, default=0.8)
+
     p = sub.add_parser("gen-data", help="generate a synthetic dataset (features + teacher)")
     common(p, out_default="data")
     p.set_defaults(fn=cmd_gen_data)
@@ -286,9 +291,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("train", help="train on a features(+teacher) file and checkpoint")
     common(p, out_default="run")
-    p.add_argument("--features", required=True)
-    p.add_argument("--teacher")
-    p.add_argument("--train-frac", type=float, default=0.8)
+    data(p)
     p.set_defaults(fn=cmd_train)
 
     p = sub.add_parser("eval", help="evaluate a checkpoint on a features file")
@@ -300,20 +303,16 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("ablate", help="run the full ablation table")
     common(p, out_default=None)
-    p.add_argument("--features", required=True)
-    p.add_argument("--teacher")
-    p.add_argument("--train-frac", type=float, default=0.8)
+    data(p)
     p.add_argument("--seeds", type=int, default=5)
     p.add_argument("--out")
     p.set_defaults(fn=cmd_ablate)
 
     p = sub.add_parser("sweep", help="sweep lambda/tau/alpha/heads")
     common(p, out_default=None)
-    p.add_argument("--features", required=True)
-    p.add_argument("--teacher")
+    data(p)
     p.add_argument("--axis", required=True, choices=("lambda", "tau", "alpha", "heads"))
     p.add_argument("--values", required=True, help="comma-separated values")
-    p.add_argument("--train-frac", type=float, default=0.8)
     p.add_argument("--seeds", type=int, default=3)
     p.add_argument("--out")
     p.add_argument("--chart", action="store_true", help="also render a PNG chart")

@@ -4,8 +4,10 @@
 run varies: the loss weights (``lambda_``, ``tau``, ``alpha``), the widths
 (``d``, ``d_h``) and head counts (``heads``, ``encoder_heads``), the schedule
 (``learning_rate``, ``epochs``, ``batch_size``), the ``master_seed``, and the
-nine ablation switches. Everything else is fixed: the encoders mean-pool, and
-Adam's moment constants live in ``trainer.Adam``.
+eight ablation switches (the ninth ablation, no teacher, is ``lambda_ = 0``).
+It is also the one home of their rules (``validate``). Everything else is
+fixed: the encoders mean-pool, and Adam's moment constants live in
+``trainer.Adam``.
 
 Config files contain one ``key = value`` pair per line (``#`` comments and
 blank lines allowed). Keys mirror the field names of TrainConfig and
@@ -50,7 +52,6 @@ class TrainConfig:
     drop_L_cross: bool = False
     drop_text_view: bool = False
     drop_image_view: bool = False
-    no_teacher: bool = False
     no_reasoning_prompts_mode: bool = False
     no_feature_extractors_mode: bool = False
     no_attention_mode: bool = False
@@ -78,17 +79,11 @@ class TrainConfig:
         return self
 
     @property
-    def lambda_effective(self) -> float:
-        return 0.0 if self.no_teacher else self.lambda_
-
-    @property
-    def enabled_views(self) -> frozenset:
-        dropped = {
-            "text": self.drop_L_text,
-            "image": self.drop_L_image,
-            "cross": self.drop_L_cross,
-        }
-        return frozenset(v for v, off in dropped.items() if not off)
+    def view_weights(self) -> tuple[float, ...]:
+        """Each view's distillation weight, 1.0 or 0.0 (``drop_L_*``), in
+        ``VIEWS`` order: text, image, cross."""
+        dropped = (self.drop_L_text, self.drop_L_image, self.drop_L_cross)
+        return tuple(float(not off) for off in dropped)
 
     def replace(self, **changes) -> "TrainConfig":
         return dataclasses.replace(self, **changes)

@@ -27,6 +27,7 @@ import numpy as np
 
 from .diffcore import ParameterError, Tensor, ValidationError
 from .fileio import FormatError, check_format_version, floats2d_json, read_record_lines
+from .model import infer_d_in
 from .teacher import (
     CORRUPTION_TYPES,
     TeacherEmbeddings,
@@ -266,12 +267,8 @@ def save_features_file(samples: list[Sample], path) -> None:
     """Write the four sequences of every sample as line-delimited records."""
     if not samples:
         raise ValidationError("cannot save an empty sample list: the header needs its d_in widths")
-    path = Path(path)
-    d_in = {}
-    for s in samples:
-        for tag, seq in s.sequences().items():
-            d_in.setdefault(tag, seq.dim)
-    with path.open("w", encoding="utf-8") as fh:
+    d_in = infer_d_in(samples)  # mixed widths raise before the file is opened
+    with Path(path).open("w", encoding="utf-8") as fh:
         fh.write(json.dumps({"format_version": 1, "d_in": d_in}) + "\n")
         for s in samples:
             for tag, seq in s.sequences().items():

@@ -14,7 +14,6 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .config import ConfigError
 from .diffcore import (
     Parameter,
     ParameterError,
@@ -37,8 +36,6 @@ class FusionParams:
     stacked over the view axis."""
 
     def __init__(self, d: int, heads: int = 8, master_seed: int = 0):
-        if heads < 1 or d % heads != 0:
-            raise ConfigError(f"fusion heads={heads} must divide d={d}")
         self.d = d
         self.heads = heads
         self.attn = attention_params("fusion.attn", d, d, master_seed)
@@ -88,14 +85,14 @@ class LossBreakdown:
     classification: float
     distill: dict[str, float]
     total: float
-    lambda_effective: float
+    lambda_: float
     graph: Tensor | None = field(default=None, repr=False, compare=False)
 
     def identity_errors(self) -> tuple[float, float]:
         distill_sum = sum(self.distill[view] for view in VIEWS if view in self.distill)
         return (
             abs(self.classification - (self.final + self.branch)),
-            abs(self.total - (self.classification + self.lambda_effective * distill_sum)),
+            abs(self.total - (self.classification + self.lambda_ * distill_sum)),
         )
 
 
@@ -108,7 +105,7 @@ def total_loss(
 ) -> LossBreakdown:
     """Assemble the total objective: classification + lambda * the sum of the
     (3,) per-view ``distill`` vector (None without a teacher) weighted by the
-    0/1 ``view_weights`` of the enabled views.
+    run's 0/1 ``TrainConfig.view_weights``.
 
     With lambda_ == 0 the distillation values are recorded for reporting but
     the returned graph contains only the classification path, so the teacher
@@ -130,6 +127,6 @@ def total_loss(
             v: float(x) for v, x, w in zip(VIEWS, distill.values, weights) if w
         },
         total=total.item(),
-        lambda_effective=lambda_,
+        lambda_=lambda_,
         graph=total,
     )

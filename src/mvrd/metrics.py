@@ -188,7 +188,9 @@ def welch_ttest(runs_a, runs_b) -> WelchResult:
                 "degenerate variance: both samples are constant; compare the exact tie counts instead"
             )
         t = (a.mean() - b.mean()) / math.sqrt(se2)
-        dof = se2 * se2 / (sa * sa / (a.size - 1) + sb * sb / (b.size - 1))
+        # from se2's shares: squaring se2 itself overflows once se2 passes ~1e154
+        ra, rb = sa / se2, sb / se2
+        dof = 1.0 / (ra * ra / (a.size - 1) + rb * rb / (b.size - 1))
     if not (math.isfinite(t) and math.isfinite(dof)):
         raise ValidationError("welch_ttest: the variances are too large for float64")
     return WelchResult(t=float(t), dof=float(dof), p=t_sf_two_sided(float(t), float(dof)))

@@ -18,8 +18,9 @@ implements the ablation switches from TrainConfig:
   tokens (requires d_in == d)
 * ``no_attention_mode``: the attention step is skipped: encoders mean-pool
   and project the raw tokens, and fusion returns the pooled query itself
-* ``no_teacher`` / lambda == 0: the distillation subgraph is never recorded,
-  so teacher values provably cannot influence gradients
+* ``lambda_ == 0`` (the ``no_teacher`` ablation row): the distillation
+  subgraph is never recorded, so teacher values provably cannot influence
+  gradients
 
 Stacking requires uniform sequence lengths per source across a batch.
 """
@@ -31,7 +32,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .calibration import CalibratorParams, DistillConfig, calibrate_views, distill_losses
+from .calibration import CalibratorParams, calibrate_views, distill_losses
 from .config import ConfigError, TrainConfig
 from .diffcore import (
     Parameter, Tensor, ValidationError, add, attention, concat, linear, mean, no_grad, reshape, scale,
@@ -131,7 +132,6 @@ class Model:
         self.encoder = ViewEncoderParams(d_in, cfg.d, cfg.encoder_heads, cfg.master_seed)
         self.calibrator = CalibratorParams(cfg.d, cfg.d_h, cfg.master_seed)
         self.fusion = FusionParams(cfg.d, cfg.heads, cfg.master_seed)
-        self.distill_cfg = DistillConfig(cfg.tau, cfg.alpha, cfg.enabled_views)
 
     def parameters(self) -> list[Parameter]:
         return self.encoder.parameters() + self.calibrator.parameters() + self.fusion.parameters()
@@ -171,22 +171,24 @@ class Model:
         return reshape(concat(views, axis=-1), (n, len(VIEWS), cfg.d))
 
     def forward_loss(self, batch: StackedDataset) -> LossBreakdown:
-        lam = self.cfg.lambda_effective
+        lam = self.cfg.lambda_
+        if lam > 0 and batch.teacher is None:
+            raise ConfigError(
+                "the batch lacks teacher embeddings; attach a teacher file or train with lambda = 0"
+            )
         views = self.encode_batch(batch)
         calibrated = calibrate_views(views, self.calibrator)
-        if lam > 0 and batch.teacher is None:
-            raise ConfigError("distillation is enabled but the batch has no teacher embeddings")
         distill = None
         if batch.teacher is not None:
             # at lambda = 0 the values are report-only: computed outside the
             # tape so the teacher can never touch the parameter trajectory
             with no_grad() if lam == 0 else nullcontext():
                 distill = distill_losses(
-                    calibrated, Tensor(batch.teacher), batch.labels, self.distill_cfg, self.calibrator
+                    calibrated, Tensor(batch.teacher), batch.labels, self.cfg, self.calibrator
                 )
         f_final = self.fuse(calibrated)
         loss_final, loss_branch = classification_losses(f_final, views, batch.labels, self.fusion)
-        return total_loss(loss_final, loss_branch, distill, self.distill_cfg.view_weights, lam)
+        return total_loss(loss_final, loss_branch, distill, self.cfg.view_weights, lam)
 
     def fuse(self, calibrated: Tensor) -> Tensor:
         """(B, 3, d) calibrated views to the (B, d) fused vector."""

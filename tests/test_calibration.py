@@ -10,16 +10,11 @@ import math
 import numpy as np
 import pytest
 
-from mvrd.calibration import (
-    CalibratorParams,
-    DistillConfig,
-    calibrate_views,
-    distill_losses,
-)
+from mvrd.calibration import CalibratorParams, calibrate_views, distill_losses
+from mvrd.config import ConfigError, TrainConfig
 from mvrd.diffcore import (
     ContractError,
     DimensionError,
-    ParameterError,
     Tensor,
     backward,
     concat,
@@ -59,7 +54,7 @@ def weighted_sum(out, w):
 def residual_params(d, p=None):
     """A calibrator whose correction is the constant p (3, d): the MLP weights
     are zero, so the output layer adds only its bias."""
-    params = CalibratorParams(d=d, master_seed=0)
+    params = CalibratorParams(d=d, d_h=2 * d, master_seed=0)
     params.zero_corrections()
     if p is not None:
         params.b2.tensor.values[...] = p
@@ -90,7 +85,8 @@ class TestConcatViews:
 
     def test_zeros(self):
         # zero views with zero biases give a zero context, so zero corrections
-        out = calibrate_views(views_of([0.0, 0.0], [0.0, 0.0], [0.0, 0.0]), CalibratorParams(d=2))
+        views = views_of([0.0, 0.0], [0.0, 0.0], [0.0, 0.0])
+        out = calibrate_views(views, CalibratorParams(d=2, d_h=4))
         assert np.array_equal(out.values, np.zeros((3, 2)))
 
     def test_slot_gradient_isolation(self):
@@ -106,18 +102,18 @@ class TestConcatViews:
 
     def test_dim_mismatch(self):
         with pytest.raises(DimensionError):
-            calibrate_views(Tensor(np.zeros((3, 1))), CalibratorParams(d=2))
+            calibrate_views(Tensor(np.zeros((3, 1))), CalibratorParams(d=2, d_h=4))
 
 
 class TestPredictCorrection:
     def test_zero_weights_give_zero_correction(self):
-        params = CalibratorParams(d=4, master_seed=0)
+        params = CalibratorParams(d=4, d_h=8, master_seed=0)
         params.zero_corrections()
         out = correction_of(Tensor(np.ones((3, 4))), params)
         assert np.array_equal(out, np.zeros((3, 4)))
 
     def test_output_dimension(self):
-        params = CalibratorParams(d=5, master_seed=1)
+        params = CalibratorParams(d=5, d_h=10, master_seed=1)
         out = calibrate_views(Tensor(np.random.default_rng(0).normal(size=(3, 5))), params)
         for slot in range(len(VIEWS)):
             assert out.values[slot].shape == (5,)
@@ -127,7 +123,7 @@ class TestPredictCorrection:
     def test_holistic_context_sensitivity(self):
         # perturbing the text slot changes the image correction: finite
         # difference of d_image^pred w.r.t. f_text is nonzero for generic weights
-        params = CalibratorParams(d=4, master_seed=2)
+        params = CalibratorParams(d=4, d_h=8, master_seed=2)
         base = np.random.default_rng(3).normal(size=(3, 4))
         h = 1e-5
         bumped = base.copy()
@@ -138,7 +134,7 @@ class TestPredictCorrection:
 
     def test_unknown_view(self):
         # a fourth view slot (say audio) has no correction to run
-        params = CalibratorParams(d=4)
+        params = CalibratorParams(d=4, d_h=8)
         with pytest.raises(Exception):
             calibrate_views(Tensor(np.zeros((4, 4))), params)
 
@@ -189,10 +185,10 @@ def text_loss(f, t, y, cfg, params, requires_grad=False):
 
 class TestDistillLoss:
     def test_zero_when_student_matches_teacher_at_alpha_one(self):
-        params = CalibratorParams(d=4, master_seed=6)
+        params = CalibratorParams(d=4, d_h=8, master_seed=6)
         f = np.array([0.3, -1.0, 2.0, 0.1])
         for tau in (0.5, 1.0, 2.0, 5.0):
-            cfg = DistillConfig(tau=tau, alpha=1.0)
+            cfg = TrainConfig(tau=tau, alpha=1.0)
             loss, _, _ = text_loss(f, f.copy(), 0, cfg, params, requires_grad=True)
             assert loss.values[TEXT] == 0.0
             assert np.array_equal(loss.values, np.zeros(3))
@@ -200,10 +196,10 @@ class TestDistillLoss:
     def test_alpha_zero_reduces_to_cross_entropy(self):
         from mvrd.diffcore import cross_entropy
 
-        params = CalibratorParams(d=4, master_seed=7)
+        params = CalibratorParams(d=4, d_h=8, master_seed=7)
         f = np.array([0.5, 1.0, -0.5, 0.2])
         t = np.array([1.0, 0.0, 0.0, 0.0])
-        cfg = DistillConfig(tau=2.0, alpha=0.0)
+        cfg = TrainConfig(tau=2.0, alpha=0.0)
         loss, _, _ = text_loss(f, t, 1, cfg, params, requires_grad=True)
         head_w, head_b = (p.tensor.values[TEXT] for p in params.head)
         expected = cross_entropy(linear(Tensor(f), Tensor(head_w), Tensor(head_b)), 1).item()
@@ -212,7 +208,7 @@ class TestDistillLoss:
     def test_hand_value_two_dim(self):
         # tau^2 * KL([0.7311, 0.2689] || [0.2689, 0.7311]) = 0.46212
         params = CalibratorParams(d=2, d_h=2, master_seed=8)
-        cfg = DistillConfig(tau=1.0, alpha=1.0)
+        cfg = TrainConfig(tau=1.0, alpha=1.0)
         loss, _, _ = text_loss([0.0, 1.0], [1.0, 0.0], 0, cfg, params, requires_grad=True)
         p = np_softmax([1.0, 0.0], 1.0)
         q = np_softmax([0.0, 1.0], 1.0)
@@ -220,30 +216,30 @@ class TestDistillLoss:
         assert loss.values[TEXT] == pytest.approx(0.46211715726000974, abs=1e-10)
 
     def test_alpha_affinity(self):
-        params = CalibratorParams(d=4, master_seed=9)
+        params = CalibratorParams(d=4, d_h=8, master_seed=9)
         rng = np.random.default_rng(10)
         f, t = rng.normal(size=4), rng.normal(size=4)
-        k = text_loss(f, t, 0, DistillConfig(2.0, 1.0), params)[0].values[TEXT]
-        c = text_loss(f, t, 0, DistillConfig(2.0, 0.0), params)[0].values[TEXT]
+        k = text_loss(f, t, 0, TrainConfig(tau=2.0, alpha=1.0), params)[0].values[TEXT]
+        c = text_loss(f, t, 0, TrainConfig(tau=2.0, alpha=0.0), params)[0].values[TEXT]
         for alpha in (0.0, 0.25, 0.5, 1.0):
-            loss = text_loss(f, t, 0, DistillConfig(2.0, alpha), params)[0].values[TEXT]
+            loss = text_loss(f, t, 0, TrainConfig(tau=2.0, alpha=alpha), params)[0].values[TEXT]
             assert abs(loss - (alpha * k + (1 - alpha) * c)) < 1e-10
 
     def test_tau_squared_scaling_law(self):
-        params = CalibratorParams(d=5, master_seed=11)
+        params = CalibratorParams(d=5, d_h=10, master_seed=11)
         rng = np.random.default_rng(12)
         f_values = rng.normal(size=5)
         t_values = rng.normal(size=5)
         for tau in (0.5, 1.0, 2.0, 5.0):
-            loss = text_loss(f_values, t_values, 0, DistillConfig(tau, 1.0), params)[0]
+            loss = text_loss(f_values, t_values, 0, TrainConfig(tau=tau, alpha=1.0), params)[0]
             independent = tau * tau * np_kl(np_softmax(t_values, tau), np_softmax(f_values, tau))
             assert abs(loss.values[TEXT] - independent) < 1e-10
 
     def test_gradient_reaches_student_not_teacher(self):
-        params = CalibratorParams(d=4, master_seed=13)
+        params = CalibratorParams(d=4, d_h=8, master_seed=13)
         rng = np.random.default_rng(14)
         loss, f, t = text_loss(
-            rng.normal(size=4), rng.normal(size=4), 1, DistillConfig(2.0, 0.5), params,
+            rng.normal(size=4), rng.normal(size=4), 1, TrainConfig(tau=2.0, alpha=0.5), params,
             requires_grad=True,
         )
         zero_grads(params.parameters())
@@ -255,17 +251,18 @@ class TestDistillLoss:
         assert np.any(head_b.tensor.grad[TEXT] != 0)
 
     def test_teacher_with_gradients_rejected(self):
-        params = CalibratorParams(d=4)
+        params = CalibratorParams(d=4, d_h=8)
         f = Tensor(np.zeros((3, 4)), requires_grad=True)
         t = Tensor(np.zeros((3, 4)), requires_grad=True)
         with pytest.raises(ContractError):
-            distill_losses(f, t, 0, DistillConfig(), params)
+            distill_losses(f, t, 0, TrainConfig(), params)
 
     def test_invalid_config_rejected(self):
-        with pytest.raises(ParameterError):
-            DistillConfig(tau=0.0)
-        with pytest.raises(ParameterError):
-            DistillConfig(alpha=1.5)
+        # tau and alpha are the run's settings, checked by TrainConfig.validate
+        with pytest.raises(ConfigError, match="tau"):
+            TrainConfig(tau=0.0).validate()
+        with pytest.raises(ConfigError, match="alpha"):
+            TrainConfig(alpha=1.5).validate()
 
 
 class TestCalibrationForward:
@@ -282,9 +279,9 @@ class TestCalibrationForward:
         return Tensor(np.array(x), requires_grad=True)
 
     def test_disabled_views_contribute_no_loss(self):
-        params = CalibratorParams(d=4, master_seed=16)
+        params = CalibratorParams(d=4, d_h=8, master_seed=16)
         v, t = self.make_inputs()
-        cfg = DistillConfig(enabled_views=frozenset())
+        cfg = TrainConfig(drop_L_text=True, drop_L_image=True, drop_L_cross=True)
         calibrated = calibrate_views(v, params)
         losses = distill_losses(calibrated, t, 0, cfg, params)
         breakdown = total_loss(self.scalar(0.5), self.scalar(0.25), losses, cfg.view_weights, 1.0)
@@ -294,9 +291,9 @@ class TestCalibrationForward:
         assert calibrated.values[TEXT].shape == (4,)
 
     def test_full_enablement_gives_nonnegative_kl(self):
-        params = CalibratorParams(d=4, master_seed=17)
+        params = CalibratorParams(d=4, d_h=8, master_seed=17)
         v, t = self.make_inputs(seed=18)
-        cfg = DistillConfig(tau=2.0, alpha=1.0)
+        cfg = TrainConfig(tau=2.0, alpha=1.0)
         losses = distill_losses(calibrate_views(v, params), t, 0, cfg, params)
         breakdown = total_loss(self.scalar(0.5), self.scalar(0.25), losses, cfg.view_weights, 1.0)
         assert set(breakdown.distill) == {"text", "image", "cross"}
@@ -312,7 +309,7 @@ class TestCalibrationForward:
         for p in params.parameters():
             p.tensor.values[...] = weights[p.name]
         v, t = self.make_inputs(d=d, seed=21)
-        cfg = DistillConfig(tau=1.5, alpha=0.7)
+        cfg = TrainConfig(tau=1.5, alpha=0.7)
         calibrated = calibrate_views(v, params)
         losses = distill_losses(calibrated, t, 1, cfg, params)
 
@@ -333,7 +330,7 @@ class TestCalibrationForward:
 
     def test_calibrated_views_keep_corrections(self):
         # calibrated = raw + correction(holistic context), bitwise
-        params = CalibratorParams(d=4, master_seed=22)
+        params = CalibratorParams(d=4, d_h=8, master_seed=22)
         v, _ = self.make_inputs(seed=23)
         calibrated = calibrate_views(v, params)
         context = concat([reshape(v, (1, 12))] * 3, axis=-2)
@@ -343,14 +340,14 @@ class TestCalibrationForward:
             assert np.array_equal(calibrated.values[slot], raw + correction.values[slot])
 
     def test_hidden_width_floor(self):
-        with pytest.raises(Exception, match="d_h"):
-            CalibratorParams(d=8, d_h=4)
+        with pytest.raises(ConfigError, match="d_h"):
+            TrainConfig(d=8, d_h=4).validate()
 
     def test_stacked_slices_keep_per_view_init(self):
         # every slice is drawn from its own per-view name and seed
         from mvrd.diffcore import make_parameter, parameter_seed
 
-        params = CalibratorParams(d=4, master_seed=24)
+        params = CalibratorParams(d=4, d_h=8, master_seed=24)
         for slot, view in enumerate(VIEWS):
             name = f"calib.{view}.mlp.W1"
             w1 = make_parameter(name, (12, 8), "xavier_uniform", parameter_seed(24, name))

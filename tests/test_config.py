@@ -16,6 +16,7 @@ RETIRED_KEYS = {
     "adam_eps": "1e-8",
     "debug_checks": "true",
     "pooling": "mean",
+    "no_teacher": "true",
 }
 
 
@@ -36,17 +37,17 @@ class TestParser:
     def test_typed_values(self, tmp_path):
         train_cfg, synth_cfg = parse(
             tmp_path,
-            "no_teacher = yes\ndrop_L_text = off\nepochs = 3\ntau = 1.5\n"
+            "drop_image_view = yes\ndrop_L_text = off\nepochs = 3\ntau = 1.5\n"
             "corruption_mix = 0.5, 0.25, 0.25\nn_samples = 12\n",
         )
-        assert train_cfg.no_teacher is True and train_cfg.drop_L_text is False
+        assert train_cfg.drop_image_view is True and train_cfg.drop_L_text is False
         assert train_cfg.epochs == 3 and type(train_cfg.epochs) is int
         assert train_cfg.tau == 1.5 and type(train_cfg.tau) is float
         assert synth_cfg.corruption_mix == (0.5, 0.25, 0.25)
         assert synth_cfg.n_samples == 12
 
     @pytest.mark.parametrize(
-        "text", ["epochs = 3\nepochs = 4\n", "epochs 3\n", "epochs = 2.5\n", "no_teacher = maybe\n"]
+        "text", ["epochs = 3\nepochs = 4\n", "epochs 3\n", "epochs = 2.5\n", "drop_L_text = maybe\n"]
     )
     def test_malformed_lines_rejected(self, tmp_path, text):
         with pytest.raises(ConfigError):
@@ -69,7 +70,7 @@ class TestParser:
             assert types[f.name].__name__ == f.type, f.name
 
     def test_train_config_fields(self):
-        assert len(dataclasses.fields(TrainConfig)) == 20
+        assert len(dataclasses.fields(TrainConfig)) == 19
         assert not set(RETIRED_KEYS) & set(field_types(TrainConfig))
 
 

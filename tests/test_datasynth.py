@@ -238,6 +238,16 @@ class TestFeatureFile:
         with pytest.raises(FormatError, match=record["sample_id"]):
             load_features_file(path)
 
+    def test_mixed_widths_not_saved(self, tmp_path):
+        # the header declares one width per source, so a mixed list cannot be written
+        mixed = generate_dataset(small_cfg(n_samples=2, d_in=4)) + generate_dataset(
+            small_cfg(n_samples=2, d_in=6)
+        )
+        path = tmp_path / "features.jsonl"
+        with pytest.raises(ValidationError, match="d_in=6"):
+            save_features_file(mixed, path)
+        assert not path.exists()
+
     def test_malformed_line_reports_number(self, tmp_path):
         path = tmp_path / "features.jsonl"
         path.write_text('{"format_version": 1, "d_in": {}}\nnot-json\n', "utf-8")

@@ -171,8 +171,9 @@ class TestCrossAttentionFuse:
         assert np.allclose(out.values, kv[0], atol=1e-9)
 
     def test_head_divisibility(self):
-        with pytest.raises(ConfigError):
-            FusionParams(d=8, heads=3)
+        # the fusion head count is the run's setting, checked by TrainConfig.validate
+        with pytest.raises(ConfigError, match="heads"):
+            TrainConfig(d=8, d_h=16, heads=3).validate()
 
 
 class TestClassificationLosses:

@@ -177,8 +177,21 @@ class TestWelch:
             welch_ttest(a, b)
 
     @pytest.mark.parametrize(
-        "a", [[1e308, -1e308], [1e308, 1e308, 0.0], [5e153, -5e153]], ids=["var", "mean", "dof"]
+        "a, b",
+        [([5e153, -5e153], [1.0, 2.0]), ([1.0, 2.0, 3.5], [4.0, 5.0, 7.0, 9.0])],
+        ids=["huge-variance", "ordinary"],
     )
+    def test_t_dof_p_match_scipy(self, a, b):
+        # the dof comes from se2's shares, so a variance above ~1e154 does not
+        # overflow it; scipy squares se2 and falls back to df = 1 on the overflow
+        mine = welch_ttest(a, b)
+        with np.errstate(over="ignore"):
+            ref = scipy.stats.ttest_ind(a, b, equal_var=False)
+        assert mine.t == pytest.approx(ref.statistic, rel=1e-12)
+        assert mine.dof == pytest.approx(ref.df, rel=1e-12)
+        assert mine.p == pytest.approx(ref.pvalue, rel=1e-12)
+
+    @pytest.mark.parametrize("a", [[1e308, -1e308], [1e308, 1e308, 0.0]], ids=["var", "mean"])
     def test_overflowing_variance_rejected(self, a):
         with pytest.raises(ValidationError, match="variance"):
             welch_ttest(a, [2.0, 3.0])

@@ -178,8 +178,7 @@ class TestTrain:
         stripped = [dataclasses.replace(s, teacher=None) for s in ds]
         with pytest.raises(ConfigError):
             train(tiny_cfg(), stripped)
-        # but fine with no_teacher or lambda = 0
-        train(tiny_cfg(no_teacher=True, epochs=1), stripped)
+        # but fine with lambda = 0, the no_teacher ablation
         train(tiny_cfg(lambda_=0.0, epochs=1), stripped)
 
     def test_empty_dataset_rejected(self):
@@ -398,6 +397,16 @@ class TestSweepRunner:
         with pytest.raises(ParameterError):
             sweep(tiny_cfg(), "tau", [1.0], ds, ds, n_seeds=0)
 
+    def test_invalid_value_rejected_before_any_job(self, monkeypatch):
+        # one worker, so the jobs would run in this process and be counted
+        monkeypatch.setattr("os.sched_getaffinity", lambda pid: {0})
+        calls = []
+        monkeypatch.setattr(trainer, "train", lambda *args, **kw: calls.append(args))
+        ds = tiny_dataset()
+        with pytest.raises(ConfigError, match="tau"):
+            sweep(tiny_cfg(epochs=1), "tau", [1.0, -1.0], ds, ds, n_seeds=1)
+        assert calls == []
+
     def test_unknown_axis_rejected(self):
         ds = tiny_dataset()
         with pytest.raises(Exception):
@@ -471,7 +480,7 @@ class TestCheckpoints:
             lambda h: h.update(train_config=[1, 2]),
             lambda h: h.update(train_config={**h["train_config"], "d": "8"}),
             lambda h: h.update(train_config={**h["train_config"], "epochs": 2.0}),
-            lambda h: h.update(train_config={**h["train_config"], "no_teacher": 1}),
+            lambda h: h.update(train_config={**h["train_config"], "drop_L_text": 1}),
             lambda h: h.update(train_config={**h["train_config"], "dropout": 0.1}),
             lambda h: h.update(train_config={**h["train_config"], "heads": 3}),
             lambda h: h.update(d_in=8),
