@@ -3,9 +3,9 @@
 The views travel as one (B, 3, d) tensor, slots in ``VIEWS`` order. Each
 view's correction vector is predicted from the *concatenation* of all three
 view features (holistic context: that tensor reshaped to (B, 3d)), applied as
-an additive residual, and trained against the gradient-free teacher
-embedding with a temperature-scaled KL term plus an auxiliary per-view
-classification term:
+an additive residual, and trained against the teacher's (B, 3, d) array, a
+fixed target that no gradient reaches, with a temperature-scaled KL term plus
+an auxiliary per-view classification term:
 
     loss_v = alpha * tau^2 * KL(softmax(teacher/tau) || softmax(student/tau))
            + (1 - alpha) * CE(head_v(student), y)
@@ -18,9 +18,10 @@ distribution. tau, alpha and the per-view weights are the run's
 
 from __future__ import annotations
 
+import numpy as np
+
 from .config import TrainConfig
 from .diffcore import (
-    ContractError,
     DimensionError,
     Parameter,
     Tensor,
@@ -81,22 +82,22 @@ def calibrate_views(views: Tensor, params: CalibratorParams) -> Tensor:
 
 
 def distill_losses(
-    calibrated: Tensor, teacher: Tensor, y, cfg: TrainConfig, params: CalibratorParams
+    calibrated: Tensor, teacher: np.ndarray, y, cfg: TrainConfig, params: CalibratorParams
 ) -> Tensor:
     """The (3,) vector of per-view distillation losses, each a mean over the batch,
     at the run's ``cfg.tau`` and ``cfg.alpha``.
 
-    ``calibrated`` and ``teacher`` are (B, 3, d), or (3, d) for one sample. Every
-    view is computed; ``total_loss`` weights out the disabled ones with
+    ``calibrated`` is a (B, 3, d) tensor, or (3, d) for one sample, and
+    ``teacher`` the plain array of the same shape. The teacher enters the graph
+    as a fresh tensor that takes no gradient, so it is only ever a target.
+    Every view is computed; ``total_loss`` weights out the disabled ones with
     ``cfg.view_weights``.
     """
-    if teacher.requires_grad:
-        raise ContractError("teacher embeddings must be gradient-free")
     if calibrated.shape != teacher.shape:
         raise DimensionError(
             f"student/teacher shapes disagree: {calibrated.shape} vs {teacher.shape}"
         )
-    kl = kl_divergence(softmax_temp(teacher, cfg.tau), softmax_temp(calibrated, cfg.tau))
+    kl = kl_divergence(softmax_temp(Tensor(teacher), cfg.tau), softmax_temp(calibrated, cfg.tau))
     ce = cross_entropy(linear(calibrated, *params.head), per_view_labels(y))
     if kl.ndim > 1:
         kl = mean(kl, axis=0)

@@ -35,7 +35,6 @@ from .teacher import (
     ReasoningClient,
     ReasoningRecord,
     SamplePayload,
-    Tensor,
     default_templates,
     fallback_embed,
     generate_reasoning_batch,
@@ -117,9 +116,9 @@ def cmd_gen_data(args) -> int:
         d_t=synth_cfg.teacher_dim, d=synth_cfg.teacher_dim, seed=synth_cfg.seed + 7919
     )
     records = [
-        ReasoningRecord(s.sample_id, view, "", Tensor(s.teacher.view(view).values))
+        ReasoningRecord(s.sample_id, view, "", row)
         for s in samples
-        for view in VIEWS
+        for view, row in zip(VIEWS, s.teacher.values)
     ]
     save_teacher_file(records, spec, out / "teacher.jsonl")
     print(f"wrote {len(samples)} samples to {out}/features.jsonl and {out}/teacher.jsonl")

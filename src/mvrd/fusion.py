@@ -14,9 +14,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .config import TrainConfig
 from .diffcore import (
     Parameter,
-    ParameterError,
     Tensor,
     add,
     attention,
@@ -97,23 +97,18 @@ class LossBreakdown:
 
 
 def total_loss(
-    loss_final: Tensor,
-    loss_branch: Tensor,
-    distill: Tensor | None,
-    view_weights,
-    lambda_: float,
+    loss_final: Tensor, loss_branch: Tensor, distill: Tensor | None, cfg: TrainConfig
 ) -> LossBreakdown:
-    """Assemble the total objective: classification + lambda * the sum of the
-    (3,) per-view ``distill`` vector (None without a teacher) weighted by the
-    run's 0/1 ``TrainConfig.view_weights``.
+    """Assemble the total objective: classification + ``cfg.lambda_`` * the sum
+    of the (3,) per-view ``distill`` vector (None without a teacher) weighted by
+    the run's 0/1 ``cfg.view_weights``. ``cfg.validate`` holds lambda's rule.
 
     With lambda_ == 0 the distillation values are recorded for reporting but
     the returned graph contains only the classification path, so the teacher
     can never influence gradients.
     """
-    if not lambda_ >= 0:
-        raise ParameterError(f"lambda must be >= 0, got {lambda_}")
-    weights = np.asarray(view_weights, dtype=np.float64)
+    lambda_ = cfg.lambda_
+    weights = np.asarray(cfg.view_weights, dtype=np.float64)
     loss_c = add(loss_final, loss_branch)
     total = loss_c
     if distill is not None and lambda_ > 0 and weights.any():

@@ -35,7 +35,8 @@ import numpy as np
 from .calibration import CalibratorParams, calibrate_views, distill_losses
 from .config import ConfigError, TrainConfig
 from .diffcore import (
-    Parameter, Tensor, ValidationError, add, attention, concat, linear, mean, no_grad, reshape, scale,
+    DimensionError, Parameter, Tensor, ValidationError, add, attention, concat, linear, mean,
+    no_grad, reshape, scale,
 )
 from .fusion import (
     FusionParams,
@@ -61,11 +62,33 @@ def infer_d_in(samples) -> dict[str, int]:
     return dims
 
 
+def check_fit(cfg: TrainConfig, d_in: dict[str, int], samples=()) -> None:
+    """The rules that need both a run's config and its corpus: the encoder
+    heads divide every input width, ``no_feature_extractors_mode`` needs
+    d_in == d, and a teacher the run uses (every sample has one, and the run
+    does not swap it out under ``no_reasoning_prompts_mode``) is d wide."""
+    widths = sorted(set(d_in.values()))
+    if cfg.encoder_heads < 1 or any(w % cfg.encoder_heads for w in widths):
+        raise ValidationError(
+            f"encoder heads={cfg.encoder_heads} must divide every input width {widths}"
+        )
+    if cfg.no_feature_extractors_mode:
+        bad = {tag: dim for tag, dim in d_in.items() if dim != cfg.d}
+        if bad:
+            raise ConfigError(f"no_feature_extractors_mode needs d_in == d == {cfg.d}, got {bad}")
+    teachers = [s.teacher for s in samples]
+    if teachers and all(t is not None for t in teachers) and not cfg.no_reasoning_prompts_mode:
+        dims = sorted({t.values.shape[1] for t in teachers})
+        if dims != [cfg.d]:
+            raise DimensionError(f"the teacher embeddings are {dims} wide, but d={cfg.d}")
+
+
 @dataclass
 class StackedDataset:
     """Samples stacked into (N, L, d_in) arrays; ``batch`` slices rows out.
 
-    ``teacher`` is one (N, 3, d) array, view slots in ``VIEWS`` order.
+    ``teacher`` is the samples' (3, d) teacher arrays stacked into one
+    (N, 3, d) array, view slots in ``VIEWS`` order, or None.
     """
 
     text: np.ndarray
@@ -92,9 +115,7 @@ class StackedDataset:
         if include_teacher:
             if any(s.teacher is None for s in samples):
                 raise ValidationError("some samples have no teacher embeddings attached")
-            teacher = np.stack(
-                [np.stack([s.teacher.view(v).values for s in samples]) for v in VIEWS], axis=1
-            )
+            teacher = np.stack([s.teacher.values for s in samples])
         return cls(
             text=stack("text-tokens"),
             image=stack("image-patches"),
@@ -120,13 +141,7 @@ class Model:
     """The trainable student, built from a TrainConfig and the dataset's d_in map."""
 
     def __init__(self, cfg: TrainConfig, d_in: dict[str, int]):
-        cfg.validate()
-        if cfg.no_feature_extractors_mode:
-            bad = {tag: dim for tag, dim in d_in.items() if dim != cfg.d}
-            if bad:
-                raise ConfigError(
-                    f"no_feature_extractors_mode needs d_in == d == {cfg.d}, got {bad}"
-                )
+        check_fit(cfg.validate(), d_in)
         self.cfg = cfg
         self.d_in = dict(d_in)
         self.encoder = ViewEncoderParams(d_in, cfg.d, cfg.encoder_heads, cfg.master_seed)
@@ -184,11 +199,11 @@ class Model:
             # tape so the teacher can never touch the parameter trajectory
             with no_grad() if lam == 0 else nullcontext():
                 distill = distill_losses(
-                    calibrated, Tensor(batch.teacher), batch.labels, self.cfg, self.calibrator
+                    calibrated, batch.teacher, batch.labels, self.cfg, self.calibrator
                 )
         f_final = self.fuse(calibrated)
         loss_final, loss_branch = classification_losses(f_final, views, batch.labels, self.fusion)
-        return total_loss(loss_final, loss_branch, distill, self.cfg.view_weights, lam)
+        return total_loss(loss_final, loss_branch, distill, self.cfg)
 
     def fuse(self, calibrated: Tensor) -> Tensor:
         """(B, 3, d) calibrated views to the (B, d) fused vector."""

@@ -12,7 +12,10 @@ neither is bundled here. This module provides everything around that gap:
 * the teacher file format and the fixed random projection that bridges the
   teacher embedding dimension d_t to the student dimension d
 
-Teacher embeddings are always gradient-free: no backward path may reach them.
+A sample's teacher is one (3, d) float64 array, a row per view in ``VIEWS``
+order, and a raw embedding is a plain (d_t,) array. Plain arrays carry no
+gradient, so teacher targets are gradient-free by type: no backward path can
+reach them.
 """
 
 from __future__ import annotations
@@ -32,7 +35,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .diffcore import ContractError, DimensionError, ParameterError, Tensor, ValidationError
+from .diffcore import DimensionError, ParameterError, Tensor, ValidationError
 from .fileio import FormatError, check_format_version, floats_json, read_record_lines
 from .views import VIEWS
 
@@ -84,30 +87,18 @@ def default_templates() -> dict[str, PromptTemplate]:
 
 @dataclass
 class TeacherEmbeddings:
-    """Per-view reasoning embeddings in student dimension d; gradient-free."""
+    """Per-view reasoning embeddings in student dimension d: one (3, d) array,
+    a row per view in ``VIEWS`` order."""
 
-    text: Tensor
-    image: Tensor
-    cross: Tensor
+    values: np.ndarray
 
     def __post_init__(self):
-        dims = set()
-        for view in VIEWS:
-            t = getattr(self, view)
-            if t.requires_grad:
-                raise ContractError(f"teacher embedding for {view} must be gradient-free")
-            if t.ndim != 1:
-                raise DimensionError(f"teacher embedding for {view} must be 1-D, got {t.shape}")
-            dims.add(t.shape[0])
-        if len(dims) != 1:
-            raise DimensionError(f"teacher embeddings disagree on dimension: {sorted(dims)}")
-
-    @property
-    def dim(self) -> int:
-        return self.text.shape[0]
+        if self.values.ndim != 2 or self.values.shape[0] != len(VIEWS):
+            raise DimensionError(f"teacher embeddings must be (3, d), got {self.values.shape}")
 
     def view(self, name: str) -> Tensor:
-        return getattr(self, name)
+        """One view's row, wrapped as a gradient-free tensor."""
+        return Tensor(self.values[VIEWS.index(name)])
 
 
 @dataclass(frozen=True)
@@ -137,13 +128,6 @@ def _projection_matrix(d_t: int, d: int, seed: int) -> np.ndarray:
     return m
 
 
-def project_teacher(raw: Tensor, spec: ProjectionSpec) -> Tensor:
-    """Map a raw d_t-dim teacher embedding into student dimension d (gradient-free)."""
-    if raw.ndim != 1 or raw.shape[0] != spec.d_t:
-        raise DimensionError(f"raw embedding {raw.shape} does not match d_t={spec.d_t}")
-    return Tensor(raw.values @ spec.matrix())
-
-
 # ---------------------------------------------------------------------------
 # reasoning records and the teacher file format
 
@@ -155,13 +139,11 @@ class ReasoningRecord:
     sample_id: str
     view: str
     chain: str
-    raw_embedding: Tensor
+    raw_embedding: np.ndarray
 
     def __post_init__(self):
         if self.view not in VIEWS:
             raise ValidationError(f"unknown view {self.view!r}")
-        if self.raw_embedding.requires_grad:
-            raise ContractError("raw teacher embeddings must be gradient-free")
 
 
 @dataclass
@@ -194,7 +176,7 @@ def save_teacher_file(records, spec: ProjectionSpec, path) -> None:
                     json.dumps(rec.sample_id),
                     json.dumps(rec.view),
                     json.dumps(rec.chain),
-                    floats_json(rec.raw_embedding.values),
+                    floats_json(rec.raw_embedding),
                 )
             )
 
@@ -217,7 +199,7 @@ def load_teacher_file(path) -> TeacherFileData:
                 sample_id=str(obj["sample_id"]),
                 view=str(obj["view"]),
                 chain=str(obj["chain"]),
-                raw_embedding=Tensor(np.asarray(obj["embedding"], dtype=np.float64)),
+                raw_embedding=np.asarray(obj["embedding"], dtype=np.float64),
             )
         except (KeyError, TypeError, ValueError, OverflowError) as exc:
             raise FormatError(f"{path}: line {lineno}: bad record ({exc})") from exc
@@ -226,7 +208,7 @@ def load_teacher_file(path) -> TeacherFileData:
                 f"{path}: line {lineno}: embedding has shape {rec.raw_embedding.shape}, "
                 f"header declares d_t={spec.d_t}"
             )
-        if not np.isfinite(rec.raw_embedding.values).all():
+        if not np.isfinite(rec.raw_embedding).all():
             raise FormatError(f"{path}: line {lineno}: non-finite embedding value")
         slot = by_sample.setdefault(rec.sample_id, {})
         if rec.view in slot:
@@ -240,12 +222,10 @@ def load_teacher_file(path) -> TeacherFileData:
     if missing:
         raise ValidationError(f"missing teacher views: {missing}")
 
+    # row by row: one (3, d_t) GEMM would round differently from three GEMVs
+    matrix = spec.matrix()
     embeddings = {
-        sid: TeacherEmbeddings(
-            text=project_teacher(views["text"].raw_embedding, spec),
-            image=project_teacher(views["image"].raw_embedding, spec),
-            cross=project_teacher(views["cross"].raw_embedding, spec),
-        )
+        sid: TeacherEmbeddings(np.stack([views[v].raw_embedding @ matrix for v in VIEWS]))
         for sid, views in by_sample.items()
     }
     return TeacherFileData(spec=spec, records=records, embeddings=embeddings)
@@ -261,7 +241,7 @@ def load_teacher_file(path) -> TeacherFileData:
 _GRAM_HASHES: dict[bytes, dict[int, int]] = {}
 
 
-def fallback_embed(chain: str, d_t: int, seed: int = 0) -> Tensor:
+def fallback_embed(chain: str, d_t: int, seed: int = 0) -> np.ndarray:
     """Hash character 3-grams into d_t signed buckets, then L2-normalize.
 
     Each 3-gram's keyed blake2b digest picks its bucket (digest mod d_t) and
@@ -292,7 +272,7 @@ def fallback_embed(chain: str, d_t: int, seed: int = 0) -> Tensor:
     norm = np.linalg.norm(vec)
     if norm > 0.0:
         vec /= norm
-    return Tensor(vec)
+    return vec
 
 
 # ---------------------------------------------------------------------------
@@ -343,7 +323,7 @@ def synthetic_teacher_oracle(
     dirs = teacher_directions(d, directions_seed)
     targeted = CORRUPTION_VIEW.get(corruption)
     rng = np.random.default_rng(seed)
-    out = {}
+    rows = []
     for view in VIEWS:
         verdict = -1.0 if view == targeted else 1.0
         emb = class_scale * verdict * dirs["class"]
@@ -351,8 +331,8 @@ def synthetic_teacher_oracle(
             emb = emb + corruption_scale * dirs[view]
         if noise_sigma > 0.0:
             emb = emb + noise_sigma * rng.normal(size=d)
-        out[view] = Tensor(emb)
-    return TeacherEmbeddings(out["text"], out["image"], out["cross"])
+        rows.append(emb)
+    return TeacherEmbeddings(np.stack(rows))
 
 
 # ---------------------------------------------------------------------------

@@ -35,7 +35,7 @@ from .diffcore import (
 )
 from .fileio import FormatError
 from .metrics import Metrics, compute_metrics
-from .model import Model, StackedDataset, infer_d_in
+from .model import Model, StackedDataset, check_fit, infer_d_in
 from .teacher import TeacherEmbeddings, fallback_embed
 from .views import SOURCE_TAGS
 
@@ -100,15 +100,11 @@ def replace_teacher_with_content_embeddings(samples: list[Sample], d: int) -> li
     structure while staying content-dependent."""
     if d < 8:
         raise ConfigError(f"content embeddings need d >= 8, got {d}")
+    view_sources = (("text-tokens",), ("image-patches",), ("clip-text", "clip-image"))
     return [
-        replace(
-            s,
-            teacher=TeacherEmbeddings(
-                text=fallback_embed(s.content("text-tokens"), d),
-                image=fallback_embed(s.content("image-patches"), d),
-                cross=fallback_embed(s.content("clip-text", "clip-image"), d),
-            ),
-        )
+        replace(s, teacher=TeacherEmbeddings(
+            np.stack([fallback_embed(s.content(*tags), d) for tags in view_sources])
+        ))
         for s in samples
     ]
 
@@ -120,12 +116,14 @@ def train(
     cfg.validate()
     if not dataset:
         raise ValidationError("training set is empty")
+    d_in = infer_d_in(dataset)
+    check_fit(cfg, d_in, dataset)
     if cfg.no_reasoning_prompts_mode:
         dataset = replace_teacher_with_content_embeddings(dataset, cfg.d)
     has_teacher = all(s.teacher is not None for s in dataset)
 
     start = time.perf_counter()
-    model = Model(cfg, infer_d_in(dataset))
+    model = Model(cfg, d_in)
     optimizer = Adam(model.parameters(), cfg.learning_rate)
     data = StackedDataset.from_samples(dataset, include_teacher=has_teacher)
     shuffle_rng = np.random.default_rng(np.random.SeedSequence((cfg.master_seed, 17)))
@@ -208,7 +206,8 @@ def _table(
     """One row per ``(name, overrides)`` variant, over seeds ``master_seed + k``.
 
     The jobs are listed variant-major, seed-minor and run by ``_run_jobs``,
-    once every job's config has passed ``validate``.
+    once every job's config has passed ``validate`` and ``check_fit`` against
+    the train set.
     """
     if n_seeds < 1:
         raise ParameterError(f"a table needs n_seeds >= 1, got {n_seeds}")
@@ -219,6 +218,9 @@ def _table(
         for _, overrides in variants
         for k in range(n_seeds)
     ]
+    d_in = infer_d_in(train_set)
+    for job in jobs:
+        check_fit(job, d_in, train_set)
     metrics = _run_jobs(jobs, train_set, test_set)
     rows = []
     for i, (name, _) in enumerate(variants):

@@ -105,9 +105,6 @@ class ViewEncoderParams:
         missing = [tag for tag in SOURCE_TAGS if tag not in d_in]
         if missing:
             raise ValidationError(f"d_in missing source tags: {missing}")
-        widths = sorted({d_in[tag] for tag in SOURCE_TAGS})
-        if heads < 1 or any(w % heads for w in widths):
-            raise ValidationError(f"encoder heads={heads} must divide every input width {widths}")
         self.d_in = dict(d_in)
         self.d = d
         self.heads = heads

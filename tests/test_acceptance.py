@@ -18,7 +18,6 @@ from mvrd.datasynth import SyntheticConfig, generate_dataset, split
 from mvrd.diffcore import Tensor, backward, grad_check
 from mvrd.metrics import auc_pairwise, auc_rank, compute_metrics, welch_ttest
 from mvrd.model import Model, StackedDataset, infer_d_in
-from mvrd.teacher import TeacherEmbeddings
 from mvrd.trainer import (
     Adam,
     ablation_suite,
@@ -95,7 +94,7 @@ def test_criterion_2_loss_identities():
 
     def distill_loss(student_values, teacher_values, y, tau, alpha):
         student = Tensor(np.tile(student_values, (3, 1)), requires_grad=True)
-        teacher = Tensor(np.tile(teacher_values, (3, 1)))
+        teacher = np.tile(teacher_values, (3, 1))
         return distill_losses(student, teacher, y, TrainConfig(tau=tau, alpha=alpha), params)
 
     # (a) both LossBreakdown identities on 100 random configurations
@@ -111,8 +110,7 @@ def test_criterion_2_loss_identities():
             mean(Tensor(rng.uniform(0, 2, size=1), requires_grad=True)),
             mean(Tensor(rng.uniform(0, 2, size=1), requires_grad=True)),
             distill,
-            np.ones(3),
-            lam,
+            TrainConfig(lambda_=lam),
         )
         err_c, err_total = breakdown.identity_errors()
         assert err_c <= 1e-12 and err_total <= 1e-12
@@ -286,12 +284,11 @@ def test_criterion_9_teacher_constancy():
     ds = generate_dataset(synth)
     cfg = TrainConfig(d=8, d_h=16, heads=4, encoder_heads=2, epochs=1, batch_size=16, master_seed=2)
 
-    # teacher embeddings never acquire gradient state
+    # teacher embeddings are plain arrays that training leaves as they were
+    before = [s.teacher.values.copy() for s in ds]
     train(cfg, ds)
-    for s in ds:
-        for view in ("text", "image", "cross"):
-            assert not s.teacher.view(view).requires_grad
-            assert s.teacher.view(view).grad is None
+    for s, values in zip(ds, before):
+        assert s.teacher.values.tobytes() == values.tobytes()
 
     # replacing the teacher mid-run under lambda = 0 is bitwise invisible
     cfg0 = cfg.replace(lambda_=0.0)

@@ -6,7 +6,8 @@ import json
 import pytest
 
 from mvrd.cli import main
-from mvrd.datasynth import load_features_file
+from mvrd.config import build_configs, read_config_file
+from mvrd.datasynth import generate_dataset, load_features_file
 from mvrd.teacher import load_teacher_file
 
 TINY_CONFIG = """
@@ -49,6 +50,16 @@ class TestGenData:
         assert len(samples) == 48
         teacher = load_teacher_file(data_dir / "teacher.jsonl")
         assert set(teacher.embeddings) == {s.sample_id for s in samples}
+
+    def test_teacher_round_trip_gives_oracle_rows_projected(self, data_dir, config_file):
+        # gen-data writes the oracle's raw rows; loading projects each one
+        _, synth = build_configs(read_config_file(config_file))
+        teacher = load_teacher_file(data_dir / "teacher.jsonl")
+        matrix = teacher.spec.matrix()
+        for s in generate_dataset(synth):
+            loaded = teacher.embeddings[s.sample_id].values
+            for row, raw in zip(loaded, s.teacher.values):
+                assert row.tobytes() == (raw @ matrix).tobytes()
 
 
 class TestTrainEval:

@@ -12,7 +12,7 @@ import pytest
 
 from mvrd.config import ConfigError, TrainConfig
 from mvrd.datasynth import Sample
-from mvrd.diffcore import ParameterError, Tensor, backward, linear, mean, reshape, zero_grads
+from mvrd.diffcore import Tensor, backward, linear, mean, reshape, zero_grads
 from mvrd.fusion import (
     FusionParams,
     classification_losses,
@@ -23,7 +23,6 @@ from mvrd.model import Model, StackedDataset
 from mvrd.views import SOURCE_TAGS, EmbeddedSequence
 
 TEXT, IMAGE, CROSS = range(3)
-ALL_VIEWS = np.ones(3)
 
 
 def weighted_sum(out, w):
@@ -227,8 +226,8 @@ class TestClassificationLosses:
 
 
 class TestTotalLoss:
-    """total_loss takes the (3,) per-view distillation vector and a 0/1 weight
-    per view; a view left out of a test has weight 0."""
+    """total_loss takes the (3,) per-view distillation vector and reads lambda
+    and the 0/1 view weights off the config; a view a test drops has weight 0."""
 
     def scalar(self, x):
         return mean(Tensor(np.array([x]), requires_grad=True))
@@ -237,14 +236,14 @@ class TestTotalLoss:
         return Tensor(np.array([text, image, cross]), requires_grad=True)
 
     def test_lambda_zero_equals_classification(self):
-        breakdown = total_loss(
-            self.scalar(0.7), self.scalar(1.1), self.vector(text=5.0), np.array([1.0, 0, 0]), 0.0
-        )
+        cfg = TrainConfig(lambda_=0.0, drop_L_image=True, drop_L_cross=True)
+        breakdown = total_loss(self.scalar(0.7), self.scalar(1.1), self.vector(text=5.0), cfg)
         assert breakdown.total == breakdown.classification
         assert breakdown.classification == pytest.approx(1.8, abs=1e-15)
 
     def test_zero_distill_terms(self):
-        breakdown = total_loss(self.scalar(0.7), self.scalar(1.1), self.vector(), ALL_VIEWS, 3.0)
+        cfg = TrainConfig(lambda_=3.0)
+        breakdown = total_loss(self.scalar(0.7), self.scalar(1.1), self.vector(), cfg)
         assert breakdown.total == breakdown.classification
 
     def test_arithmetic(self):
@@ -252,8 +251,7 @@ class TestTotalLoss:
             self.scalar(0.4),
             self.scalar(0.6),
             self.vector(text=0.1, image=9.9, cross=0.3),
-            np.array([1.0, 0.0, 1.0]),
-            0.5,
+            TrainConfig(lambda_=0.5, drop_L_image=True),
         )
         assert breakdown.total == pytest.approx(1.2, abs=1e-12)
         assert set(breakdown.distill) == {"text", "cross"}
@@ -267,19 +265,14 @@ class TestTotalLoss:
                 self.scalar(float(rng.uniform(0, 2))),
                 self.scalar(float(rng.uniform(0, 2))),
                 distill,
-                ALL_VIEWS,
-                lam,
+                TrainConfig(lambda_=lam),
             )
             err_c, err_total = breakdown.identity_errors()
             assert err_c <= 1e-12
             assert err_total <= 1e-12
 
-    def test_negative_lambda_rejected(self):
-        with pytest.raises(ParameterError):
-            total_loss(self.scalar(1.0), self.scalar(1.0), None, ALL_VIEWS, -0.1)
-
     def test_graph_backpropagates(self):
         final = self.scalar(0.5)
         branch = self.scalar(0.25)
-        breakdown = total_loss(final, branch, None, ALL_VIEWS, 1.0)
+        breakdown = total_loss(final, branch, None, TrainConfig())
         backward(breakdown.graph)

@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 
 from mvrd.config import TrainConfig
 from mvrd.datasynth import SyntheticConfig, generate_dataset, load_features_file, save_features_file
-from mvrd.diffcore import Tensor, ValidationError
+from mvrd.diffcore import ValidationError
 from mvrd.fileio import FormatError
 from mvrd.model import Model
 from mvrd.teacher import ProjectionSpec, ReasoningRecord, load_teacher_file, save_teacher_file
@@ -37,7 +37,7 @@ def write_features(path):
 def write_teacher(path):
     rng = np.random.default_rng(0)
     records = [
-        ReasoningRecord(f"s{i}", view, f"chain {i}", Tensor(rng.normal(size=4)))
+        ReasoningRecord(f"s{i}", view, f"chain {i}", rng.normal(size=4))
         for i in range(2)
         for view in VIEWS
     ]

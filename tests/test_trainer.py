@@ -12,10 +12,10 @@ import pytest
 from mvrd import trainer
 from mvrd.config import ConfigError, TrainConfig
 from mvrd.datasynth import SyntheticConfig, generate_dataset, split
-from mvrd.diffcore import ContractError, ParameterError, Tensor, ValidationError, backward
+from mvrd.diffcore import ContractError, DimensionError, ParameterError, ValidationError, backward
 from mvrd.fileio import FormatError
 from mvrd.metrics import Metrics
-from mvrd.model import Model, StackedDataset, infer_d_in
+from mvrd.model import Model, StackedDataset, check_fit, infer_d_in
 from mvrd.teacher import TeacherEmbeddings
 from mvrd.trainer import (
     ABLATION_VARIANTS,
@@ -109,11 +109,7 @@ class TestTrain:
             scrambled.append(
                 dataclasses.replace(
                     s,
-                    teacher=TeacherEmbeddings(
-                        Tensor(rng.normal(size=8)),
-                        Tensor(rng.normal(size=8)),
-                        Tensor(rng.normal(size=8)),
-                    ),
+                    teacher=TeacherEmbeddings(rng.normal(size=(3, 8))),
                 )
             )
         cfg = tiny_cfg(lambda_=0.0)
@@ -122,13 +118,13 @@ class TestTrain:
         assert_params_equal(params_snapshot(m1), params_snapshot(m2))
 
     def test_teacher_carries_no_gradient_state_after_training(self):
+        # the teacher is a plain array: training reads it and leaves it as it was
         ds = tiny_dataset()
+        before = [s.teacher.values.copy() for s in ds]
         model, _ = train(tiny_cfg(epochs=1), ds)
-        for s in ds:
-            for view in ("text", "image", "cross"):
-                t = s.teacher.view(view)
-                assert not t.requires_grad
-                assert t.grad is None
+        for s, values in zip(ds, before):
+            assert type(s.teacher.values) is np.ndarray
+            assert s.teacher.values.tobytes() == values.tobytes()
 
     def test_mid_run_teacher_swap_is_bitwise_invisible_at_lambda_zero(self):
         ds = tiny_dataset()
@@ -275,6 +271,30 @@ class TestAblationRunner:
                 ablation_suite(tiny_cfg(), train_set, test_set, n_seeds=3)
             with pytest.raises(ValidationError, match="nonempty"):
                 sweep(tiny_cfg(), "tau", [1.0], train_set, test_set, n_seeds=1)
+
+    @pytest.mark.parametrize(
+        "overrides, error",
+        [
+            (dict(encoder_heads=3), ValidationError),  # 3 does not divide d_in = 8
+            (dict(d=16, d_h=32, no_feature_extractors_mode=True), ConfigError),  # d_in != d
+            (dict(d=4), DimensionError),  # the teacher is 8 wide
+        ],
+    )
+    def test_corpus_rules_checked_before_any_job(self, monkeypatch, overrides, error):
+        def no_jobs(*args, **kwargs):
+            raise AssertionError("the jobs were started")
+
+        monkeypatch.setattr(trainer, "_run_jobs", no_jobs)
+        ds = tiny_dataset()
+        with pytest.raises(error):
+            ablation_suite(tiny_cfg(**overrides), ds, ds, n_seeds=3)
+        with pytest.raises(error):
+            train(tiny_cfg(**overrides), ds)
+
+    def test_content_teacher_width_is_not_checked(self):
+        # under no_reasoning_prompts_mode the run replaces the 8-wide teacher
+        ds = tiny_dataset()
+        check_fit(tiny_cfg(d=16, d_h=32, no_reasoning_prompts_mode=True), infer_d_in(ds), ds)
 
 
 class TestParallelRunner:
@@ -581,13 +601,13 @@ class TestContentTeacher:
             for view in ("text", "image", "cross"):
                 assert np.array_equal(s1.teacher.view(view).values, s2.teacher.view(view).values)
         # different samples get different embeddings
-        assert not np.array_equal(a[0].teacher.text.values, a[1].teacher.text.values)
+        assert not np.array_equal(a[0].teacher.values[0], a[1].teacher.values[0])
 
     def test_original_dataset_untouched(self):
         ds = tiny_dataset()
-        before = ds[0].teacher.text.values.copy()
+        before = ds[0].teacher.values.copy()
         replace_teacher_with_content_embeddings(ds, d=8)
-        assert np.array_equal(ds[0].teacher.text.values, before)
+        assert np.array_equal(ds[0].teacher.values, before)
 
 
 class TestAblationModes:

@@ -12,8 +12,8 @@ import pytest
 from mvrd.config import TrainConfig
 from mvrd.datasynth import Sample
 from mvrd.diffcore import DimensionError, Tensor, ValidationError, attention, backward, mean, zero_grads
-from mvrd.model import Model, StackedDataset
-from mvrd.views import SOURCE_TAGS, EmbeddedSequence, ViewEncoderParams, pool_and_project
+from mvrd.model import Model, StackedDataset, check_fit
+from mvrd.views import SOURCE_TAGS, EmbeddedSequence, pool_and_project
 
 TEXT, IMAGE, CROSS = range(3)
 
@@ -285,4 +285,4 @@ def test_head_divisibility_enforced():
     d_in = {tag: 8 for tag in SOURCE_TAGS}
     for heads, widths in ((3, d_in), (0, d_in), (4, {**d_in, "clip-image": 6})):
         with pytest.raises(ValidationError, match="heads"):
-            ViewEncoderParams(widths, 6, heads)
+            check_fit(TrainConfig(d=6, encoder_heads=heads), widths)
