@@ -11,9 +11,10 @@ an auxiliary per-view classification term:
            + (1 - alpha) * CE(head_v(student), y)
 
 Each per-view layer is one parameter with a slice per view, so all three
-views run in one pass. The KL direction is fixed: teacher is the reference
-distribution. tau, alpha and the per-view weights are the run's
-``TrainConfig`` settings, checked by its ``validate``.
+views run in one pass. The KL term is one ``tempered_kl`` node, and its
+teacher side, the reference distribution, is the plain array itself. tau,
+alpha and the per-view weights are the run's ``TrainConfig`` settings, checked
+by its ``validate``.
 """
 
 from __future__ import annotations
@@ -28,13 +29,12 @@ from .diffcore import (
     add,
     concat,
     cross_entropy,
-    kl_divergence,
     linear,
     mean,
     relu,
     reshape,
     scale,
-    softmax_temp,
+    tempered_kl,
 )
 from .views import VIEWS, per_view_labels, stacked_parameter
 
@@ -57,12 +57,6 @@ class CalibratorParams:
 
     def parameters(self) -> list[Parameter]:
         return [self.w1, self.b1, self.w2, self.b2, *self.head]
-
-    def zero_corrections(self) -> None:
-        """Reset every correction MLP to the zero function (predictions then
-        match an uncalibrated pipeline exactly)."""
-        for p in (self.w1, self.b1, self.w2, self.b2):
-            p.tensor.values[...] = 0.0
 
 
 def calibrate_views(views: Tensor, params: CalibratorParams) -> Tensor:
@@ -88,16 +82,11 @@ def distill_losses(
     at the run's ``cfg.tau`` and ``cfg.alpha``.
 
     ``calibrated`` is a (B, 3, d) tensor, or (3, d) for one sample, and
-    ``teacher`` the plain array of the same shape. The teacher enters the graph
-    as a fresh tensor that takes no gradient, so it is only ever a target.
-    Every view is computed; ``total_loss`` weights out the disabled ones with
-    ``cfg.view_weights``.
+    ``teacher`` the plain array of the same shape, passed to ``tempered_kl``
+    as it is: a target that no gradient reaches. Every view is computed;
+    ``total_loss`` weights out the disabled ones with ``cfg.view_weights``.
     """
-    if calibrated.shape != teacher.shape:
-        raise DimensionError(
-            f"student/teacher shapes disagree: {calibrated.shape} vs {teacher.shape}"
-        )
-    kl = kl_divergence(softmax_temp(Tensor(teacher), cfg.tau), softmax_temp(calibrated, cfg.tau))
+    kl = tempered_kl(calibrated, teacher, cfg.tau)
     ce = cross_entropy(linear(calibrated, *params.head), per_view_labels(y))
     if kl.ndim > 1:
         kl = mean(kl, axis=0)

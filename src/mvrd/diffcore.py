@@ -1,7 +1,7 @@
 """Minimal reverse-mode autodiff over float64 numpy arrays.
 
 Everything in this package that needs gradients runs through the small op set
-below, eleven ops in all. A whole multi-head attention block is one of them:
+below, ten ops in all. A whole multi-head attention block is one of them:
 ``attention`` projects its inputs to Q, K and V, runs the per-head
 softmax(Q K^T / sqrt(d_k)) V loop and mixes the heads with W_O inside a single
 op, so an attention block records one node. ``linear`` also takes a stacked
@@ -39,7 +39,6 @@ __all__ = [
     "concat",
     "cross_entropy",
     "grad_check",
-    "kl_divergence",
     "linear",
     "make_parameter",
     "mean",
@@ -48,7 +47,7 @@ __all__ = [
     "relu",
     "reshape",
     "scale",
-    "softmax_temp",
+    "tempered_kl",
     "zero_grads",
 ]
 
@@ -62,14 +61,13 @@ class ParameterError(ValueError):
 
 
 class ValidationError(ValueError):
-    """Input values violate a documented precondition (e.g. not a distribution)."""
+    """Input values violate a documented precondition (e.g. a ragged batch)."""
 
 
 class ContractError(RuntimeError):
     """An op was used outside its documented calling contract."""
 
 
-KL_CLAMP = 1e-12
 REL_ERR_FLOOR = 1e-8
 
 
@@ -338,29 +336,15 @@ def _softmax(z: np.ndarray) -> np.ndarray:
     return e / e.sum(axis=-1, keepdims=True)
 
 
+def _log_softmax(z: np.ndarray) -> np.ndarray:
+    """log softmax(z) over the last axis, max-subtracted: finite for finite z."""
+    shifted = z - z.max(axis=-1, keepdims=True)
+    return shifted - np.log(np.exp(shifted).sum(axis=-1, keepdims=True))
+
+
 def _softmax_grad(s: np.ndarray, g: np.ndarray) -> np.ndarray:
     """Gradient w.r.t. the softmax input z, given s = _softmax(z) and dL/ds = g."""
     return s * (g - (g * s).sum(axis=-1, keepdims=True))
-
-
-def softmax_temp(x, tau: float) -> Tensor:
-    """Temperature-scaled softmax over the last axis, max-subtracted for stability.
-
-    out_i = exp(x_i/tau - max(x)/tau) / sum_j exp(x_j/tau - max(x)/tau)
-    """
-    x = _tensor(x)
-    tau = float(tau)
-    if not tau > 0.0:
-        raise ParameterError(f"temperature must be positive, got {tau}")
-    if x.ndim < 1 or x.shape[-1] < 1:
-        raise DimensionError(f"softmax_temp needs a nonempty last axis, got {x.shape}")
-    s = _softmax(x.values / tau)
-
-    def backward_fn(g):
-        if x.requires_grad:
-            x.grad += _softmax_grad(s, g) / tau
-
-    return _emit(s, (x,), backward_fn)
 
 
 def attention(x_q, x_kv, w_q, w_k, w_v, w_o, heads: int) -> Tensor:
@@ -436,42 +420,36 @@ def attention(x_q, x_kv, w_q, w_k, w_v, w_o, heads: int) -> Tensor:
     return _emit(np.matmul(heads_out, w_o.values), (x_q, x_kv, w_q, w_k, w_v, w_o), backward_fn)
 
 
-def _check_distribution(t: Tensor, label: str) -> None:
-    if np.any(t.values < 0.0):
-        raise ValidationError(f"{label} has negative entries")
-    sums = t.values.sum(axis=-1)
-    if np.any(np.abs(sums - 1.0) > 1e-9):
-        raise ValidationError(f"{label} does not sum to 1 (max deviation {np.max(np.abs(sums - 1.0)):.3e})")
+def tempered_kl(student, teacher, tau: float) -> Tensor:
+    """KL(softmax(teacher/tau) || softmax(student/tau)) over the last axis, one
+    value per row.
 
-
-def kl_divergence(p, q) -> Tensor:
-    """KL(p || q) over the last axis, with 0*ln(0) := 0 and q clamped to >= 1e-12.
-
-    p is typically the gradient-free teacher distribution; gradient flows only
-    into inputs that require it.
+    ``teacher`` is a plain array of the student's shape, a fixed target like
+    ``cross_entropy``'s labels: the gradient goes into the student only,
+    (q - p) / tau. Both sides are log-softmaxes, so no probability is clamped
+    and a teacher probability that underflows to 0 adds exactly 0.
     """
-    p, q = _tensor(p), _tensor(q)
-    if p.shape != q.shape:
-        raise DimensionError(f"kl_divergence shapes disagree: {p.shape} vs {q.shape}")
-    _check_distribution(p, "p")
-    _check_distribution(q, "q")
-    pc = np.maximum(p.values, KL_CLAMP)
-    qc = np.maximum(q.values, KL_CLAMP)
-    log_ratio = np.log(pc) - np.log(qc)
-    values = np.where(p.values > 0.0, p.values * log_ratio, 0.0).sum(axis=-1)
+    x = _tensor(student)
+    tau = float(tau)
+    if not tau > 0.0:
+        raise ParameterError(f"temperature must be positive, got {tau}")
+    t = np.asarray(teacher, dtype=np.float64)
+    if t.shape != x.shape or x.ndim < 1 or x.shape[-1] < 1:
+        raise DimensionError(f"tempered_kl shapes disagree: student {x.shape} vs teacher {t.shape}")
+    log_p = _log_softmax(t / tau)
+    log_q = _log_softmax(x.values / tau)
+    p = np.exp(log_p)
+    values = (p * (log_p - log_q)).sum(axis=-1)
 
     def backward_fn(g):
-        g = np.expand_dims(g, -1)
-        if q.requires_grad:
-            q.grad += -g * (p.values / qc) * (q.values >= KL_CLAMP)
-        if p.requires_grad:
-            p.grad += g * np.where(p.values > 0.0, log_ratio + 1.0, 0.0)
+        if x.requires_grad:
+            x.grad += np.expand_dims(g, -1) * (np.exp(log_q) - p) / tau
 
-    return _emit(np.asarray(values), (p, q), backward_fn)
+    return _emit(np.asarray(values), (x,), backward_fn)
 
 
 def cross_entropy(logits, y) -> Tensor:
-    """-log_softmax(logits)[y], max-subtracted; batched logits give one loss per row."""
+    """-log_softmax(logits)[y]; batched logits give one loss per row."""
     x = _tensor(logits)
     if x.ndim < 1 or x.shape[-1] < 1:
         raise DimensionError(f"cross_entropy needs a class axis, got {x.shape}")
@@ -481,15 +459,12 @@ def cross_entropy(logits, y) -> Tensor:
         raise DimensionError(f"labels {y_arr.shape} do not match logits {x.shape}")
     if np.any(y_arr < 0) or np.any(y_arr >= n_classes):
         raise IndexError(f"class index out of range [0, {n_classes})")
-    m = x.values.max(axis=-1, keepdims=True)
-    log_z = m.squeeze(-1) + np.log(np.exp(x.values - m).sum(axis=-1))
-    picked = np.take_along_axis(x.values, y_arr[..., None], axis=-1).squeeze(-1)
-    values = log_z - picked
+    log_soft = _log_softmax(x.values)
+    values = -np.take_along_axis(log_soft, y_arr[..., None], axis=-1).squeeze(-1)
 
     def backward_fn(g):
         if x.requires_grad:
-            soft = np.exp(x.values - m)
-            soft /= soft.sum(axis=-1, keepdims=True)
+            soft = np.exp(log_soft)
             onehot = np.zeros_like(x.values)
             np.put_along_axis(onehot, y_arr[..., None], 1.0, axis=-1)
             x.grad += np.expand_dims(g, -1) * (soft - onehot)

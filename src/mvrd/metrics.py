@@ -87,16 +87,11 @@ def compute_metrics(labels, logits) -> Metrics:
     tp_r = int(((preds == 0) & (labels == 0)).sum())
     fp_r = fn_f
     fn_r = fp_f
-    auc = auc_rank(labels, fake_score)
-    if labels.size <= 500:
-        oracle = auc_pairwise(labels, fake_score)
-        if auc != oracle:
-            raise AssertionError(f"rank AUC {auc!r} disagrees with pairwise oracle {oracle!r}")
     return Metrics(
         accuracy=accuracy,
         f1_fake=_f1(tp_f, fp_f, fn_f),
         f1_real=_f1(tp_r, fp_r, fn_r),
-        auc=auc,
+        auc=auc_rank(labels, fake_score),
     )
 
 

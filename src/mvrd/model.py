@@ -47,6 +47,8 @@ from .fusion import (
 )
 from .views import SOURCE_TAGS, VIEWS, ViewEncoderParams, co_pool_and_project, pool_and_project
 
+PREDICT_CHUNK = 256
+
 
 def infer_d_in(samples) -> dict[str, int]:
     dims: dict[str, int] = {}
@@ -214,16 +216,14 @@ class Model:
 
     # -- inference ----------------------------------------------------------
 
-    def predict_logits(
-        self, samples, chunk_size: int = 256, use_calibration: bool = True
-    ) -> np.ndarray:
-        """Final-classifier logits, (N, 2); teacher embeddings are never needed."""
+    def predict_logits(self, samples) -> np.ndarray:
+        """Final-classifier logits, (N, 2), stacked ``PREDICT_CHUNK`` samples at a
+        time; teacher embeddings are never needed."""
         out = []
         with no_grad():
-            for start in range(0, len(samples), chunk_size):
-                chunk = samples[start : start + chunk_size]
+            for start in range(0, len(samples), PREDICT_CHUNK):
+                chunk = samples[start : start + PREDICT_CHUNK]
                 views = self.encode_batch(StackedDataset.from_samples(chunk, include_teacher=False))
-                target = calibrate_views(views, self.calibrator) if use_calibration else views
-                logits = linear(self.fuse(target), *self.fusion.final_head)
-                out.append(logits.values)
+                fused = self.fuse(calibrate_views(views, self.calibrator))
+                out.append(linear(fused, *self.fusion.final_head).values)
         return np.concatenate(out, axis=0)

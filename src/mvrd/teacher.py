@@ -14,8 +14,9 @@ neither is bundled here. This module provides everything around that gap:
 
 A sample's teacher is one (3, d) float64 array, a row per view in ``VIEWS``
 order, and a raw embedding is a plain (d_t,) array. Plain arrays carry no
-gradient, so teacher targets are gradient-free by type: no backward path can
-reach them.
+gradient, so teacher targets are gradient-free by type: the (B, 3, d) batch
+array goes straight into ``diffcore.tempered_kl``, and no backward path can
+reach it.
 """
 
 from __future__ import annotations
@@ -149,7 +150,6 @@ class ReasoningRecord:
 @dataclass
 class TeacherFileData:
     spec: ProjectionSpec
-    records: list[ReasoningRecord]
     embeddings: dict[str, TeacherEmbeddings]
 
 
@@ -182,7 +182,9 @@ def save_teacher_file(records, spec: ProjectionSpec, path) -> None:
 
 
 def load_teacher_file(path) -> TeacherFileData:
-    """Load and validate a teacher file; every sample must carry all three views."""
+    """Load and validate a teacher file; every sample must carry all three views.
+
+    Each record must carry a chain, but only the projected rows are kept."""
     path = Path(path)
     header, lines = read_record_lines(path)
     check_format_version(path, header)
@@ -191,8 +193,7 @@ def load_teacher_file(path) -> TeacherFileData:
     except ParameterError as exc:
         raise FormatError(f"{path}: header {exc}") from exc
 
-    records: list[ReasoningRecord] = []
-    by_sample: dict[str, dict[str, ReasoningRecord]] = {}
+    by_sample: dict[str, dict[str, np.ndarray]] = {}
     for lineno, obj in lines:
         try:
             rec = ReasoningRecord(
@@ -213,8 +214,7 @@ def load_teacher_file(path) -> TeacherFileData:
         slot = by_sample.setdefault(rec.sample_id, {})
         if rec.view in slot:
             raise ValidationError(f"duplicate record for ({rec.sample_id!r}, {rec.view})")
-        slot[rec.view] = rec
-        records.append(rec)
+        slot[rec.view] = rec.raw_embedding
 
     missing = [
         (sid, view) for sid, views in by_sample.items() for view in VIEWS if view not in views
@@ -225,10 +225,10 @@ def load_teacher_file(path) -> TeacherFileData:
     # row by row: one (3, d_t) GEMM would round differently from three GEMVs
     matrix = spec.matrix()
     embeddings = {
-        sid: TeacherEmbeddings(np.stack([views[v].raw_embedding @ matrix for v in VIEWS]))
+        sid: TeacherEmbeddings(np.stack([views[v] @ matrix for v in VIEWS]))
         for sid, views in by_sample.items()
     }
-    return TeacherFileData(spec=spec, records=records, embeddings=embeddings)
+    return TeacherFileData(spec=spec, embeddings=embeddings)
 
 
 # ---------------------------------------------------------------------------

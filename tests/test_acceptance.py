@@ -15,7 +15,7 @@ import pytest
 from mvrd.calibration import CalibratorParams, calibrate_views, distill_losses
 from mvrd.config import TrainConfig
 from mvrd.datasynth import SyntheticConfig, generate_dataset, split
-from mvrd.diffcore import Tensor, backward, grad_check
+from mvrd.diffcore import Tensor, backward, grad_check, linear, no_grad
 from mvrd.metrics import auc_pairwise, auc_rank, compute_metrics, welch_ttest
 from mvrd.model import Model, StackedDataset, infer_d_in
 from mvrd.trainer import (
@@ -33,6 +33,12 @@ RUN_CFG = TrainConfig(epochs=15, batch_size=64, learning_rate=2e-3, master_seed=
 
 def report(criterion, name, passed=True):
     print(f"ACCEPTANCE {criterion} ({name}): {'PASS' if passed else 'FAIL'}")
+
+
+def zero_corrections(params):
+    """Make every correction MLP of a calibrator the zero function."""
+    for p in (params.w1, params.b1, params.w2, params.b2):
+        p.tensor.values[...] = 0.0
 
 
 @pytest.fixture(scope="module")
@@ -156,7 +162,7 @@ def test_criterion_3_residual_calibration():
         n = int(rng.integers(1, 12))
         if n not in residual:
             residual[n] = CalibratorParams(d=n, d_h=2 * n, master_seed=0)
-            residual[n].zero_corrections()
+            zero_corrections(residual[n])
         f = np.round(rng.uniform(-2, 2, size=(3, n)) * 2**20) / 2**20
         p = np.round(rng.uniform(-2, 2, size=(3, n)) * 2**20) / 2**20
         residual[n].b2.tensor.values[...] = p
@@ -168,9 +174,11 @@ def test_criterion_3_residual_calibration():
     synth = SyntheticConfig(n_samples=64, d_in=8, teacher_dim=8, len_text=4, len_image=4, len_clip=2, seed=9)
     samples = generate_dataset(synth)
     model = Model(TrainConfig(d=8, d_h=16, heads=4, encoder_heads=2, master_seed=1), infer_d_in(samples))
-    model.calibrator.zero_corrections()
-    with_calibration = model.predict_logits(samples, use_calibration=True)
-    without = model.predict_logits(samples, use_calibration=False)
+    zero_corrections(model.calibrator)
+    with_calibration = model.predict_logits(samples)
+    with no_grad():
+        views = model.encode_batch(StackedDataset.from_samples(samples, include_teacher=False))
+        without = linear(model.fuse(views), *model.fusion.final_head).values
     assert np.array_equal(with_calibration, without)
     report(3, "residual identity and zero-correction equivalence")
 
@@ -192,6 +200,8 @@ def test_criterion_4_metric_oracles():
             labels[0] = 1 - labels[0]
         logits = rng.normal(size=(n, 2))
         m = compute_metrics(labels, logits)
+        probs = np.exp(logits - logits.max(axis=1, keepdims=True))
+        assert m.auc == auc_pairwise(labels, probs[:, 1] / probs.sum(axis=1))
         preds = logits.argmax(axis=1)
         tp = int(((preds == 1) & (labels == 1)).sum())
         fp = int(((preds == 1) & (labels == 0)).sum())

@@ -50,11 +50,17 @@ def weighted_sum(out, w):
     return reshape(linear(reshape(out, (n,)), Tensor(w.reshape(n, 1)), Tensor(np.zeros(1))), ())
 
 
+def zero_corrections(params):
+    """Make every correction MLP of a calibrator the zero function."""
+    for p in (params.w1, params.b1, params.w2, params.b2):
+        p.tensor.values[...] = 0.0
+
+
 def residual_params(d, p=None):
     """A calibrator whose correction is the constant p (3, d): the MLP weights
     are zero, so the output layer adds only its bias."""
     params = CalibratorParams(d=d, d_h=2 * d, master_seed=0)
-    params.zero_corrections()
+    zero_corrections(params)
     if p is not None:
         params.b2.tensor.values[...] = p
     return params
@@ -72,7 +78,7 @@ class TestConcatViews:
     def test_fixed_order(self):
         # the text correction's first entry reads context entry k alone
         params = CalibratorParams(d=2, d_h=2, master_seed=0)
-        params.zero_corrections()
+        zero_corrections(params)
         params.w2.tensor.values[TEXT, 0, 0] = 1.0
         v = views_of([1.0, 2.0], [3.0, 4.0], [5.0, 6.0])
         context = []
@@ -107,7 +113,7 @@ class TestConcatViews:
 class TestPredictCorrection:
     def test_zero_weights_give_zero_correction(self):
         params = CalibratorParams(d=4, d_h=8, master_seed=0)
-        params.zero_corrections()
+        zero_corrections(params)
         out = correction_of(Tensor(np.ones((3, 4))), params)
         assert np.array_equal(out, np.zeros((3, 4)))
 

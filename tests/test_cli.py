@@ -2,6 +2,8 @@
 significance test, and error reporting."""
 
 import json
+import sys
+from unittest import mock
 
 import pytest
 
@@ -119,7 +121,8 @@ class TestGenTeacher:
         assert code == 0
         loaded = load_teacher_file(out)
         assert loaded.spec.d_t == 16
-        assert all(r.chain for r in loaded.records)
+        lines = out.read_text(encoding="utf-8").splitlines()[1:]
+        assert lines and all(json.loads(line)["chain"] for line in lines)
 
     def test_zero_student_dim_is_an_error(self, data_dir, tmp_path, capsys):
         out = tmp_path / "teacher-bad.jsonl"
@@ -210,6 +213,51 @@ class TestSweepCommand:
         lines = (out / "sweep_tau.jsonl").read_text("utf-8").strip().splitlines()
         assert len(lines) == 2
         assert json.loads(lines[0])["name"] == "tau=1.0"
+
+    def sweep_with_chart(self, data_dir, config_file, out):
+        return main(
+            [
+                "sweep",
+                "--config",
+                str(config_file),
+                "--features",
+                str(data_dir / "features.jsonl"),
+                "--teacher",
+                str(data_dir / "teacher.jsonl"),
+                "--axis",
+                "tau",
+                "--values",
+                "2.0",
+                "--seeds",
+                "1",
+                "--out",
+                str(out),
+                "--chart",
+            ]
+        )
+
+    def test_chart_reaches_savefig(self, data_dir, config_file, tmp_path, capsys, monkeypatch):
+        # a stand-in matplotlib: the chart is drawn and saved to the PNG path
+        fig = mock.MagicMock()
+        pyplot = mock.MagicMock()
+        pyplot.subplots.return_value = (fig, mock.MagicMock())
+        monkeypatch.setitem(sys.modules, "matplotlib", mock.MagicMock(pyplot=pyplot))
+        monkeypatch.setitem(sys.modules, "matplotlib.pyplot", pyplot)
+        out = tmp_path / "sweep"
+        assert self.sweep_with_chart(data_dir, config_file, out) == 0
+        fig.savefig.assert_called_once_with(out / "sweep_tau.png", dpi=120)
+        pyplot.close.assert_called_once_with(fig)
+        assert "skipped chart" not in capsys.readouterr().err
+
+    def test_chart_skipped_without_matplotlib(
+        self, data_dir, config_file, tmp_path, capsys, monkeypatch
+    ):
+        monkeypatch.setitem(sys.modules, "matplotlib", None)  # import raises ImportError
+        out = tmp_path / "sweep"
+        assert self.sweep_with_chart(data_dir, config_file, out) == 0
+        assert "matplotlib unavailable; skipped chart" in capsys.readouterr().err
+        assert (out / "sweep_tau.jsonl").exists()
+        assert not (out / "sweep_tau.png").exists()
 
     def test_zero_seeds_is_parameter_error(self, data_dir, config_file, capsys):
         code = main(

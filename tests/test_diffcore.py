@@ -11,13 +11,11 @@ from mvrd.diffcore import (
     DimensionError,
     ParameterError,
     Tensor,
-    ValidationError,
     add,
     attention,
     backward,
     concat,
     cross_entropy,
-    kl_divergence,
     linear,
     make_parameter,
     mean,
@@ -25,7 +23,7 @@ from mvrd.diffcore import (
     relu,
     reshape,
     scale,
-    softmax_temp,
+    tempered_kl,
 )
 
 
@@ -74,34 +72,55 @@ class TestStackedLinear:
             linear(Tensor(np.zeros(x_shape)), Tensor(np.zeros(w_shape)), Tensor(np.zeros(b_shape)))
 
 
+def softmax(z):
+    e = np.exp(z - z.max(axis=-1, keepdims=True))
+    return e / e.sum(axis=-1, keepdims=True)
+
+
+def student_softmax(student, teacher, tau):
+    """softmax(student/tau) of one row, read back from tempered_kl's gradient
+    (q - p) / tau as tau * grad + p."""
+    x = Tensor(student, requires_grad=True)
+    backward(tempered_kl(x, teacher, tau))
+    return tau * x.grad + softmax(teacher / tau)
+
+
 class TestSoftmaxTemp:
+    """The temperature softmax that both sides of ``tempered_kl`` go through."""
+
     def test_uniform_on_constant(self):
-        out = softmax_temp(Tensor([0.0, 0.0, 0.0]), 3.7)
-        assert np.allclose(out.values, 1.0 / 3.0, atol=1e-15)
+        # a constant row is the uniform distribution at any temperature
+        out = tempered_kl(Tensor([5.0, 5.0, 5.0]), np.zeros(3), 3.7)
+        assert out.item() == 0.0
+        assert np.allclose(student_softmax([5.0, 5.0, 5.0], np.zeros(3), 3.7), 1.0 / 3.0, atol=1e-15)
 
     def test_hand_value(self):
-        # direct evaluation of exp(x/tau)/sum
-        out = softmax_temp(Tensor([1.0, 2.0]), 1.0)
-        expected = np.exp([1.0, 2.0]) / np.exp([1.0, 2.0]).sum()
-        assert np.allclose(out.values, expected, atol=1e-15)
-        assert abs(out.values[0] - 0.2689414213699951) < 1e-12
+        # teacher softmax([1, 2]) against a uniform student: sum p ln p + ln 2
+        p0 = 0.2689414213699951
+        expected = p0 * math.log(p0) + (1.0 - p0) * math.log(1.0 - p0) + math.log(2.0)
+        out = tempered_kl(Tensor([0.0, 0.0]), np.array([1.0, 2.0]), 1.0)
+        assert abs(out.item() - expected) < 1e-12
+        q = student_softmax([1.0, 2.0], np.zeros(2), 1.0)
+        assert abs(q[0] - p0) < 1e-12
 
     def test_high_temperature_limit(self):
-        out = softmax_temp(Tensor([1.0, 2.0]), 1000.0)
-        assert np.allclose(out.values, [0.5, 0.5], atol=1e-3)
+        # both sides go uniform, so the divergence vanishes as 1/tau^2
+        out = tempered_kl(Tensor([2.0, 1.0]), np.array([1.0, 2.0]), 1000.0)
+        assert 0.0 < out.item() < 1.0 / 1000.0**2
 
     def test_sums_to_one_and_positive(self):
         rng = np.random.default_rng(1)
         for _ in range(50):
-            x = rng.normal(scale=50.0, size=rng.integers(1, 9))
-            out = softmax_temp(Tensor(x), float(rng.uniform(0.1, 10)))
-            assert abs(out.values.sum() - 1.0) <= 1e-12
-            assert np.all(out.values > 0.0) and np.all(out.values <= 1.0)
+            n = int(rng.integers(1, 9))
+            x, t = rng.normal(scale=50.0, size=(2, n))
+            q = student_softmax(x, t, float(rng.uniform(0.1, 10)))
+            assert abs(q.sum() - 1.0) <= 1e-12
+            assert np.all(q > -1e-12) and np.all(q <= 1.0 + 1e-12)
 
     def test_nonpositive_tau_rejected(self):
-        for tau in (0.0, -1.0):
+        for tau in (0.0, -1.0, float("nan")):
             with pytest.raises(ParameterError):
-                softmax_temp(Tensor([1.0, 2.0]), tau)
+                tempered_kl(Tensor([1.0, 2.0]), np.zeros(2), tau)
 
 
 def attention_reference(q, k, v, heads):
@@ -182,10 +201,10 @@ class TestAttention:
         with pytest.raises(DimensionError, match=match):
             attention(*(Tensor(np.zeros(shape)) for shape in shapes), 1)
 
-    def test_default_step_records_44_nodes(self):
+    def test_default_step_records_43_nodes(self):
         # each of the five attention blocks, projections included, records a
-        # single attention node, and the per-view layers run once over the
-        # (B, 3, d) view tensor
+        # single attention node, the per-view layers run once over the
+        # (B, 3, d) view tensor, and the tempered KL is one node
         from mvrd.config import TrainConfig
         from mvrd.datasynth import SyntheticConfig, generate_dataset
         from mvrd.model import Model, StackedDataset, infer_d_in
@@ -195,44 +214,64 @@ class TestAttention:
         batch = StackedDataset.from_samples(dataset, include_teacher=True)
         before = len(diffcore._state.tape)
         breakdown = model.forward_loss(batch)
-        assert len(diffcore._state.tape) - before == 44
+        assert len(diffcore._state.tape) - before == 43
         backward(breakdown.graph)
         assert len(diffcore._state.tape) == 0
 
 
+def numpy_kl(student, teacher, tau):
+    """KL(softmax(teacher/tau) || softmax(student/tau)) row by row, from probabilities."""
+    p, q = softmax(np.asarray(teacher) / tau), softmax(np.asarray(student) / tau)
+    return (p * np.log(p / q)).sum(axis=-1)
+
+
 class TestKLDivergence:
     def test_identical_distributions_exact_zero(self):
-        p = Tensor([0.3, 0.7])
-        assert kl_divergence(p, Tensor([0.3, 0.7])).item() == 0.0
+        rng = np.random.default_rng(0)
+        logits = rng.normal(scale=5.0, size=(4, 3, 8))
+        out = tempered_kl(Tensor(logits), logits.copy(), 2.0)
+        assert out.shape == (4, 3)
+        assert np.array_equal(out.values, np.zeros((4, 3)))
 
     def test_hand_value(self):
-        # 0.5*ln(0.5/0.25) + 0.5*ln(0.5/0.75)
+        # p = (0.5, 0.5), q = (0.25, 0.75): 0.5*ln(0.5/0.25) + 0.5*ln(0.5/0.75)
         expected = 0.5 * math.log(2.0) + 0.5 * math.log(2.0 / 3.0)
-        out = kl_divergence(Tensor([0.5, 0.5]), Tensor([0.25, 0.75]))
+        out = tempered_kl(Tensor([0.0, 2.0 * math.log(3.0)]), np.zeros(2), 2.0)
         assert abs(out.item() - expected) < 1e-15
         assert abs(out.item() - 0.14384103622589045) < 1e-12
+
+    def test_matches_numpy_kl(self):
+        rng = np.random.default_rng(3)
+        for _ in range(20):
+            x, t = rng.normal(scale=3.0, size=(2, 5, 3, 6))
+            tau = float(rng.uniform(0.5, 4.0))
+            expected = numpy_kl(x, t, tau)
+            assert np.allclose(tempered_kl(Tensor(x), t, tau).values, expected, rtol=1e-10, atol=1e-14)
 
     def test_nonnegative(self):
         rng = np.random.default_rng(2)
         for _ in range(100):
-            p = rng.dirichlet(np.ones(5))
-            q = rng.dirichlet(np.ones(5))
-            assert kl_divergence(Tensor(p), Tensor(q)).item() >= -1e-12
+            x, t = rng.normal(scale=10.0, size=(2, 5))
+            assert tempered_kl(Tensor(x), t, float(rng.uniform(0.1, 10.0))).item() >= 0.0
 
     def test_zero_times_log_zero(self):
-        out = kl_divergence(Tensor([0.0, 1.0]), Tensor([0.5, 0.5]))
-        assert np.isfinite(out.item())
+        # logits 1,000 apart: the teacher's first probability underflows to 0
+        # and adds exactly 0, and the value and gradient stay finite
+        x = Tensor([0.0, 0.0], requires_grad=True)
+        out = tempered_kl(x, np.array([0.0, 1000.0]), 1.0)
         assert abs(out.item() - math.log(2.0)) < 1e-12
+        backward(out)
+        assert np.array_equal(x.grad, [0.5, -0.5])
+        far = Tensor([1000.0, -1000.0], requires_grad=True)
+        out = tempered_kl(far, np.array([-1000.0, 1000.0]), 1.0)
+        backward(out)
+        assert out.item() == 2000.0
+        assert np.array_equal(far.grad, [1.0, -1.0])
 
     def test_length_mismatch(self):
-        with pytest.raises(DimensionError):
-            kl_divergence(Tensor([1.0]), Tensor([0.5, 0.5]))
-
-    def test_unnormalized_rejected(self):
-        with pytest.raises(ValidationError):
-            kl_divergence(Tensor([0.5, 0.6]), Tensor([0.5, 0.5]))
-        with pytest.raises(ValidationError):
-            kl_divergence(Tensor([-0.1, 1.1]), Tensor([0.5, 0.5]))
+        for student, teacher in (([1.0], [0.5, 0.5]), (np.zeros((2, 3)), np.zeros((3, 2))), ([], [])):
+            with pytest.raises(DimensionError):
+                tempered_kl(Tensor(student), np.asarray(teacher), 1.0)
 
 
 class TestCrossEntropy:
@@ -377,8 +416,8 @@ class TestDeterminism:
 
         def run():
             t = Tensor(x, requires_grad=True)
-            out = softmax_temp(linear(relu(t), w, np.zeros(2)), 2.0)
-            loss = mean(kl_divergence(Tensor(np.full((3, 2), 0.5)), out))
+            out = linear(relu(t), w, np.zeros(2))
+            loss = mean(tempered_kl(out, np.full((3, 2), 0.5), 2.0))
             backward(loss)
             return out.values.copy(), t.grad.copy(), loss.item()
 
@@ -421,7 +460,7 @@ class TestFiniteness:
         x = Tensor(rng.normal(scale=2.0, size=(4, 6)), requires_grad=True)
         w = Tensor(rng.normal(size=(6, 3)), requires_grad=True)
         b = Tensor(rng.normal(size=3), requires_grad=True)
-        out = softmax_temp(relu(linear(x, w, b)), 0.5)
+        out = tempered_kl(relu(linear(x, w, b)), rng.normal(size=(4, 3)), 0.5)
         loss = mean(cross_entropy(linear(x, w, b), np.array([0, 1, 2, 0])))
         backward(loss)
         for t in (x, w, b, out):

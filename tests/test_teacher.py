@@ -119,9 +119,13 @@ class TestTeacherFile:
         loaded = load_teacher_file(path)
         assert loaded.spec == spec
         assert len(loaded.embeddings) == 3
-        for orig, back in zip(records, loaded.records):
-            assert np.array_equal(orig.raw_embedding, back.raw_embedding)
-            assert orig.chain == back.chain
+        # the raw rows come back bit-exact: each loaded row is raw @ matrix
+        for rec in records:
+            row = loaded.embeddings[rec.sample_id].values[VIEWS.index(rec.view)]
+            assert np.array_equal(row, rec.raw_embedding @ spec.matrix())
+        # the chains are written verbatim
+        lines = path.read_text(encoding="utf-8").splitlines()[1:]
+        assert [json.loads(line)["chain"] for line in lines] == [r.chain for r in records]
         # loading twice gives bit-identical projected embeddings
         again = load_teacher_file(path)
         for sid in loaded.embeddings:
