@@ -11,7 +11,6 @@ is written to stderr and the exit code is nonzero.
 from __future__ import annotations
 
 import argparse
-import hashlib
 import json
 import sys
 from dataclasses import asdict
@@ -30,15 +29,15 @@ from .datasynth import (
 from .metrics import welch_ttest
 from .model import Model, StackedDataset, infer_d_in
 from .teacher import (
-    ClientConfig,
     ProjectionSpec,
     ReasoningClient,
     ReasoningRecord,
     SamplePayload,
     default_templates,
     fallback_embed,
-    generate_reasoning_batch,
+    fetch_chains,
     load_teacher_file,
+    mock_chain,
     save_teacher_file,
 )
 from .trainer import (
@@ -57,8 +56,8 @@ def _load_configs(args) -> tuple[TrainConfig, SyntheticConfig]:
     entries = read_config_file(args.config) if args.config else {}
     train_cfg, synth_cfg = build_configs(entries)
     if args.seed is not None:
-        train_cfg = train_cfg.replace(master_seed=args.seed)
-        synth_cfg = SyntheticConfig(**{**asdict(synth_cfg), "seed": args.seed})
+        train_cfg = train_cfg.replace(master_seed=args.seed).validate()
+        synth_cfg = SyntheticConfig(**{**asdict(synth_cfg), "seed": args.seed}).validate()
     return train_cfg, synth_cfg
 
 
@@ -127,39 +126,27 @@ def cmd_gen_data(args) -> int:
 
 def cmd_gen_teacher(args) -> int:
     spec = ProjectionSpec(d_t=args.d_t, d=args.student_dim, seed=args.seed or 0)
+    client = None
+    if args.mode == "endpoint":
+        client = ReasoningClient(
+            args.endpoint, args.cache_dir, args.model, args.timeout, args.retries
+        )
     samples = load_features_file(args.features)
-    templates = default_templates()
     payloads = [
         SamplePayload(s.sample_id, s.content(*SOURCE_TAGS), f"{s.sample_id}-image")
         for s in samples
     ]
-    if args.mode == "mock":
-        records = []
-        for payload in payloads:
-            for view in VIEWS:
-                prompt = templates[view].fill(payload.text, payload.image_ref)
-                digest = hashlib.sha256(prompt.encode()).hexdigest()[:16]
-                chain = f"mock {view} reasoning for {payload.sample_id} [{digest}]"
-                records.append(
-                    ReasoningRecord(
-                        payload.sample_id, view, chain, fallback_embed(chain, spec.d_t, spec.seed)
-                    )
-                )
-    else:
-        client = ReasoningClient(
-            ClientConfig(
-                endpoint=args.endpoint,
-                cache_dir=args.cache_dir,
-                model=args.model,
-                timeout=args.timeout,
-                retries=args.retries,
-            )
-        )
-        records = generate_reasoning_batch(
-            client, payloads, templates, spec.d_t, spec.seed
-        )
+    fetch = mock_chain if client is None else client.fetch_chain
+    records = [
+        ReasoningRecord(p.sample_id, view, chain, fallback_embed(chain, spec.d_t, spec.seed))
+        for p, chains in zip(payloads, fetch_chains(fetch, payloads, default_templates()))
+        for view, chain in zip(VIEWS, chains)
+    ]
     save_teacher_file(records, spec, args.out)
-    print(f"wrote {len(records)} teacher records to {args.out}")
+    summary = f"wrote {len(records)} teacher records to {args.out}"
+    if client is not None:
+        summary += f" ({client.network_calls} network calls, {client.cache_hits} cache hits)"
+    print(summary)
     return 0
 
 

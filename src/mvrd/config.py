@@ -60,8 +60,9 @@ class TrainConfig:
         # each check is written so that a NaN fails it
         if not 0.0 <= self.lambda_ < math.inf:
             raise ConfigError(f"lambda must be finite and >= 0, got {self.lambda_}")
-        if not 0.0 < self.tau < math.inf:
-            raise ConfigError(f"tau must be finite and positive, got {self.tau}")
+        # the 1e-3 floor keeps x / tau finite for any logit x below ~1e305
+        if not 1e-3 <= self.tau < math.inf:
+            raise ConfigError(f"tau must be finite and >= 1e-3, got {self.tau}")
         if not 0.0 <= self.alpha <= 1.0:
             raise ConfigError(f"alpha must lie in [0, 1], got {self.alpha}")
         if self.d < 1:
@@ -72,10 +73,15 @@ class TrainConfig:
             raise ConfigError(f"encoder_heads must be >= 1, got {self.encoder_heads}")
         if self.d_h < self.d:
             raise ConfigError(f"d_h={self.d_h} must be >= d={self.d}")
+        # the content teacher is a fallback_embed of width d
+        if self.no_reasoning_prompts_mode and self.d < 8:
+            raise ConfigError(f"no_reasoning_prompts_mode needs d >= 8, got {self.d}")
         if not 0.0 < self.learning_rate < math.inf:
             raise ConfigError(f"learning_rate must be finite and > 0, got {self.learning_rate}")
         if self.epochs < 1 or self.batch_size < 1:
             raise ConfigError("epochs and batch_size must be >= 1")
+        if self.master_seed < 0:
+            raise ConfigError(f"master_seed must be >= 0, got {self.master_seed}")
         return self
 
     @property
@@ -120,8 +126,12 @@ def _parse_value(raw: str, py_type, key: str):
 
 def read_config_file(path) -> dict[str, str]:
     """Parse a flat key=value file into raw strings."""
+    try:
+        text = Path(path).read_text("utf-8")
+    except UnicodeDecodeError as exc:
+        raise ConfigError(f"{path}: not UTF-8 text ({exc})") from None
     entries: dict[str, str] = {}
-    for lineno, line in enumerate(Path(path).read_text("utf-8").splitlines(), start=1):
+    for lineno, line in enumerate(text.splitlines(), start=1):
         stripped = line.strip()
         if not stripped or stripped.startswith("#"):
             continue

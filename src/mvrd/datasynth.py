@@ -125,6 +125,8 @@ class SyntheticConfig:
             raise ParameterError("clip_alignment_gain must be finite and positive")
         if not 1.0 <= self.teacher_snr_ratio < math.inf:
             raise ParameterError("teacher_snr_ratio must be finite and >= 1")
+        if self.seed < 0:
+            raise ParameterError(f"seed must be >= 0, got {self.seed}")
         return self
 
     @property

@@ -48,6 +48,7 @@ from .fusion import (
 from .views import SOURCE_TAGS, VIEWS, ViewEncoderParams, co_pool_and_project, pool_and_project
 
 PREDICT_CHUNK = 256
+_NO_TEACHER = "lambda > 0 needs teacher embeddings; attach a teacher file or train with lambda = 0"
 
 
 def infer_d_in(samples) -> dict[str, int]:
@@ -67,8 +68,9 @@ def infer_d_in(samples) -> dict[str, int]:
 def check_fit(cfg: TrainConfig, d_in: dict[str, int], samples=()) -> None:
     """The rules that need both a run's config and its corpus: the encoder
     heads divide every input width, ``no_feature_extractors_mode`` needs
-    d_in == d, and a teacher the run uses (every sample has one, and the run
-    does not swap it out under ``no_reasoning_prompts_mode``) is d wide."""
+    d_in == d, and, unless the run swaps its teacher out under
+    ``no_reasoning_prompts_mode``, every sample has a teacher when lambda > 0
+    and a teacher on every sample is d wide."""
     widths = sorted(set(d_in.values()))
     if cfg.encoder_heads < 1 or any(w % cfg.encoder_heads for w in widths):
         raise ValidationError(
@@ -79,10 +81,15 @@ def check_fit(cfg: TrainConfig, d_in: dict[str, int], samples=()) -> None:
         if bad:
             raise ConfigError(f"no_feature_extractors_mode needs d_in == d == {cfg.d}, got {bad}")
     teachers = [s.teacher for s in samples]
-    if teachers and all(t is not None for t in teachers) and not cfg.no_reasoning_prompts_mode:
-        dims = sorted({t.values.shape[1] for t in teachers})
-        if dims != [cfg.d]:
-            raise DimensionError(f"the teacher embeddings are {dims} wide, but d={cfg.d}")
+    if not teachers or cfg.no_reasoning_prompts_mode:
+        return
+    if any(t is None for t in teachers):
+        if cfg.lambda_ > 0:
+            raise ConfigError(_NO_TEACHER)
+        return
+    dims = sorted({t.values.shape[1] for t in teachers})
+    if dims != [cfg.d]:
+        raise DimensionError(f"the teacher embeddings are {dims} wide, but d={cfg.d}")
 
 
 @dataclass
@@ -190,9 +197,7 @@ class Model:
     def forward_loss(self, batch: StackedDataset) -> LossBreakdown:
         lam = self.cfg.lambda_
         if lam > 0 and batch.teacher is None:
-            raise ConfigError(
-                "the batch lacks teacher embeddings; attach a teacher file or train with lambda = 0"
-            )
+            raise ConfigError(_NO_TEACHER)
         views = self.encode_batch(batch)
         calibrated = calibrate_views(views, self.calibrator)
         distill = None

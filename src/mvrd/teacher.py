@@ -4,7 +4,11 @@ The real teacher is a hosted multimodal chat model plus a sentence embedder;
 neither is bundled here. This module provides everything around that gap:
 
 * a prompt registry (templates are editable data files, one per view)
-* an HTTP chat-completion client with an on-disk response cache
+* one path for reasoning chains: ``fetch_chains`` asks a ``fetch`` source
+  for each sample's chains, one per view, a few samples at a time. The
+  source is ``mock_chain`` (offline and deterministic) or the ``fetch_chain``
+  of ``ReasoningClient``, an HTTP chat-completion client with an on-disk
+  response cache
 * ``fallback_embed``, a deterministic feature-hashing stand-in for the
   sentence embedder
 * a synthetic oracle that emits teacher embeddings with a planted
@@ -24,6 +28,7 @@ from __future__ import annotations
 import hashlib
 import json
 import logging
+import math
 import os
 import threading
 import urllib.error
@@ -49,6 +54,8 @@ CORRUPTION_VIEW = {
     "cross-mismatch": "cross",
 }
 TOKEN_ENV_VAR = "MRD_TEACHER_TOKEN"
+# chain requests in flight at once in fetch_chains
+MAX_IN_FLIGHT = 4
 
 
 # ---------------------------------------------------------------------------
@@ -336,7 +343,7 @@ def synthetic_teacher_oracle(
 
 
 # ---------------------------------------------------------------------------
-# endpoint client (optional, network-gated)
+# reasoning chains: one batched path, a mock or an endpoint as the source
 
 
 class TeacherEndpointError(RuntimeError):
@@ -344,18 +351,6 @@ class TeacherEndpointError(RuntimeError):
         super().__init__(message)
         self.view = view
         self.sample_id = sample_id
-
-
-@dataclass
-class ClientConfig:
-    """Settings for the chat-completion endpoint (config key ``teacher.endpoint``)."""
-
-    endpoint: str
-    cache_dir: str | Path
-    model: str = "teacher-mllm"
-    timeout: float = 30.0
-    retries: int = 3
-    max_in_flight: int = 4
 
 
 @dataclass
@@ -367,49 +362,74 @@ class SamplePayload:
     image_ref: str = ""
 
 
+def mock_chain(template: PromptTemplate, payload: SamplePayload) -> str:
+    """An offline stand-in for the endpoint: names the view and the sample and
+    carries a digest of the filled prompt, so each chain is distinct."""
+    prompt = template.fill(payload.text, payload.image_ref)
+    digest = hashlib.sha256(prompt.encode()).hexdigest()[:16]
+    return f"mock {template.view} reasoning for {payload.sample_id} [{digest}]"
+
+
+def fetch_chains(fetch, payloads, templates: dict[str, PromptTemplate]) -> list[list[str]]:
+    """Each payload's chains, one per view in ``VIEWS`` order, in payload order.
+
+    ``fetch(template, payload) -> str`` is ``mock_chain`` or a client's
+    ``fetch_chain``; at most ``MAX_IN_FLIGHT`` calls run at once.
+    """
+    with ThreadPoolExecutor(max_workers=MAX_IN_FLIGHT) as pool:
+        return list(pool.map(lambda p: [fetch(templates[v], p) for v in VIEWS], payloads))
+
+
 @dataclass
 class ReasoningClient:
-    """Chat-completion client with a one-file-per-key response cache."""
+    """Chat-completion client with a one-file-per-key response cache.
 
-    config: ClientConfig
-    network_calls: int = 0
-    # generate_reasoning_batch shares one client between threads
+    ``network_calls`` counts requests sent and ``cache_hits`` chains read from
+    the cache; ``fetch_chains`` shares one client between threads, so both
+    are counted under one lock.
+    """
+
+    endpoint: str
+    cache_dir: str | Path
+    model: str = "teacher-mllm"
+    timeout: float = 30.0
+    retries: int = 3
+    network_calls: int = field(default=0, init=False)
+    cache_hits: int = field(default=0, init=False)
     _lock: threading.Lock = field(
         default_factory=threading.Lock, init=False, repr=False, compare=False
     )
+
+    def __post_init__(self):
+        if not str(self.endpoint).startswith(("http://", "https://")):
+            raise ParameterError(f"endpoint must be an http(s):// URL, got {self.endpoint!r}")
+        if self.retries < 1:
+            raise ParameterError(f"retries must be >= 1, got {self.retries}")
+        if not 0.0 < self.timeout < math.inf:
+            raise ParameterError(f"timeout must be finite and > 0, got {self.timeout}")
 
     def cache_key(self, template_id: str, payload: SamplePayload) -> str:
         blob = "\x00".join([template_id, payload.text, payload.image_ref])
         return hashlib.sha256(blob.encode("utf-8")).hexdigest()
 
-    def _cache_path(self, key: str) -> Path:
-        return Path(self.config.cache_dir) / key
-
-    def _read_cache(self, key: str) -> str | None:
-        path = self._cache_path(key)
-        if path.exists():
-            return path.read_text("utf-8")
-        return None
-
-    def _write_cache(self, key: str, chain: str) -> None:
-        cache_dir = Path(self.config.cache_dir)
-        cache_dir.mkdir(parents=True, exist_ok=True)
-        tmp = cache_dir / f".{key}.tmp.{os.getpid()}"
+    def _write_cache(self, path: Path, chain: str) -> None:
+        path.parent.mkdir(parents=True, exist_ok=True)
+        tmp = path.with_name(f".{path.name}.tmp.{os.getpid()}")
         tmp.write_text(chain, "utf-8")
-        os.replace(tmp, self._cache_path(key))  # atomic per key
+        os.replace(tmp, path)  # atomic per key
 
     def _post_once(self, prompt: str) -> str:
         body = json.dumps(
-            {"model": self.config.model, "messages": [{"role": "user", "content": prompt}]}
+            {"model": self.model, "messages": [{"role": "user", "content": prompt}]}
         ).encode("utf-8")
         headers = {"Content-Type": "application/json"}
         token = os.environ.get(TOKEN_ENV_VAR)
         if token:
             headers["Authorization"] = f"Bearer {token}"
-        request = urllib.request.Request(self.config.endpoint, data=body, headers=headers)
+        request = urllib.request.Request(self.endpoint, data=body, headers=headers)
         with self._lock:
             self.network_calls += 1
-        with urllib.request.urlopen(request, timeout=self.config.timeout) as resp:
+        with urllib.request.urlopen(request, timeout=self.timeout) as resp:
             payload = json.loads(resp.read().decode("utf-8"))
         try:
             content = payload["choices"][0]["message"]["content"]
@@ -419,67 +439,24 @@ class ReasoningClient:
         return content if isinstance(content, str) else ""
 
     def fetch_chain(self, template: PromptTemplate, payload: SamplePayload) -> str:
-        key = self.cache_key(template.template_id, payload)
-        cached = self._read_cache(key)
-        if cached is not None:
-            return cached
+        path = Path(self.cache_dir) / self.cache_key(template.template_id, payload)
+        if path.exists():
+            with self._lock:
+                self.cache_hits += 1
+            return path.read_text("utf-8")
         prompt = template.fill(payload.text, payload.image_ref)
-        attempts = max(1, self.config.retries)
         last_error: Exception | None = None
-        for _ in range(attempts):
+        for _ in range(self.retries):
             try:
                 chain = self._post_once(prompt)
             except (urllib.error.URLError, TimeoutError, OSError) as exc:
                 last_error = exc
                 continue
-            self._write_cache(key, chain)
+            self._write_cache(path, chain)
             return chain
         raise TeacherEndpointError(
-            f"endpoint failed after {attempts} attempts for "
+            f"endpoint failed after {self.retries} attempts for "
             f"({payload.sample_id}, {template.view}): {last_error}",
             view=template.view,
             sample_id=payload.sample_id,
         )
-
-
-def generate_reasoning(
-    client: ReasoningClient,
-    payload: SamplePayload,
-    templates: dict[str, PromptTemplate],
-    d_t: int,
-    embed_seed: int = 0,
-) -> list[ReasoningRecord]:
-    """One record per view; chains come from the endpoint (cache-first), embeddings
-    from the deterministic fallback embedder."""
-    records = []
-    for view in VIEWS:
-        chain = client.fetch_chain(templates[view], payload)
-        records.append(
-            ReasoningRecord(
-                sample_id=payload.sample_id,
-                view=view,
-                chain=chain,
-                raw_embedding=fallback_embed(chain, d_t, embed_seed),
-            )
-        )
-    return records
-
-
-def generate_reasoning_batch(
-    client: ReasoningClient,
-    payloads,
-    templates: dict[str, PromptTemplate],
-    d_t: int,
-    embed_seed: int = 0,
-) -> list[ReasoningRecord]:
-    """Generate for many samples with at most ``max_in_flight`` concurrent requests."""
-    results: list[list[ReasoningRecord]] = [None] * len(payloads)  # type: ignore[list-item]
-
-    def work(i_payload):
-        i, payload = i_payload
-        results[i] = generate_reasoning(client, payload, templates, d_t, embed_seed)
-
-    workers = max(1, client.config.max_in_flight)
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        list(pool.map(work, enumerate(payloads)))
-    return [rec for group in results for rec in group]

@@ -94,8 +94,6 @@ def replace_teacher_with_content_embeddings(samples: list[Sample], d: int) -> li
     """Prompt-less teacher: embed a digest of each sample's raw content instead
     of view-targeted reasoning. Deterministic; strips all planted teacher
     structure while staying content-dependent."""
-    if d < 8:
-        raise ConfigError(f"content embeddings need d >= 8, got {d}")
     view_sources = (("text-tokens",), ("image-patches",), ("clip-text", "clip-image"))
     return [
         replace(s, teacher=TeacherEmbeddings(

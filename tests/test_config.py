@@ -53,6 +53,12 @@ class TestParser:
         with pytest.raises(ConfigError):
             parse(tmp_path, text)
 
+    def test_non_utf8_file_rejected(self, tmp_path):
+        path = tmp_path / "run.cfg"
+        path.write_bytes(b"seed = 1\xff\n")
+        with pytest.raises(ConfigError, match="UTF-8"):
+            read_config_file(path)
+
     def test_unknown_key_rejected(self, tmp_path):
         with pytest.raises(ConfigError, match="unknown config key 'epochz'"):
             parse(tmp_path, "epochz = 3\n")
@@ -102,3 +108,18 @@ class TestValidation:
     def test_nan_in_corruption_mix_rejected(self):
         with pytest.raises(ParameterError):
             SyntheticConfig(corruption_mix=(math.nan, 0.5, 0.5)).validate()
+
+    @pytest.mark.parametrize(
+        "text, error",
+        [("seed = -1\n", ParameterError), ("master_seed = -1\n", ConfigError)],
+        ids=["seed", "master_seed"],
+    )
+    def test_negative_seed_in_a_config_file_rejected(self, tmp_path, text, error):
+        with pytest.raises(error, match="seed must be >= 0"):
+            parse(tmp_path, text)
+
+    def test_content_teacher_needs_d_of_eight(self):
+        cfg = TrainConfig(d=4, d_h=8, heads=4, no_reasoning_prompts_mode=True)
+        with pytest.raises(ConfigError, match="d >= 8"):
+            cfg.validate()
+        cfg.replace(no_reasoning_prompts_mode=False).validate()

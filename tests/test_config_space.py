@@ -26,7 +26,7 @@ SWITCHES = (
 # values that validation must refuse, one field at a time
 BAD_VALUES = {
     "lambda_": [-1.0, math.nan, math.inf],
-    "tau": [0.0, -1.0, math.nan, math.inf],
+    "tau": [0.0, -1.0, math.nan, math.inf, 1e-308],
     "alpha": [-0.5, 1.5, math.nan],
     "heads": [0, -1],
     "encoder_heads": [0, -2],
@@ -35,6 +35,7 @@ BAD_VALUES = {
     "learning_rate": [0.0, -1.0, math.nan, math.inf],
     "epochs": [0],
     "batch_size": [0],
+    "master_seed": [-1],
 }
 
 

@@ -1,14 +1,15 @@
-"""Property tests for the three file parsers: any input either loads or is
-rejected with the package's own error types, never with a raw exception."""
+"""Property tests for the three file parsers and the config parser: any input
+either loads or is rejected with the package's own error types, never with a
+raw exception."""
 
 import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from mvrd.config import TrainConfig
+from mvrd.config import ConfigError, TrainConfig, build_configs, read_config_file
 from mvrd.datasynth import SyntheticConfig, generate_dataset, load_features_file, save_features_file
-from mvrd.diffcore import ValidationError
+from mvrd.diffcore import ParameterError, ValidationError
 from mvrd.fileio import FormatError
 from mvrd.model import Model
 from mvrd.teacher import ProjectionSpec, ReasoningRecord, load_teacher_file, save_teacher_file
@@ -49,10 +50,22 @@ def write_checkpoint(path):
     save_checkpoint(Model(cfg, {tag: 2 for tag in SOURCE_TAGS}), path)
 
 
+def write_config(path):
+    path.write_text("# run\nlambda = 0.5\ntau = 2\nheads = 4\ncorruption_mix = 0.5, 0.25, 0.25\n"
+                    "seed = 7\nmaster_seed = 3\ndrop_L_text = yes\n", "utf-8")
+
+
+def load_config(path):
+    return build_configs(read_config_file(path))
+
+
+FILE_ERRORS = (FormatError, ValidationError)
+# name -> (write a valid file, load one, the errors that refuse one)
 PARSERS = {
-    "features": (write_features, load_features_file),
-    "teacher": (write_teacher, load_teacher_file),
-    "checkpoint": (write_checkpoint, load_checkpoint),
+    "features": (write_features, load_features_file, FILE_ERRORS),
+    "teacher": (write_teacher, load_teacher_file, FILE_ERRORS),
+    "checkpoint": (write_checkpoint, load_checkpoint, FILE_ERRORS),
+    "config": (write_config, load_config, (ConfigError, ParameterError)),
 }
 
 
@@ -73,11 +86,12 @@ def mutations(draw, blob: bytes) -> bytes:
     return bytes(data)
 
 
-def loads_or_rejects(load, path, blob: bytes) -> None:
+def loads_or_rejects(name, path, blob: bytes) -> None:
+    _, load, refusals = PARSERS[name]
     path.write_bytes(blob)
     try:
         load(path)
-    except (FormatError, ValidationError):
+    except refusals:
         pass
 
 
@@ -85,29 +99,28 @@ def loads_or_rejects(load, path, blob: bytes) -> None:
 @FUZZ
 @given(blob=st.binary(max_size=512) | st.binary(max_size=512).map(CHECKPOINT_MAGIC.__add__))
 def test_arbitrary_bytes(tmp_path, name, blob):
-    _, load = PARSERS[name]
-    loads_or_rejects(load, tmp_path / "fuzzed", blob)
+    loads_or_rejects(name, tmp_path / "fuzzed", blob)
 
 
 @pytest.mark.parametrize("name", sorted(PARSERS))
 @FUZZ
 @given(data=st.data())
 def test_mutated_valid_file(tmp_path, name, data):
-    write, load = PARSERS[name]
+    write = PARSERS[name][0]
     valid = tmp_path / "valid"
     if not valid.exists():
         write(valid)
     blob = data.draw(mutations(valid.read_bytes()))
-    loads_or_rejects(load, tmp_path / "fuzzed", blob)
+    loads_or_rejects(name, tmp_path / "fuzzed", blob)
 
 
 @pytest.mark.parametrize("name", sorted(PARSERS))
 def test_deep_nesting_rejected(tmp_path, name):
-    _, load = PARSERS[name]
+    _, load, _ = PARSERS[name]
     path = tmp_path / "nested"
     prefix = CHECKPOINT_MAGIC if name == "checkpoint" else b""
     path.write_bytes(prefix + b"[" * 100_000 + b"\n")
-    with pytest.raises(FormatError):
+    with pytest.raises(ConfigError if name == "config" else FormatError):
         load(path)
 
 

@@ -1,21 +1,24 @@
 """Teacher-side contracts: projection, file format, fallback embedder, oracle,
-and the endpoint client with its on-disk cache."""
+the one chain path (``fetch_chains``), and the endpoint client with its
+on-disk cache, alone and through ``mvrd gen-teacher --mode endpoint``."""
 
 import hashlib
 import io
 import json
 import sys
 import threading
+import time
 from http.server import BaseHTTPRequestHandler, HTTPServer
 
 import numpy as np
 import pytest
 
-from mvrd.datasynth import SyntheticConfig, generate_dataset
+from mvrd.datasynth import SyntheticConfig, generate_dataset, save_features_file
 from mvrd.diffcore import DimensionError, ParameterError, ValidationError
 from mvrd.fileio import FormatError
+from mvrd.cli import main
 from mvrd.teacher import (
-    ClientConfig,
+    MAX_IN_FLIGHT,
     ProjectionSpec,
     ReasoningClient,
     ReasoningRecord,
@@ -24,9 +27,9 @@ from mvrd.teacher import (
     TeacherEndpointError,
     default_templates,
     fallback_embed,
-    generate_reasoning,
-    generate_reasoning_batch,
+    fetch_chains,
     load_teacher_file,
+    mock_chain,
     save_teacher_file,
     synthetic_teacher_oracle,
     teacher_directions,
@@ -380,33 +383,29 @@ def echo_server():
 
 
 class TestReasoningClient:
-    def test_generates_one_record_per_view(self, echo_server, tmp_path):
-        client = ReasoningClient(ClientConfig(endpoint=echo_server, cache_dir=tmp_path / "cache"))
+    def test_fetches_one_chain_per_view(self, echo_server, tmp_path):
+        client = ReasoningClient(echo_server, tmp_path / "cache")
         payload = SamplePayload("s1", "headline text", "img-1")
-        records = generate_reasoning(client, payload, default_templates(), d_t=16)
-        assert [r.view for r in records] == ["text", "image", "cross"]
-        assert all(r.chain.startswith("echo:") for r in records)
-        assert all(np.linalg.norm(r.raw_embedding) > 0 for r in records)
+        [chains] = fetch_chains(client.fetch_chain, [payload], default_templates())
+        assert len(chains) == len(VIEWS)
+        assert all(c.startswith("echo:") for c in chains)
+        assert client.network_calls == len(VIEWS)
 
     def test_cache_hit_makes_zero_network_calls(self, echo_server, tmp_path):
-        client = ReasoningClient(ClientConfig(endpoint=echo_server, cache_dir=tmp_path / "cache"))
-        payload = SamplePayload("s1", "headline text", "img-1")
-        first = generate_reasoning(client, payload, default_templates(), d_t=16)
-        calls_after_first = client.network_calls
-        second = generate_reasoning(client, payload, default_templates(), d_t=16)
-        assert client.network_calls == calls_after_first
-        for a, b in zip(first, second):
-            assert a.chain == b.chain
-            assert np.array_equal(a.raw_embedding, b.raw_embedding)
+        client = ReasoningClient(echo_server, tmp_path / "cache")
+        payload = [SamplePayload("s1", "headline text", "img-1")]
+        first = fetch_chains(client.fetch_chain, payload, default_templates())
+        assert (client.network_calls, client.cache_hits) == (3, 0)
+        second = fetch_chains(client.fetch_chain, payload, default_templates())
+        assert (client.network_calls, client.cache_hits) == (3, 3)
+        assert first == second
 
     def test_unreachable_endpoint_errors_after_n_retries(self, tmp_path):
         client = ReasoningClient(
-            ClientConfig(
-                endpoint="http://127.0.0.1:1",  # nothing listens here
-                cache_dir=tmp_path / "cache",
-                retries=3,
-                timeout=0.5,
-            )
+            "http://127.0.0.1:1",  # nothing listens here
+            tmp_path / "cache",
+            retries=3,
+            timeout=0.5,
         )
         payload = SamplePayload("s9", "text", "img")
         with pytest.raises(TeacherEndpointError) as excinfo:
@@ -417,15 +416,13 @@ class TestReasoningClient:
 
     def test_transient_failure_is_retried(self, echo_server, tmp_path):
         _EchoHandler.fail_next = 1
-        client = ReasoningClient(
-            ClientConfig(endpoint=echo_server, cache_dir=tmp_path / "cache", retries=3)
-        )
+        client = ReasoningClient(echo_server, tmp_path / "cache", retries=3)
         chain = client.fetch_chain(default_templates()["text"], SamplePayload("s2", "t", "i"))
         assert chain.startswith("echo:")
 
     def test_cache_file_named_by_key_digest(self, echo_server, tmp_path):
         cache_dir = tmp_path / "cache"
-        client = ReasoningClient(ClientConfig(endpoint=echo_server, cache_dir=cache_dir))
+        client = ReasoningClient(echo_server, cache_dir)
         payload = SamplePayload("s1", "body", "img")
         template = default_templates()["text"]
         client.fetch_chain(template, payload)
@@ -438,15 +435,101 @@ class TestReasoningClient:
                 super().__init__(b'{"choices": [{"message": {"content": "stub"}}]}')
 
         monkeypatch.setattr("mvrd.teacher.urllib.request.urlopen", lambda request, timeout: Reply())
-        client = ReasoningClient(
-            ClientConfig(endpoint="http://stub.invalid", cache_dir=tmp_path / "cache", max_in_flight=4)
-        )
+        client = ReasoningClient("http://stub.invalid", tmp_path / "cache")
         payloads = [SamplePayload(f"s{i}", f"text {i}", f"img-{i}") for i in range(200)]
         interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-6)
         try:
-            records = generate_reasoning_batch(client, payloads, default_templates(), d_t=8)
+            chains = fetch_chains(client.fetch_chain, payloads, default_templates())
+            cached = fetch_chains(client.fetch_chain, payloads, default_templates())
         finally:
             sys.setswitchinterval(interval)
-        assert len(records) == 3 * len(payloads)
-        assert client.network_calls == 3 * len(payloads)
+        assert cached == chains and len(chains) == len(payloads)
+        assert client.network_calls == client.cache_hits == 3 * len(payloads)
+
+    @pytest.mark.parametrize(
+        "kwargs",
+        [dict(endpoint=None), dict(endpoint="ftp://x"), dict(retries=0), dict(timeout=0.0),
+         dict(timeout=-1.0), dict(timeout=float("nan"))],
+        ids=["no-endpoint", "ftp", "zero-retries", "zero-timeout", "negative-timeout",
+             "nan-timeout"],
+    )
+    def test_bad_settings_refused_before_any_request(self, tmp_path, kwargs):
+        with pytest.raises(ParameterError):
+            ReasoningClient(**{"endpoint": "http://127.0.0.1:1", "cache_dir": tmp_path, **kwargs})
+
+
+class TestFetchChains:
+    def test_chains_in_payload_and_view_order(self):
+        templates = default_templates()
+        payloads = [SamplePayload(f"s{i}", f"text {i}", f"img-{i}") for i in range(9)]
+        chains = fetch_chains(mock_chain, payloads, templates)
+        assert chains == [[mock_chain(templates[v], p) for v in VIEWS] for p in payloads]
+        assert chains[0][1].startswith("mock image reasoning for s0 [")
+
+    def test_at_most_max_in_flight_calls_at_once(self):
+        lock, running, peak = threading.Lock(), [0], [0]
+
+        def fetch(template, payload):
+            with lock:
+                running[0] += 1
+                peak[0] = max(peak[0], running[0])
+            time.sleep(0.002)
+            with lock:
+                running[0] -= 1
+            return payload.sample_id
+
+        payloads = [SamplePayload(f"s{i}", "t") for i in range(4 * MAX_IN_FLIGHT)]
+        chains = fetch_chains(fetch, payloads, default_templates())
+        assert chains == [[p.sample_id] * len(VIEWS) for p in payloads]
+        assert 1 < peak[0] <= MAX_IN_FLIGHT
+
+
+class TestGenTeacherEndpoint:
+    """``mvrd gen-teacher --mode endpoint`` against the local echo server."""
+
+    @pytest.fixture()
+    def features(self, tmp_path):
+        synth = SyntheticConfig(
+            n_samples=4, d_in=4, teacher_dim=4, len_text=2, len_image=2, len_clip=1, seed=2
+        )
+        path = tmp_path / "features.jsonl"
+        save_features_file(generate_dataset(synth), path)
+        return path
+
+    def run(self, features, out, *flags):
+        argv = ["gen-teacher", "--features", str(features), "--mode", "endpoint", "--d-t", "16",
+                "--student-dim", "8", "--out", str(out), *flags]
+        return main(argv)
+
+    def test_writes_a_loadable_file_of_echoed_chains(self, echo_server, features, tmp_path, capsys):
+        out, cache = tmp_path / "teacher.jsonl", tmp_path / "cache"
+        assert self.run(features, out, "--endpoint", echo_server, "--cache-dir", str(cache)) == 0
+        assert "(12 network calls, 0 cache hits)" in capsys.readouterr().out
+        assert len(load_teacher_file(out).embeddings) == 4
+        lines = out.read_text(encoding="utf-8").splitlines()[1:]
+        assert len(lines) == 12
+        assert all(json.loads(line)["chain"].startswith("echo:") for line in lines)
+
+        calls = _EchoHandler.calls
+        again = tmp_path / "again.jsonl"
+        assert self.run(features, again, "--endpoint", echo_server, "--cache-dir", str(cache)) == 0
+        assert "(0 network calls, 12 cache hits)" in capsys.readouterr().out
+        assert _EchoHandler.calls == calls
+        assert again.read_bytes() == out.read_bytes()
+
+    @pytest.mark.parametrize(
+        "flags",
+        [[], ["--endpoint", "ftp://x"], ["--endpoint", "{echo}", "--retries", "0"],
+         ["--endpoint", "{echo}", "--timeout", "0"]],
+        ids=["no-endpoint", "ftp", "zero-retries", "zero-timeout"],
+    )
+    def test_bad_client_setting_exits_before_any_request(
+        self, echo_server, features, tmp_path, capsys, flags
+    ):
+        flags = [flag.format(echo=echo_server) for flag in flags]
+        out = tmp_path / "teacher.jsonl"
+        assert self.run(features, out, "--cache-dir", str(tmp_path / "cache"), *flags) == 1
+        assert json.loads(capsys.readouterr().err)["error"] == "ParameterError"
+        assert not out.exists()
+        assert _EchoHandler.calls == 0

@@ -288,7 +288,9 @@ class TestAblationRunner:
         [
             (dict(encoder_heads=3), ValidationError),  # 3 does not divide d_in = 8
             (dict(d=16, d_h=32, no_feature_extractors_mode=True), ConfigError),  # d_in != d
-            (dict(d=4), DimensionError),  # the teacher is 8 wide
+            (dict(d=16, d_h=32), DimensionError),  # the teacher is 8 wide
+            (dict(teacher=None), ConfigError),  # lambda > 0 on a corpus without teachers
+            (dict(d=4, d_h=8, no_reasoning_prompts_mode=True), ConfigError),  # content teacher
         ],
     )
     def test_corpus_rules_checked_before_any_job(self, monkeypatch, overrides, error):
@@ -297,10 +299,26 @@ class TestAblationRunner:
 
         monkeypatch.setattr(trainer, "_run_jobs", no_jobs)
         ds = tiny_dataset()
+        overrides = dict(overrides)
+        if "teacher" in overrides:  # a corpus-side override
+            teacher = overrides.pop("teacher")
+            ds = [dataclasses.replace(s, teacher=teacher) for s in ds]
         with pytest.raises(error):
             ablation_suite(tiny_cfg(**overrides), ds, ds, n_seeds=3)
         with pytest.raises(error):
             train(tiny_cfg(**overrides), ds)
+
+    def test_every_variant_validated_before_any_job(self, monkeypatch):
+        # d = 4 fits this corpus, but the no_reasoning_prompts row needs d >= 8
+        def no_jobs(*args, **kwargs):
+            raise AssertionError("the jobs were started")
+
+        monkeypatch.setattr(trainer, "_run_jobs", no_jobs)
+        ds = tiny_dataset(d_in=4, teacher_dim=4)
+        cfg = tiny_cfg(d=4, d_h=8)
+        check_fit(cfg, infer_d_in(ds), ds)
+        with pytest.raises(ConfigError, match="d >= 8"):
+            ablation_suite(cfg, ds, ds, n_seeds=3)
 
     def test_content_teacher_width_is_not_checked(self):
         # under no_reasoning_prompts_mode the run replaces the 8-wide teacher
@@ -382,11 +400,19 @@ class TestParallelRunner:
             stop.set()
             thread.join()
 
-    def test_failing_job_raises_its_own_error(self, corpus, three_cpus):
+    def test_failing_job_raises_its_own_error(self, corpus, three_cpus, monkeypatch):
+        # the forked workers inherit the patched job; only the no_attention rows fail
+        job_metrics = trainer._job_metrics
+
+        def failing_job(cfg, train_set, test_set):
+            if cfg.no_attention_mode:
+                raise ValidationError(f"job {cfg.master_seed} failed in its worker")
+            return job_metrics(cfg, train_set, test_set)
+
+        monkeypatch.setattr(trainer, "_job_metrics", failing_job)
         tr, te = corpus
-        stripped = [dataclasses.replace(s, teacher=None) for s in tr]
-        with pytest.raises(ConfigError, match="lacks teacher embeddings"):
-            ablation_suite(tiny_cfg(epochs=1), stripped, te, n_seeds=self.N_SEEDS)
+        with pytest.raises(ValidationError, match="failed in its worker"):
+            ablation_suite(tiny_cfg(epochs=1), tr, te, n_seeds=self.N_SEEDS)
         assert multiprocessing.active_children() == []
 
     @pytest.mark.parametrize(
