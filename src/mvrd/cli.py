@@ -27,7 +27,7 @@ from .datasynth import (
     split,
 )
 from .metrics import welch_ttest
-from .model import Model, StackedDataset, infer_d_in
+from .model import Model, StackedDataset
 from .teacher import (
     ProjectionSpec,
     ReasoningClient,
@@ -218,8 +218,8 @@ def cmd_grad_check(args) -> int:
     cfg = TrainConfig(
         d=args.d, d_h=2 * args.d, heads=heads, encoder_heads=heads, master_seed=args.seed or 0
     )
-    model = Model(cfg, infer_d_in(samples))
-    batch = StackedDataset.from_samples(samples, include_teacher=True)
+    batch = StackedDataset.from_samples(samples)
+    model = Model(cfg, batch.d_in)
     report = diffcore.grad_check(
         lambda: model.forward_loss(batch).graph, model.parameters(), h=1e-5, tol=1e-4
     )

@@ -27,7 +27,7 @@ import numpy as np
 
 from .diffcore import ParameterError, Tensor, ValidationError
 from .fileio import FormatError, check_format_version, floats2d_json, read_record_lines
-from .model import infer_d_in
+from .model import StackedDataset
 from .teacher import (
     CORRUPTION_TYPES,
     TeacherEmbeddings,
@@ -236,7 +236,8 @@ def generate_dataset(cfg: SyntheticConfig) -> list[Sample]:
 def split(dataset: list[Sample], fractions, seed: int) -> tuple[list[Sample], ...]:
     """Stratified-by-label split; deterministic, disjoint, exhaustive."""
     fractions = tuple(float(f) for f in fractions)
-    if len(fractions) < 2 or any(f < 0 for f in fractions) or abs(sum(fractions) - 1.0) > 1e-9:
+    # written so that a NaN fails it
+    if not (len(fractions) >= 2 and all(f >= 0 for f in fractions) and abs(sum(fractions) - 1.0) <= 1e-9):
         raise ParameterError(f"fractions must be nonnegative and sum to 1, got {fractions}")
     rng = np.random.default_rng(seed)
     parts: list[list[Sample]] = [[] for _ in fractions]
@@ -267,9 +268,8 @@ def attach_teacher(samples: list[Sample], embeddings: dict[str, TeacherEmbedding
 
 def save_features_file(samples: list[Sample], path) -> None:
     """Write the four sequences of every sample as line-delimited records."""
-    if not samples:
-        raise ValidationError("cannot save an empty sample list: the header needs its d_in widths")
-    d_in = infer_d_in(samples)  # mixed widths raise before the file is opened
+    # an empty list, mixed widths or ragged lengths raise before the file is opened
+    d_in = StackedDataset.from_samples(samples).d_in
     with Path(path).open("w", encoding="utf-8") as fh:
         fh.write(json.dumps({"format_version": 1, "d_in": d_in}) + "\n")
         for s in samples:
@@ -289,7 +289,8 @@ def save_features_file(samples: list[Sample], path) -> None:
 def load_features_file(path) -> list[Sample]:
     """Load samples from a features file; teacher embeddings attach separately."""
     path = Path(path)
-    header, lines = read_record_lines(path)
+    lines = read_record_lines(path)
+    _, header = next(lines, (0, None))
     if header is None:
         return []
     check_format_version(path, header)
@@ -299,9 +300,8 @@ def load_features_file(path) -> list[Sample]:
     ):
         raise FormatError(f"{path}: header d_in must map every source tag to an integer >= 1, got {d_in!r}")
 
-    order: list[str] = []
-    meta: dict[str, tuple[int, str]] = {}
-    seqs: dict[str, dict[str, EmbeddedSequence]] = {}
+    # sample id -> (label, corruption, {source tag: sequence}), in file order
+    found: dict[str, tuple[int, str, dict[str, EmbeddedSequence]]] = {}
     for lineno, obj in lines:
         try:
             sid = str(obj["sample_id"])
@@ -322,31 +322,17 @@ def load_features_file(path) -> list[Sample]:
                 f"{path}: sample {sid!r} has d_in {tokens.shape[1:]} for {tag}, "
                 f"header declares {d_in.get(tag)}"
             )
-        if sid not in meta:
-            meta[sid] = (label, corruption)
-            order.append(sid)
-        elif meta[sid] != (label, corruption):
+        first_label, first_corruption, seqs = found.setdefault(sid, (label, corruption, {}))
+        if (first_label, first_corruption) != (label, corruption):
             raise FormatError(f"{path}: sample {sid!r} has conflicting label/corruption records")
-        slot = seqs.setdefault(sid, {})
-        if tag in slot:
+        if tag in seqs:
             raise FormatError(f"{path}: duplicate {tag} record for sample {sid!r}")
-        slot[tag] = EmbeddedSequence(Tensor(tokens), tag)
+        seqs[tag] = EmbeddedSequence(Tensor(tokens), tag)
 
     samples = []
-    for sid in order:
-        missing = [tag for tag in SOURCE_TAGS if tag not in seqs[sid]]
+    for sid, (label, corruption, seqs) in found.items():
+        missing = [tag for tag in SOURCE_TAGS if tag not in seqs]
         if missing:
             raise ValidationError(f"{path}: sample {sid!r} is missing sequences: {missing}")
-        label, corruption = meta[sid]
-        samples.append(
-            Sample(
-                sample_id=sid,
-                label=label,
-                corruption=corruption,
-                text_seq=seqs[sid]["text-tokens"],
-                image_seq=seqs[sid]["image-patches"],
-                clip_text_seq=seqs[sid]["clip-text"],
-                clip_image_seq=seqs[sid]["clip-image"],
-            )
-        )
+        samples.append(Sample(sid, label, corruption, *(seqs[tag] for tag in SOURCE_TAGS)))
     return samples

@@ -4,11 +4,16 @@ Every dataset/teacher file in this package is UTF-8 text: one JSON header
 line followed by one JSON record per line. Floats are serialized with 17
 significant digits, which is enough to reproduce any IEEE-754 double exactly
 on reload.
+
+Records stream: ``read_record_lines`` yields one parsed line at a time, so a
+loader checks the header before it parses any record and keeps only what it
+takes out of each record, never the list of every record dict.
 """
 
 from __future__ import annotations
 
 import json
+from collections.abc import Iterator
 from pathlib import Path
 
 import numpy as np
@@ -32,15 +37,9 @@ def floats2d_json(rows) -> str:
     return "[" + ",".join(floats_json(row) for row in np.asarray(rows)) + "]"
 
 
-def read_record_lines(path) -> tuple[dict | None, list[tuple[int, dict]]]:
-    """Read header + records; returns (header, [(line_number, record), ...]).
-
-    The header is None when the file holds no non-blank line.
-    """
-    path = Path(path)
-    header: dict | None = None
-    records: list[tuple[int, dict]] = []
-    with path.open("rb") as fh:
+def read_record_lines(path) -> Iterator[tuple[int, dict]]:
+    """Yield ``(line_number, record)`` for each non-blank line, the header first."""
+    with Path(path).open("rb") as fh:
         for lineno, raw in enumerate(fh, start=1):
             try:
                 line = raw.decode("utf-8").strip()
@@ -51,11 +50,7 @@ def read_record_lines(path) -> tuple[dict | None, list[tuple[int, dict]]]:
                 raise FormatError(f"{path}: line {lineno}: invalid record ({exc})") from exc
             if not isinstance(obj, dict):
                 raise FormatError(f"{path}: line {lineno}: record is not an object")
-            if header is None:
-                header = obj
-            else:
-                records.append((lineno, obj))
-    return header, records
+            yield lineno, obj
 
 
 def check_format_version(path, header: dict | None, expected: int = 1) -> None:

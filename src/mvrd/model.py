@@ -1,12 +1,14 @@
 """Full student model: encoders -> calibration -> fusion -> losses.
 
 There is one forward path, and it is batched: a ``StackedDataset`` holds
-(B, L, d_in) token arrays per source, ``Model.encode_batch`` turns them into
-one (B, 3, d) tensor of mean-pooled view features (slots in ``VIEWS`` order),
-``calibrate_views`` adds the predicted corrections, and ``Model.fuse`` pools
-over the view axis and attends over the calibrated views. The views stay on
-that one tensor axis down to the losses. Training slices minibatches out of
-one stacked dataset; prediction stacks each chunk of samples.
+one (B, L, d_in) token array per source, keyed by ``SOURCE_TAGS``,
+``Model.encode_batch`` turns them into one (B, 3, d) tensor of mean-pooled
+view features (slots in ``VIEWS`` order), ``calibrate_views`` adds the
+predicted corrections, and ``Model.fuse`` pools over the view axis and
+attends over the calibrated views. The views stay on that one tensor axis
+down to the losses. Training slices minibatches out of one stacked dataset.
+Prediction stacks one ``PREDICT_CHUNK`` of samples at a time, so a large
+evaluation set never holds a second, stacked copy of itself in memory.
 
 The model owns three parameter groups (view encoders, calibrator, fusion) and
 implements the ablation switches from TrainConfig:
@@ -22,7 +24,8 @@ implements the ablation switches from TrainConfig:
   subgraph is never recorded, so teacher values provably cannot influence
   gradients
 
-Stacking requires uniform sequence lengths per source across a batch.
+``StackedDataset.from_samples`` holds the one shape rule: each source's
+sequences, and the teachers, share one shape across the stacked samples.
 """
 
 from __future__ import annotations
@@ -51,26 +54,12 @@ PREDICT_CHUNK = 256
 _NO_TEACHER = "lambda > 0 needs teacher embeddings; attach a teacher file or train with lambda = 0"
 
 
-def infer_d_in(samples) -> dict[str, int]:
-    dims: dict[str, int] = {}
-    for s in samples:
-        for tag, seq in s.sequences().items():
-            dims.setdefault(tag, seq.dim)
-            if dims[tag] != seq.dim:
-                raise ValidationError(
-                    f"sample {s.sample_id!r}: {tag} has d_in={seq.dim}, expected {dims[tag]}"
-                )
-    if set(dims) != set(SOURCE_TAGS):
-        raise ValidationError(f"dataset is missing sources: {set(SOURCE_TAGS) - set(dims)}")
-    return dims
-
-
-def check_fit(cfg: TrainConfig, d_in: dict[str, int], samples=()) -> None:
+def check_fit(cfg: TrainConfig, d_in: dict[str, int], data: StackedDataset | None = None) -> None:
     """The rules that need both a run's config and its corpus: the encoder
     heads divide every input width, ``no_feature_extractors_mode`` needs
-    d_in == d, and, unless the run swaps its teacher out under
-    ``no_reasoning_prompts_mode``, every sample has a teacher when lambda > 0
-    and a teacher on every sample is d wide."""
+    d_in == d, and, given the stacked corpus ``data`` and unless the run swaps
+    its teacher out under ``no_reasoning_prompts_mode``, lambda > 0 needs a
+    teacher and the teacher is d wide."""
     widths = sorted(set(d_in.values()))
     if cfg.encoder_heads < 1 or any(w % cfg.encoder_heads for w in widths):
         raise ValidationError(
@@ -80,69 +69,62 @@ def check_fit(cfg: TrainConfig, d_in: dict[str, int], samples=()) -> None:
         bad = {tag: dim for tag, dim in d_in.items() if dim != cfg.d}
         if bad:
             raise ConfigError(f"no_feature_extractors_mode needs d_in == d == {cfg.d}, got {bad}")
-    teachers = [s.teacher for s in samples]
-    if not teachers or cfg.no_reasoning_prompts_mode:
+    if data is None or cfg.no_reasoning_prompts_mode:
         return
-    if any(t is None for t in teachers):
+    if data.teacher is None:
         if cfg.lambda_ > 0:
             raise ConfigError(_NO_TEACHER)
         return
-    dims = sorted({t.values.shape[1] for t in teachers})
-    if dims != [cfg.d]:
-        raise DimensionError(f"the teacher embeddings are {dims} wide, but d={cfg.d}")
+    if data.teacher.shape[-1] != cfg.d:
+        raise DimensionError(f"the teacher embeddings are {data.teacher.shape[-1]} wide, but d={cfg.d}")
+
+
+def _stack(what: str, arrays: list[np.ndarray]) -> np.ndarray:
+    shapes = sorted({a.shape for a in arrays})
+    if len(shapes) > 1:
+        raise ValidationError(f"every sample's {what} must have one shape, got {shapes}")
+    return np.stack(arrays)
 
 
 @dataclass
 class StackedDataset:
-    """Samples stacked into (N, L, d_in) arrays; ``batch`` slices rows out.
+    """Samples stacked into arrays; ``batch`` slices rows out.
 
-    ``teacher`` is the samples' (3, d) teacher arrays stacked into one
-    (N, 3, d) array, view slots in ``VIEWS`` order, or None.
+    ``tokens`` maps each of ``SOURCE_TAGS`` to the samples' (N, L, d_in)
+    token array. ``teacher`` is the samples' (3, d) teacher arrays stacked
+    into one (N, 3, d) array, view slots in ``VIEWS`` order, or None unless
+    every sample has a teacher. ``from_samples`` is the one place a sample
+    list is checked for stacking: each source's sequences, and the teachers,
+    must share one shape. Training stacks its whole set once; prediction
+    stacks one ``PREDICT_CHUNK`` at a time, to keep its peak memory flat.
     """
 
-    text: np.ndarray
-    image: np.ndarray
-    clip_text: np.ndarray
-    clip_image: np.ndarray
+    tokens: dict[str, np.ndarray]
     labels: np.ndarray
     teacher: np.ndarray | None
 
+    @property
+    def d_in(self) -> dict[str, int]:
+        return {tag: a.shape[-1] for tag, a in self.tokens.items()}
+
     @classmethod
-    def from_samples(cls, samples, include_teacher: bool) -> "StackedDataset":
+    def from_samples(cls, samples) -> "StackedDataset":
         if not samples:
             raise ValidationError("cannot stack an empty sample list")
-        lengths = {
-            tag: {s.sequences()[tag].length for s in samples} for tag in SOURCE_TAGS
+        tokens = {
+            tag: _stack(tag, [s.sequences()[tag].tokens.values for s in samples])
+            for tag in SOURCE_TAGS
         }
-        ragged = {tag: sorted(ls) for tag, ls in lengths.items() if len(ls) > 1}
-        if ragged:
-            raise ValidationError(
-                f"batched training requires uniform sequence lengths per source, got {ragged}"
-            )
-        stack = lambda tag: np.stack([s.sequences()[tag].tokens.values for s in samples])
-        teacher = None
-        if include_teacher:
-            if any(s.teacher is None for s in samples):
-                raise ValidationError("some samples have no teacher embeddings attached")
-            teacher = np.stack([s.teacher.values for s in samples])
-        return cls(
-            text=stack("text-tokens"),
-            image=stack("image-patches"),
-            clip_text=stack("clip-text"),
-            clip_image=stack("clip-image"),
-            labels=np.array([s.label for s in samples], dtype=np.int64),
-            teacher=teacher,
-        )
+        teachers = [s.teacher.values for s in samples if s.teacher is not None]
+        teacher = _stack("teacher", teachers) if len(teachers) == len(samples) else None
+        return cls(tokens, np.array([s.label for s in samples], dtype=np.int64), teacher)
 
     def batch(self, idx: np.ndarray) -> "StackedDataset":
         """The rows ``idx``, copied."""
         return StackedDataset(
-            text=self.text[idx],
-            image=self.image[idx],
-            clip_text=self.clip_text[idx],
-            clip_image=self.clip_image[idx],
-            labels=self.labels[idx],
-            teacher=None if self.teacher is None else self.teacher[idx],
+            {tag: a[idx] for tag, a in self.tokens.items()},
+            self.labels[idx],
+            None if self.teacher is None else self.teacher[idx],
         )
 
 
@@ -165,9 +147,7 @@ class Model:
     def encode_batch(self, batch: StackedDataset) -> Tensor:
         """The (B, 3, d) view features of a stacked batch, slots in ``VIEWS`` order."""
         cfg, enc = self.cfg, self.encoder
-        text, image, clip_t, clip_i = (
-            Tensor(a) for a in (batch.text, batch.image, batch.clip_text, batch.clip_image)
-        )
+        text, image, clip_t, clip_i = (Tensor(batch.tokens[tag]) for tag in SOURCE_TAGS)
         if cfg.no_feature_extractors_mode:
             views = [
                 mean(text, axis=-2),
@@ -224,11 +204,17 @@ class Model:
     def predict_logits(self, samples) -> np.ndarray:
         """Final-classifier logits, (N, 2), stacked ``PREDICT_CHUNK`` samples at a
         time; teacher embeddings are never needed."""
+        if not samples:
+            raise ValidationError("cannot predict on an empty sample list")
         out = []
         with no_grad():
             for start in range(0, len(samples), PREDICT_CHUNK):
-                chunk = samples[start : start + PREDICT_CHUNK]
-                views = self.encode_batch(StackedDataset.from_samples(chunk, include_teacher=False))
+                chunk = StackedDataset.from_samples(samples[start : start + PREDICT_CHUNK])
+                if chunk.d_in != self.d_in:
+                    raise ValidationError(
+                        f"the samples have d_in {chunk.d_in}, but the model takes {self.d_in}"
+                    )
+                views = self.encode_batch(chunk)
                 fused = self.fuse(calibrate_views(views, self.calibrator))
                 out.append(linear(fused, *self.fusion.final_head).values)
         return np.concatenate(out, axis=0)

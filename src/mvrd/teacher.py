@@ -193,7 +193,8 @@ def load_teacher_file(path) -> TeacherFileData:
 
     Each record must carry a chain, but only the projected rows are kept."""
     path = Path(path)
-    header, lines = read_record_lines(path)
+    lines = read_record_lines(path)
+    _, header = next(lines, (0, None))
     check_format_version(path, header)
     try:
         spec = ProjectionSpec(header.get("d_t"), header.get("d"), header.get("projection_seed"))

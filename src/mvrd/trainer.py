@@ -35,7 +35,7 @@ from .diffcore import (
 )
 from .fileio import FormatError
 from .metrics import Metrics, compute_metrics
-from .model import Model, StackedDataset, check_fit, infer_d_in
+from .model import Model, StackedDataset, check_fit
 from .teacher import TeacherEmbeddings, fallback_embed
 from .views import SOURCE_TAGS
 
@@ -110,16 +110,14 @@ def train(
     cfg.validate()
     if not dataset:
         raise ValidationError("training set is empty")
-    d_in = infer_d_in(dataset)
-    check_fit(cfg, d_in, dataset)
     if cfg.no_reasoning_prompts_mode:
         dataset = replace_teacher_with_content_embeddings(dataset, cfg.d)
-    has_teacher = all(s.teacher is not None for s in dataset)
 
     start = time.perf_counter()
-    model = Model(cfg, d_in)
+    data = StackedDataset.from_samples(dataset)
+    check_fit(cfg, data.d_in, data)
+    model = Model(cfg, data.d_in)
     optimizer = Adam(model.parameters(), cfg.learning_rate)
-    data = StackedDataset.from_samples(dataset, include_teacher=has_teacher)
     shuffle_rng = np.random.default_rng(np.random.SeedSequence((cfg.master_seed, 17)))
     n = len(dataset)
 
@@ -214,9 +212,10 @@ def _table(
         for _, overrides in variants
         for k in range(n_seeds)
     ]
-    d_in = infer_d_in(train_set)
+    data = StackedDataset.from_samples(train_set)
     for job in jobs:
-        check_fit(job, d_in, train_set)
+        check_fit(job, data.d_in, data)
+    del data  # each job stacks its own copy
     metrics = _run_jobs(jobs, train_set, test_set)
     rows = []
     for i, (name, _) in enumerate(variants):

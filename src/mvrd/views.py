@@ -72,14 +72,6 @@ class EmbeddedSequence:
                 f"sequence tokens must be (L >= 1, d_in), got {self.tokens.shape}"
             )
 
-    @property
-    def length(self) -> int:
-        return self.tokens.shape[0]
-
-    @property
-    def dim(self) -> int:
-        return self.tokens.shape[1]
-
 
 def attention_params(prefix: str, d_q: int, d_kv: int, master_seed: int) -> tuple[Parameter, ...]:
     """(W_Q, W_K, W_V, W_O) of one attention block, named ``{prefix}.W_Q`` and so

@@ -17,7 +17,7 @@ from mvrd.config import TrainConfig
 from mvrd.datasynth import SyntheticConfig, generate_dataset, split
 from mvrd.diffcore import Tensor, backward, grad_check, linear, no_grad
 from mvrd.metrics import auc_pairwise, auc_rank, compute_metrics, welch_ttest
-from mvrd.model import Model, StackedDataset, infer_d_in
+from mvrd.model import Model, StackedDataset
 from mvrd.trainer import (
     Adam,
     ablation_suite,
@@ -75,8 +75,9 @@ def test_criterion_1_gradient_fidelity():
     samples = generate_dataset(synth)
     cfg = TrainConfig(d=8, d_h=16, heads=4, encoder_heads=2, master_seed=3)
     assert cfg.lambda_ > 0 and cfg.view_weights == (1.0, 1.0, 1.0)
-    model = Model(cfg, infer_d_in(samples))
-    batch = StackedDataset.from_samples(samples, include_teacher=True).batch(np.arange(4))
+    data = StackedDataset.from_samples(samples)
+    model = Model(cfg, data.d_in)
+    batch = data.batch(np.arange(4))
 
     start = time.perf_counter()
     result = grad_check(
@@ -173,11 +174,12 @@ def test_criterion_3_residual_calibration():
     # a pipeline with calibration bypassed
     synth = SyntheticConfig(n_samples=64, d_in=8, teacher_dim=8, len_text=4, len_image=4, len_clip=2, seed=9)
     samples = generate_dataset(synth)
-    model = Model(TrainConfig(d=8, d_h=16, heads=4, encoder_heads=2, master_seed=1), infer_d_in(samples))
+    data = StackedDataset.from_samples(samples)
+    model = Model(TrainConfig(d=8, d_h=16, heads=4, encoder_heads=2, master_seed=1), data.d_in)
     zero_corrections(model.calibrator)
     with_calibration = model.predict_logits(samples)
     with no_grad():
-        views = model.encode_batch(StackedDataset.from_samples(samples, include_teacher=False))
+        views = model.encode_batch(data)
         without = linear(model.fuse(views), *model.fusion.final_head).values
     assert np.array_equal(with_calibration, without)
     report(3, "residual identity and zero-correction equivalence")
@@ -304,8 +306,8 @@ def test_criterion_9_teacher_constancy():
     cfg0 = cfg.replace(lambda_=0.0)
 
     def manual_run(swap):
-        model = Model(cfg0, infer_d_in(ds))
-        data = StackedDataset.from_samples(ds, include_teacher=True)
+        data = StackedDataset.from_samples(ds)
+        model = Model(cfg0, data.d_in)
         optimizer = Adam(model.parameters(), cfg0.learning_rate)
         for step, lo in enumerate(range(0, len(ds), 16)):
             if swap and step == 2:

@@ -8,9 +8,12 @@ from unittest import mock
 import pytest
 
 from mvrd.cli import main
-from mvrd.config import build_configs, read_config_file
+from mvrd.config import TrainConfig, build_configs, read_config_file
 from mvrd.datasynth import generate_dataset, load_features_file
+from mvrd.model import Model
 from mvrd.teacher import load_teacher_file
+from mvrd.trainer import save_checkpoint
+from mvrd.views import SOURCE_TAGS
 
 TINY_CONFIG = """
 # desk-scale smoke configuration
@@ -177,6 +180,24 @@ class TestErrors:
         assert code != 0
         err = json.loads(capsys.readouterr().err.strip())
         assert err["error"]
+
+    def test_nan_train_frac_is_parameter_error(self, data_dir, config_file, tmp_path, capsys):
+        features = str(data_dir / "features.jsonl")
+        argv = ["train", "--config", str(config_file), "--features", features]
+        assert main(argv + ["--train-frac", "nan", "--out", str(tmp_path / "run")]) == 1
+        err = json.loads(capsys.readouterr().err.strip())
+        assert err["error"] == "ParameterError"
+        assert "fractions" in err["message"]
+
+    def test_eval_of_other_widths_is_validation_error(self, data_dir, tmp_path, capsys):
+        # a checkpoint built for 32-wide inputs, evaluated on the 8-wide corpus
+        checkpoint = tmp_path / "wide.bin"
+        save_checkpoint(Model(TrainConfig(), {tag: 32 for tag in SOURCE_TAGS}), checkpoint)
+        features = str(data_dir / "features.jsonl")
+        assert main(["eval", "--checkpoint", str(checkpoint), "--features", features]) == 1
+        err = json.loads(capsys.readouterr().err.strip())
+        assert err["error"] == "ValidationError"
+        assert "'text-tokens': 8" in err["message"] and "'text-tokens': 32" in err["message"]
 
     def test_bad_value_type(self, tmp_path, capsys):
         bad = tmp_path / "bad.txt"

@@ -2,6 +2,8 @@
 undetectability of cross-mismatch outside the cross view, splits, and the
 feature file format."""
 
+import json
+
 import numpy as np
 import pytest
 
@@ -18,6 +20,10 @@ from mvrd.diffcore import ParameterError, Tensor, ValidationError
 from mvrd.fileio import FormatError
 from mvrd.metrics import welch_ttest
 from mvrd.views import SOURCE_TAGS, EmbeddedSequence
+
+
+# a features header that loads, so that a later line's fault is the one reported
+VALID_HEADER = json.dumps({"format_version": 1, "d_in": {tag: 2 for tag in SOURCE_TAGS}}).encode()
 
 
 def small_cfg(**kw):
@@ -165,6 +171,14 @@ class TestSplit:
         with pytest.raises(ParameterError):
             split(ds, (0.5, 0.6), seed=0)
 
+    @pytest.mark.parametrize(
+        "fractions", [(float("nan"), 1.0), (0.5, float("nan")), (float("inf"), float("-inf"))]
+    )
+    def test_non_finite_fractions(self, fractions):
+        ds = generate_dataset(small_cfg())
+        with pytest.raises(ParameterError, match="fractions"):
+            split(ds, fractions, seed=0)
+
 
 class TestFeatureFile:
     def test_round_trip_bit_exact(self, tmp_path):
@@ -219,8 +233,15 @@ class TestFeatureFile:
 
     def test_invalid_utf8_rejected(self, tmp_path):
         path = tmp_path / "features.jsonl"
-        path.write_bytes(b'{"format_version": 1, "d_in": {}}\n{"sample_id": "\xff"}\n')
+        path.write_bytes(VALID_HEADER + b'\n{"sample_id": "\xff"}\n')
         with pytest.raises(FormatError, match="line 2"):
+            load_features_file(path)
+
+    def test_bad_header_refused_before_later_lines(self, tmp_path):
+        # records stream: the header is checked before line 2 is decoded
+        path = tmp_path / "features.jsonl"
+        path.write_bytes(b'{"format_version": 2}\n{"sample_id": "\xff"}\n')
+        with pytest.raises(FormatError, match="format_version 2"):
             load_features_file(path)
 
     def test_mixed_d_in_names_sample(self, tmp_path):
@@ -244,13 +265,23 @@ class TestFeatureFile:
             small_cfg(n_samples=2, d_in=6)
         )
         path = tmp_path / "features.jsonl"
-        with pytest.raises(ValidationError, match="d_in=6"):
+        with pytest.raises(ValidationError, match=r"text-tokens .*\(4, 4\), \(4, 6\)"):
             save_features_file(mixed, path)
+        assert not path.exists()
+
+    def test_ragged_lengths_not_saved(self, tmp_path):
+        # no consumer can stack a list whose lengths differ within a source
+        ragged = generate_dataset(small_cfg(n_samples=2, len_image=4)) + generate_dataset(
+            small_cfg(n_samples=2, len_image=5)
+        )
+        path = tmp_path / "features.jsonl"
+        with pytest.raises(ValidationError, match=r"image-patches .*\(4, 8\), \(5, 8\)"):
+            save_features_file(ragged, path)
         assert not path.exists()
 
     def test_malformed_line_reports_number(self, tmp_path):
         path = tmp_path / "features.jsonl"
-        path.write_text('{"format_version": 1, "d_in": {}}\nnot-json\n', "utf-8")
+        path.write_bytes(VALID_HEADER + b"\nnot-json\n")
         with pytest.raises(FormatError, match="line 2"):
             load_features_file(path)
 

@@ -207,11 +207,11 @@ class TestAttention:
         # (B, 3, d) view tensor, and the tempered KL is one node
         from mvrd.config import TrainConfig
         from mvrd.datasynth import SyntheticConfig, generate_dataset
-        from mvrd.model import Model, StackedDataset, infer_d_in
+        from mvrd.model import Model, StackedDataset
 
         dataset = generate_dataset(SyntheticConfig(n_samples=64, seed=1))
-        model = Model(TrainConfig(), infer_d_in(dataset))
-        batch = StackedDataset.from_samples(dataset, include_teacher=True)
+        batch = StackedDataset.from_samples(dataset)
+        model = Model(TrainConfig(), batch.d_in)
         before = len(diffcore._state.tape)
         breakdown = model.forward_loss(batch)
         assert len(diffcore._state.tape) - before == 43

@@ -3,8 +3,11 @@
 The finite-difference comparison is the module's independent oracle: each
 trial perturbs one input entry at a time and recomputes the forward pass.
 Trials use fixed seeds, so the suite is deterministic; 100 random trials per
-op at h = 1e-5 must stay under relative error 1e-4.
+op at h = 1e-5 must stay under relative error 1e-4, or within a few rounding
+floors of the central difference where the gradient is too small to resolve.
 """
+
+import zlib
 
 import numpy as np
 import pytest
@@ -31,6 +34,14 @@ from mvrd.diffcore import (
 H = 1e-5
 TOL = 1e-4
 N_TRIALS = 100
+# A central difference inherits the rounding of its two forward values: at one
+# ulp each it is off by up to eps * (|f+| + |f-|) / (2h). The forward pass
+# rounds at several ops (the op under test, then scalarize's weighted sum),
+# not once, so an entry may also differ from the analytic gradient by this
+# many such floors; a tempered-KL entry has been seen 3.05 floors off. A small
+# analytic gradient is otherwise held to a relative bound finer than the
+# difference itself can resolve.
+FD_ROUNDING_OPS = 8
 
 
 def scalarize(out, seed=0):
@@ -58,13 +69,15 @@ def assert_grads_match_fd(build, tensors, tol=TOL):
                 f_minus = build().item()
             values[i] = saved
             numeric = (f_plus - f_minus) / (2.0 * H)
-            rel = abs(grads[i] - numeric) / max(abs(grads[i]), abs(numeric), 1e-8)
-            assert rel < tol, f"entry {i}: analytic {grads[i]} vs fd {numeric}"
+            floor = np.finfo(float).eps * (abs(f_plus) + abs(f_minus)) / (2.0 * H)
+            bound = tol * max(abs(grads[i]), abs(numeric), 1e-8) + FD_ROUNDING_OPS * floor
+            assert abs(grads[i] - numeric) < bound, f"entry {i}: analytic {grads[i]} vs fd {numeric}"
 
 
 def trials(test_id):
-    """100 deterministic rngs per op test."""
-    base = abs(hash(test_id)) % (2**32)
+    """100 deterministic rngs per op test, seeded from the test id's CRC-32
+    (``hash`` of a str changes with each process's hash seed)."""
+    base = zlib.crc32(test_id.encode())
     return [np.random.default_rng((base, k)) for k in range(N_TRIALS)]
 
 
@@ -134,7 +147,7 @@ def test_mean_gradients():
         assert_grads_match_fd(lambda: scalarize(mean(x, axis=axis)), [x])
 
 
-def test_softmax_temp_gradients():
+def test_tempered_kl_gradients():
     # the student's temperature softmax, batched: one KL per row
     for rng in trials("softmax"):
         x = Tensor(u(rng, 2, 3, 5), requires_grad=True)

@@ -47,7 +47,7 @@ def encode_constant(model, t, i, c):
     rows = {"text-tokens": t, "image-patches": i, "clip-text": c, "clip-image": c}
     seqs = [EmbeddedSequence(Tensor(np.tile(rows[tag], (2, 1))), tag) for tag in SOURCE_TAGS]
     sample = Sample("x", 0, "none", *seqs)
-    return model.encode_batch(StackedDataset.from_samples([sample], include_teacher=False))
+    return model.encode_batch(StackedDataset.from_samples([sample]))
 
 
 def raw_pooling_model(d):

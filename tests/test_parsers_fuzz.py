@@ -150,4 +150,4 @@ def test_features_header_widths(tmp_path, d_in, width):
     except (FormatError, ValidationError):
         return
     assert all(type(d_in.get(tag)) is int and d_in[tag] == width >= 1 for tag in SOURCE_TAGS)
-    assert [s.text_seq.dim for s in samples] == [width]
+    assert [s.text_seq.tokens.shape[1] for s in samples] == [width]

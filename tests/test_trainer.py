@@ -15,7 +15,7 @@ from mvrd.datasynth import SyntheticConfig, generate_dataset, split
 from mvrd.diffcore import ContractError, DimensionError, ParameterError, ValidationError, backward
 from mvrd.fileio import FormatError
 from mvrd.metrics import Metrics
-from mvrd.model import Model, StackedDataset, check_fit, infer_d_in
+from mvrd.model import Model, StackedDataset, check_fit
 from mvrd.teacher import TeacherEmbeddings
 from mvrd.trainer import (
     ABLATION_VARIANTS,
@@ -31,8 +31,10 @@ from mvrd.trainer import (
     sweep,
     train,
 )
+from mvrd.views import SOURCE_TAGS
 
 TINY_SYNTH = dict(n_samples=64, d_in=8, teacher_dim=8, len_text=4, len_image=4, len_clip=2, seed=3)
+TINY_D_IN = {tag: TINY_SYNTH["d_in"] for tag in SOURCE_TAGS}
 TINY_TRAIN = dict(d=8, d_h=16, heads=4, encoder_heads=2, epochs=2, batch_size=16, master_seed=0)
 
 
@@ -56,8 +58,7 @@ def assert_params_equal(a, b):
 
 class TestAdam:
     def test_zero_gradient_step_is_noop(self):
-        ds = tiny_dataset()
-        model = Model(tiny_cfg(), infer_d_in(ds))
+        model = Model(tiny_cfg(), TINY_D_IN)
         optimizer = Adam(model.parameters())
         before = params_snapshot(model)
         optimizer.zero_grad()
@@ -66,8 +67,8 @@ class TestAdam:
 
     def test_step_moves_parameters_given_gradients(self):
         ds = tiny_dataset()
-        model = Model(tiny_cfg(), infer_d_in(ds))
-        data = StackedDataset.from_samples(ds, include_teacher=True)
+        data = StackedDataset.from_samples(ds)
+        model = Model(tiny_cfg(), data.d_in)
         optimizer = Adam(model.parameters(), lr=1e-3)
         optimizer.zero_grad()
         backward(model.forward_loss(data.batch(np.arange(16))).graph)
@@ -80,8 +81,8 @@ class TestAdam:
 class TestTrain:
     def test_one_step_descends(self):
         ds = tiny_dataset()
-        model = Model(tiny_cfg(), infer_d_in(ds))
-        data = StackedDataset.from_samples(ds, include_teacher=True)
+        data = StackedDataset.from_samples(ds)
+        model = Model(tiny_cfg(), data.d_in)
         batch = data.batch(np.arange(32))
         optimizer = Adam(model.parameters(), lr=1e-4)
         loss_before = model.forward_loss(batch)
@@ -131,8 +132,8 @@ class TestTrain:
         cfg = tiny_cfg(lambda_=0.0, epochs=1)
 
         def manual_run(swap):
-            model = Model(cfg, infer_d_in(ds))
-            data = StackedDataset.from_samples(ds, include_teacher=True)
+            data = StackedDataset.from_samples(ds)
+            model = Model(cfg, data.d_in)
             optimizer = Adam(model.parameters(), cfg.learning_rate)
             rng = np.random.default_rng(77)
             for step, lo in enumerate(range(0, 64, 16)):
@@ -153,8 +154,8 @@ class TestTrain:
         cfg = tiny_cfg(drop_L_cross=True, epochs=1)
 
         def manual_run(swap):
-            model = Model(cfg, infer_d_in(ds))
-            data = StackedDataset.from_samples(ds, include_teacher=True)
+            data = StackedDataset.from_samples(ds)
+            model = Model(cfg, data.d_in)
             optimizer = Adam(model.parameters(), cfg.learning_rate)
             for step, lo in enumerate(range(0, 64, 16)):
                 if swap and step == 2:
@@ -190,8 +191,8 @@ class TestTrain:
 
     def test_gradient_reaches_every_parameter_group(self):
         ds = tiny_dataset()
-        model = Model(tiny_cfg(), infer_d_in(ds))
-        data = StackedDataset.from_samples(ds, include_teacher=True)
+        data = StackedDataset.from_samples(ds)
+        model = Model(tiny_cfg(), data.d_in)
         for p in model.parameters():
             p.tensor.zero_grad()
         backward(model.forward_loss(data.batch(np.arange(32))).graph)
@@ -230,7 +231,7 @@ class TestEvaluate:
         base = evaluate(model, te)
         # same parameters under different loss configs: metrics unchanged
         for changes in ({"lambda_": 0.0}, {"tau": 5.0}, {"alpha": 0.1}):
-            clone = Model(tiny_cfg(**changes), infer_d_in(ds))
+            clone = Model(tiny_cfg(**changes), TINY_D_IN)
             for p_src, p_dst in zip(model.parameters(), clone.parameters()):
                 p_dst.tensor.values[...] = p_src.tensor.values
             assert evaluate(clone, te) == base
@@ -238,7 +239,7 @@ class TestEvaluate:
     def test_predict_logits_independent_of_chunk_size(self, monkeypatch):
         # GEMM results for a row may differ in the last bits with the row count
         ds = tiny_dataset()
-        model = Model(tiny_cfg(), infer_d_in(ds))
+        model = Model(tiny_cfg(), TINY_D_IN)
         monkeypatch.setattr("mvrd.model.PREDICT_CHUNK", len(ds))
         reference = model.predict_logits(ds)
         for chunk_size in (1, 7, 16):
@@ -247,10 +248,45 @@ class TestEvaluate:
             assert np.allclose(logits, reference, rtol=0, atol=1e-12)
 
     def test_empty_set_rejected(self):
-        ds = tiny_dataset()
-        model = Model(tiny_cfg(), infer_d_in(ds))
+        model = Model(tiny_cfg(), TINY_D_IN)
         with pytest.raises(ValidationError):
             evaluate(model, [])
+
+    def test_predict_refuses_an_empty_list(self):
+        with pytest.raises(ValidationError, match="empty"):
+            Model(tiny_cfg(), TINY_D_IN).predict_logits([])
+
+    def test_predict_refuses_other_widths(self):
+        model = Model(tiny_cfg(), {tag: 16 for tag in SOURCE_TAGS})
+        with pytest.raises(ValidationError, match=r"d_in \{'text-tokens': 8.*takes \{'text-tokens': 16"):
+            model.predict_logits(tiny_dataset(n_samples=4))
+
+
+class TestStackedDataset:
+    """``from_samples`` is the one place a sample list is checked for stacking."""
+
+    @pytest.mark.parametrize(
+        "kw, source",
+        [(dict(d_in=4), "text-tokens"), (dict(len_text=5), "text-tokens"),
+         (dict(len_clip=3), "clip-text"), (dict(teacher_dim=4), "teacher")],
+        ids=["width", "text-length", "clip-length", "teacher"],
+    )
+    def test_mixed_shapes_name_the_source(self, kw, source):
+        mixed = tiny_dataset(n_samples=2) + tiny_dataset(n_samples=2, **kw)
+        with pytest.raises(ValidationError, match=f"{source} must have one shape"):
+            StackedDataset.from_samples(mixed)
+
+    def test_teacher_only_when_every_sample_has_one(self):
+        ds = tiny_dataset(n_samples=4)
+        assert StackedDataset.from_samples(ds).teacher.shape == (4, 3, 8)
+        ds[2] = dataclasses.replace(ds[2], teacher=None)
+        assert StackedDataset.from_samples(ds).teacher is None
+
+    def test_d_in_equals_the_widths(self):
+        data = StackedDataset.from_samples(tiny_dataset(n_samples=4, d_in=6))
+        assert data.d_in == {tag: 6 for tag in SOURCE_TAGS}
+        assert list(data.tokens) == list(SOURCE_TAGS)
+        assert data.batch(np.array([3, 1])).d_in == data.d_in
 
 
 class TestAblationRunner:
@@ -307,6 +343,9 @@ class TestAblationRunner:
             ablation_suite(tiny_cfg(**overrides), ds, ds, n_seeds=3)
         with pytest.raises(error):
             train(tiny_cfg(**overrides), ds)
+        data = StackedDataset.from_samples(ds)
+        with pytest.raises(error):
+            check_fit(tiny_cfg(**overrides).validate(), data.d_in, data)
 
     def test_every_variant_validated_before_any_job(self, monkeypatch):
         # d = 4 fits this corpus, but the no_reasoning_prompts row needs d >= 8
@@ -316,14 +355,15 @@ class TestAblationRunner:
         monkeypatch.setattr(trainer, "_run_jobs", no_jobs)
         ds = tiny_dataset(d_in=4, teacher_dim=4)
         cfg = tiny_cfg(d=4, d_h=8)
-        check_fit(cfg, infer_d_in(ds), ds)
+        data = StackedDataset.from_samples(ds)
+        check_fit(cfg, data.d_in, data)
         with pytest.raises(ConfigError, match="d >= 8"):
             ablation_suite(cfg, ds, ds, n_seeds=3)
 
     def test_content_teacher_width_is_not_checked(self):
         # under no_reasoning_prompts_mode the run replaces the 8-wide teacher
-        ds = tiny_dataset()
-        check_fit(tiny_cfg(d=16, d_h=32, no_reasoning_prompts_mode=True), infer_d_in(ds), ds)
+        data = StackedDataset.from_samples(tiny_dataset())
+        check_fit(tiny_cfg(d=16, d_h=32, no_reasoning_prompts_mode=True), data.d_in, data)
 
 
 class TestParallelRunner:
@@ -517,7 +557,7 @@ class TestCheckpoints:
         ],
     )
     def test_corrupt_header_or_meta_is_format_error(self, tmp_path, line, text):
-        model = Model(tiny_cfg(), infer_d_in(tiny_dataset(n_samples=4)))
+        model = Model(tiny_cfg(), TINY_D_IN)
         path = tmp_path / "ckpt.bin"
         save_checkpoint(model, path)
         blob = path.read_bytes()
@@ -558,7 +598,7 @@ class TestCheckpoints:
         ],
     )
     def test_bad_header_fields_are_format_error(self, tmp_path, edit):
-        model = Model(tiny_cfg(), infer_d_in(tiny_dataset(n_samples=4)))
+        model = Model(tiny_cfg(), TINY_D_IN)
         path = tmp_path / "ckpt.bin"
         save_checkpoint(model, path)
         blob = path.read_bytes()
@@ -572,7 +612,7 @@ class TestCheckpoints:
 
     @staticmethod
     def saved_blob(tmp_path):
-        model = Model(tiny_cfg(), infer_d_in(tiny_dataset(n_samples=4)))
+        model = Model(tiny_cfg(), TINY_D_IN)
         path = tmp_path / "ckpt.bin"
         save_checkpoint(model, path)
         return path, path.read_bytes()
@@ -612,7 +652,7 @@ class TestCheckpoints:
             load_model(path)
 
     def test_failed_save_keeps_previous_checkpoint(self, tmp_path):
-        model = Model(tiny_cfg(), infer_d_in(tiny_dataset(n_samples=4)))
+        model = Model(tiny_cfg(), TINY_D_IN)
         path = tmp_path / "ckpt.bin"
         save_checkpoint(model, path)
         before = path.read_bytes()
@@ -653,8 +693,8 @@ class TestAblationModes:
     def test_dropped_views_are_zeroed(self):
         ds = tiny_dataset()
         cfg = tiny_cfg(drop_text_view=True)
-        model = Model(cfg, infer_d_in(ds))
-        data = StackedDataset.from_samples(ds, include_teacher=True)
+        data = StackedDataset.from_samples(ds)
+        model = Model(cfg, data.d_in)
         views = model.encode_batch(data.batch(np.arange(8)))
         assert np.array_equal(views.values[:, 0], np.zeros((8, 8)))
         assert np.any(views.values[:, 1] != 0)
@@ -662,15 +702,15 @@ class TestAblationModes:
     def test_no_feature_extractors_requires_matching_dims(self):
         ds = tiny_dataset()  # d_in = 8
         with pytest.raises(ConfigError):
-            Model(tiny_cfg(d=16, d_h=32, no_feature_extractors_mode=True), infer_d_in(ds))
+            Model(tiny_cfg(d=16, d_h=32, no_feature_extractors_mode=True), TINY_D_IN)
 
     def test_no_feature_extractors_uses_raw_pooled_tokens(self):
         ds = tiny_dataset()
-        model = Model(tiny_cfg(no_feature_extractors_mode=True), infer_d_in(ds))
-        data = StackedDataset.from_samples(ds, include_teacher=True)
+        data = StackedDataset.from_samples(ds)
+        model = Model(tiny_cfg(no_feature_extractors_mode=True), data.d_in)
         batch = data.batch(np.arange(4))
         views = model.encode_batch(batch)
-        assert np.allclose(views.values[:, 0], batch.text.mean(axis=1), atol=1e-15)
+        assert np.allclose(views.values[:, 0], batch.tokens["text-tokens"].mean(axis=1), atol=1e-15)
 
     def test_no_attention_mode_trains(self):
         ds = tiny_dataset()

@@ -50,7 +50,7 @@ def rand_sample(rng, d_in=8, lt=5, li=4, lc=3, sample_id="x"):
 
 
 def encode(model, samples):
-    return model.encode_batch(StackedDataset.from_samples(samples, include_teacher=False))
+    return model.encode_batch(StackedDataset.from_samples(samples))
 
 
 def encode_text(model, tokens):
@@ -232,7 +232,7 @@ class TestEncodeViews:
         rng = np.random.default_rng(9)
         s = rand_sample(rng)
         base = encode(model, [s]).values[:, IMAGE]
-        perm = rng.permutation(s.image_seq.length)
+        perm = rng.permutation(s.image_seq.tokens.shape[0])
         permuted = sample_of(
             s.text_seq.tokens.values,
             s.image_seq.tokens.values[perm],
