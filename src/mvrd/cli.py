@@ -26,6 +26,7 @@ from .datasynth import (
     save_features_file,
     split,
 )
+from .fileio import write_records
 from .metrics import welch_ttest
 from .model import Model, StackedDataset
 from .teacher import (
@@ -90,17 +91,6 @@ def _print_rows(rows) -> None:
         print(row.name.ljust(width) + "  ".join(c.rjust(17) for c in cells))
 
 
-def _write_rows(rows, path) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        for row in rows:
-            fh.write(
-                json.dumps(
-                    {"name": row.name, "mean": row.mean, "sd": row.sd, "per_seed": row.per_seed}
-                )
-                + "\n"
-            )
-
-
 # ---------------------------------------------------------------------------
 # subcommands
 
@@ -156,7 +146,7 @@ def cmd_train(args) -> int:
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     save_checkpoint(model, out / "checkpoint.bin")
-    (out / "report.jsonl").write_text(report.to_json() + "\n", "utf-8")
+    write_records(out / "report.jsonl", [asdict(report)])
     print(json.dumps(report.metrics))
     return 0
 
@@ -164,11 +154,10 @@ def cmd_train(args) -> int:
 def cmd_eval(args) -> int:
     model = load_model(args.checkpoint)
     samples = load_features_file(args.features)
-    metrics = evaluate(model, samples)
-    line = json.dumps(metrics.as_dict())
+    metrics = evaluate(model, samples).as_dict()
     if args.out:
-        Path(args.out).write_text(line + "\n", "utf-8")
-    print(line)
+        write_records(args.out, [metrics])
+    print(json.dumps(metrics))
     return 0
 
 
@@ -178,7 +167,7 @@ def cmd_ablate(args) -> int:
     _print_rows(rows)
     if args.out:
         Path(args.out).mkdir(parents=True, exist_ok=True)
-        _write_rows(rows, Path(args.out) / "ablation.jsonl")
+        write_records(Path(args.out) / "ablation.jsonl", map(asdict, rows))
     return 0
 
 
@@ -189,7 +178,7 @@ def cmd_sweep(args) -> int:
     _print_rows(rows)
     if args.out:
         Path(args.out).mkdir(parents=True, exist_ok=True)
-        _write_rows(rows, Path(args.out) / f"sweep_{args.axis}.jsonl")
+        write_records(Path(args.out) / f"sweep_{args.axis}.jsonl", map(asdict, rows))
         if args.chart:
             ok = sweep_chart(rows, args.axis, Path(args.out) / f"sweep_{args.axis}.png")
             if not ok:

@@ -17,7 +17,6 @@ at desk scale.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass
 from functools import lru_cache
@@ -26,7 +25,7 @@ from pathlib import Path
 import numpy as np
 
 from .diffcore import ParameterError, Tensor, ValidationError
-from .fileio import FormatError, check_format_version, floats2d_json, read_record_lines
+from .fileio import FormatError, check_format_version, read_record_lines, write_records
 from .model import StackedDataset
 from .teacher import (
     CORRUPTION_TYPES,
@@ -267,23 +266,19 @@ def attach_teacher(samples: list[Sample], embeddings: dict[str, TeacherEmbedding
 
 
 def save_features_file(samples: list[Sample], path) -> None:
-    """Write the four sequences of every sample as line-delimited records."""
+    """Write the four sequences of every sample as line-delimited records,
+    one per sample and source; a non-finite token raises ``FormatError``."""
     # an empty list, mixed widths or ragged lengths raise before the file is opened
     d_in = StackedDataset.from_samples(samples).d_in
-    with Path(path).open("w", encoding="utf-8") as fh:
-        fh.write(json.dumps({"format_version": 1, "d_in": d_in}) + "\n")
+
+    def records():
+        yield {"format_version": 1, "d_in": d_in}
         for s in samples:
             for tag, seq in s.sequences().items():
-                fh.write(
-                    '{"sample_id": %s, "label": %d, "corruption": %s, "source_tag": %s, "tokens": %s}\n'
-                    % (
-                        json.dumps(s.sample_id),
-                        s.label,
-                        json.dumps(s.corruption),
-                        json.dumps(tag),
-                        floats2d_json(seq.tokens.values),
-                    )
-                )
+                yield {"sample_id": s.sample_id, "label": s.label, "corruption": s.corruption,
+                       "source_tag": tag, "tokens": seq.tokens.values}
+
+    write_records(path, records())
 
 
 def load_features_file(path) -> list[Sample]:

@@ -1,19 +1,24 @@
-"""Line-delimited record files with bit-exact float round-trips.
+"""One writer and one line parser for every file this package saves.
 
-Every dataset/teacher file in this package is UTF-8 text: one JSON header
-line followed by one JSON record per line. Floats are serialized with 17
-significant digits, which is enough to reproduce any IEEE-754 double exactly
-on reload.
+The features and teacher files and a run's JSONL outputs are UTF-8 text: a
+compact JSON header line, then one JSON record per line. Floats are written
+as Python's shortest round-trip ``repr``, which reads back to the same
+double, and a non-finite value is refused on save. Every file, the binary
+checkpoint too, is written beside its target and renamed over it only when
+whole, so a failed save leaves the previous file as it was, never truncated.
 
-Records stream: ``read_record_lines`` yields one parsed line at a time, so a
-loader checks the header before it parses any record and keeps only what it
-takes out of each record, never the list of every record dict.
+Records stream both ways: ``write_records`` encodes one record at a time and
+``read_record_lines`` yields one parsed line at a time, so a loader checks the
+header before any record and never holds the list of every record dict.
 """
 
 from __future__ import annotations
 
 import json
-from collections.abc import Iterator
+import os
+import threading
+from collections.abc import Iterable, Iterator
+from contextlib import contextmanager
 from pathlib import Path
 
 import numpy as np
@@ -23,34 +28,58 @@ class FormatError(ValueError):
     """A data file does not match its declared format."""
 
 
-def format_float(x: float) -> str:
-    return format(float(x), ".17g")
+@contextmanager
+def replace_atomically(path, mode: str = "w"):
+    """Yield a file open on a temporary beside ``path``, renamed over ``path``
+    only when the block ends without error; on any error it is removed."""
+    path = Path(path)
+    tmp = path.with_name(f".{path.name}.tmp.{os.getpid()}.{threading.get_ident()}")
+    try:  # plain open, not mkstemp, so the saved file gets the umask's mode, not 0600
+        with open(tmp, mode, encoding=None if "b" in mode else "utf-8") as fh:
+            yield fh
+        os.replace(tmp, path)
+    finally:
+        tmp.unlink(missing_ok=True)
 
 
-def floats_json(values) -> str:
-    """Serialize a 1-D array as a JSON number array at full precision."""
-    return "[" + ",".join(format_float(v) for v in np.asarray(values).reshape(-1)) + "]"
+def _plain(obj):
+    if isinstance(obj, (np.ndarray, np.generic)):
+        return obj.tolist()
+    raise TypeError(f"{type(obj).__name__} is not JSON serializable")
 
 
-def floats2d_json(rows) -> str:
-    """Serialize a 2-D array as a JSON array of number arrays at full precision."""
-    return "[" + ",".join(floats_json(row) for row in np.asarray(rows)) + "]"
+_encode = json.JSONEncoder(separators=(",", ":"), allow_nan=False, default=_plain).encode
+
+
+def write_records(path, records: Iterable[dict]) -> None:
+    """Write one compact JSON line per record, header first, replacing ``path``."""
+    with replace_atomically(path) as fh:
+        for lineno, record in enumerate(records, start=1):
+            try:
+                line = _encode(record)
+            except ValueError as exc:  # allow_nan=False: a NaN or an infinity
+                raise FormatError(f"{path}: line {lineno}: non-finite value ({exc})") from exc
+            fh.write(line + "\n")
+
+
+def parse_record(raw: bytes, where: str) -> dict:
+    """One line's JSON object; bad UTF-8 or JSON, deep nesting or a non-object
+    raise ``FormatError`` prefixed with ``where``."""
+    try:
+        obj = json.loads(raw.decode("utf-8"))
+    except (ValueError, RecursionError) as exc:
+        raise FormatError(f"{where}: invalid record ({exc})") from exc
+    if not isinstance(obj, dict):
+        raise FormatError(f"{where}: record is not an object")
+    return obj
 
 
 def read_record_lines(path) -> Iterator[tuple[int, dict]]:
     """Yield ``(line_number, record)`` for each non-blank line, the header first."""
     with Path(path).open("rb") as fh:
         for lineno, raw in enumerate(fh, start=1):
-            try:
-                line = raw.decode("utf-8").strip()
-                if not line:
-                    continue
-                obj = json.loads(line)
-            except (ValueError, RecursionError) as exc:  # bad UTF-8 or JSON, deep nesting
-                raise FormatError(f"{path}: line {lineno}: invalid record ({exc})") from exc
-            if not isinstance(obj, dict):
-                raise FormatError(f"{path}: line {lineno}: record is not an object")
-            yield lineno, obj
+            if not raw.isspace():
+                yield lineno, parse_record(raw, f"{path}: line {lineno}")
 
 
 def check_format_version(path, header: dict | None, expected: int = 1) -> None:

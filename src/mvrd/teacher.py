@@ -42,7 +42,13 @@ from pathlib import Path
 import numpy as np
 
 from .diffcore import DimensionError, ParameterError, Tensor, ValidationError
-from .fileio import FormatError, check_format_version, floats_json, read_record_lines
+from .fileio import (
+    FormatError,
+    check_format_version,
+    read_record_lines,
+    replace_atomically,
+    write_records,
+)
 from .views import VIEWS
 
 logger = logging.getLogger(__name__)
@@ -161,31 +167,21 @@ class TeacherFileData:
 
 
 def save_teacher_file(records, spec: ProjectionSpec, path) -> None:
-    """Write records in the line-delimited teacher format (17-digit floats)."""
-    path = Path(path)
-    with path.open("w", encoding="utf-8") as fh:
-        header = {
-            "format_version": 1,
-            "d_t": spec.d_t,
-            "d": spec.d,
-            "projection_seed": spec.seed,
-        }
-        fh.write(json.dumps(header) + "\n")
+    """Write records in the line-delimited teacher format; a record of the
+    wrong width or with a non-finite value raises ``FormatError``."""
+
+    def lines():
+        yield {"format_version": 1, "d_t": spec.d_t, "d": spec.d, "projection_seed": spec.seed}
         for rec in records:
             if rec.raw_embedding.shape != (spec.d_t,):
                 raise FormatError(
                     f"record ({rec.sample_id}, {rec.view}) has embedding {rec.raw_embedding.shape}, "
                     f"expected ({spec.d_t},)"
                 )
-            fh.write(
-                '{"sample_id": %s, "view": %s, "chain": %s, "embedding": %s}\n'
-                % (
-                    json.dumps(rec.sample_id),
-                    json.dumps(rec.view),
-                    json.dumps(rec.chain),
-                    floats_json(rec.raw_embedding),
-                )
-            )
+            yield {"sample_id": rec.sample_id, "view": rec.view, "chain": rec.chain,
+                   "embedding": rec.raw_embedding}
+
+    write_records(path, lines())
 
 
 def load_teacher_file(path) -> TeacherFileData:
@@ -413,12 +409,6 @@ class ReasoningClient:
         blob = "\x00".join([template_id, payload.text, payload.image_ref])
         return hashlib.sha256(blob.encode("utf-8")).hexdigest()
 
-    def _write_cache(self, path: Path, chain: str) -> None:
-        path.parent.mkdir(parents=True, exist_ok=True)
-        tmp = path.with_name(f".{path.name}.tmp.{os.getpid()}")
-        tmp.write_text(chain, "utf-8")
-        os.replace(tmp, path)  # atomic per key
-
     def _post_once(self, prompt: str) -> str:
         body = json.dumps(
             {"model": self.model, "messages": [{"role": "user", "content": prompt}]}
@@ -451,9 +441,13 @@ class ReasoningClient:
             try:
                 chain = self._post_once(prompt)
             except (urllib.error.URLError, TimeoutError, OSError) as exc:
+                if isinstance(exc, urllib.error.HTTPError):
+                    exc.close()  # an error reply holds its connection open
                 last_error = exc
                 continue
-            self._write_cache(path, chain)
+            path.parent.mkdir(parents=True, exist_ok=True)
+            with replace_atomically(path) as fh:  # a cache entry is whole or absent
+                fh.write(chain)
             return chain
         raise TeacherEndpointError(
             f"endpoint failed after {self.retries} attempts for "

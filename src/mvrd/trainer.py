@@ -33,7 +33,7 @@ from .diffcore import (
     backward,
     zero_grads,
 )
-from .fileio import FormatError
+from .fileio import FormatError, parse_record, replace_atomically
 from .metrics import Metrics, compute_metrics
 from .model import Model, StackedDataset, check_fit
 from .teacher import TeacherEmbeddings, fallback_embed
@@ -85,9 +85,6 @@ class RunReport:
     epoch_losses: list[dict]
     metrics: dict | None
     wall_time_s: float
-
-    def to_json(self) -> str:
-        return json.dumps(asdict(self))
 
 
 def replace_teacher_with_content_embeddings(samples: list[Sample], d: int) -> list[Sample]:
@@ -337,7 +334,8 @@ def sweep_chart(rows: list[VariantResult], axis: str, path) -> bool:
     ax.set_ylabel("metric")
     ax.legend()
     fig.tight_layout()
-    fig.savefig(path, dpi=120)
+    with replace_atomically(path, "wb") as fh:
+        fig.savefig(fh, format="png", dpi=120)
     plt.close(fig)
     return True
 
@@ -360,27 +358,19 @@ def save_checkpoint(model: Model, path) -> None:
         "train_config": asdict(model.cfg),
         "d_in": model.d_in,
     }
-    # written beside the target and renamed over it, so a failed save leaves
-    # the previous checkpoint whole
-    path = Path(path)
-    tmp = path.with_name(f".{path.name}.tmp.{os.getpid()}")
-    try:
-        with open(tmp, "wb") as fh:
-            fh.write(CHECKPOINT_MAGIC)
-            fh.write(json.dumps(header).encode() + b"\n")
-            for p in params:
-                meta = {"name": p.name, "shape": list(p.tensor.shape)}
-                fh.write(json.dumps(meta).encode() + b"\n")
-                fh.write(np.ascontiguousarray(p.tensor.values, dtype="<f8").tobytes())
-                fh.write(b"\n")
-        os.replace(tmp, path)
-    finally:
-        tmp.unlink(missing_ok=True)
+    with replace_atomically(path, "wb") as fh:
+        fh.write(CHECKPOINT_MAGIC)
+        fh.write(json.dumps(header).encode() + b"\n")
+        for p in params:
+            meta = {"name": p.name, "shape": list(p.tensor.shape)}
+            fh.write(json.dumps(meta).encode() + b"\n")
+            fh.write(np.ascontiguousarray(p.tensor.values, dtype="<f8").tobytes())
+            fh.write(b"\n")
 
 
 def load_checkpoint(path) -> tuple[dict, dict[str, np.ndarray]]:
     """Parse a checkpoint fully before returning; truncation never partially loads."""
-    blob = open(path, "rb").read()
+    blob = Path(path).read_bytes()
     if not blob.startswith(CHECKPOINT_MAGIC):
         raise FormatError(f"{path}: not a checkpoint file")
     cursor = len(CHECKPOINT_MAGIC)
@@ -390,12 +380,7 @@ def load_checkpoint(path) -> tuple[dict, dict[str, np.ndarray]]:
         end = blob.find(b"\n", cursor)
         if end < 0:
             raise FormatError(f"{path}: truncated checkpoint")
-        try:
-            obj = json.loads(blob[cursor:end])
-        except (ValueError, RecursionError) as exc:  # bad UTF-8 or JSON, deep nesting
-            raise FormatError(f"{path}: bad checkpoint {what} ({exc})") from exc
-        if not isinstance(obj, dict):
-            raise FormatError(f"{path}: checkpoint {what} is not an object")
+        obj = parse_record(blob[cursor:end], f"{path}: checkpoint {what}")
         cursor = end + 1
         return obj
 

@@ -258,15 +258,18 @@ class TestSweepCommand:
         )
 
     def test_chart_reaches_savefig(self, data_dir, config_file, tmp_path, capsys, monkeypatch):
-        # a stand-in matplotlib: the chart is drawn and saved to the PNG path
+        # a stand-in matplotlib: the chart is drawn and its PNG bytes land at the path
         fig = mock.MagicMock()
+        fig.savefig.side_effect = lambda fh, **_: fh.write(b"png bytes")
         pyplot = mock.MagicMock()
         pyplot.subplots.return_value = (fig, mock.MagicMock())
         monkeypatch.setitem(sys.modules, "matplotlib", mock.MagicMock(pyplot=pyplot))
         monkeypatch.setitem(sys.modules, "matplotlib.pyplot", pyplot)
         out = tmp_path / "sweep"
         assert self.sweep_with_chart(data_dir, config_file, out) == 0
-        fig.savefig.assert_called_once_with(out / "sweep_tau.png", dpi=120)
+        fig.savefig.assert_called_once_with(mock.ANY, format="png", dpi=120)
+        assert (out / "sweep_tau.png").read_bytes() == b"png bytes"
+        assert sorted(p.name for p in out.iterdir()) == ["sweep_tau.jsonl", "sweep_tau.png"]
         pyplot.close.assert_called_once_with(fig)
         assert "skipped chart" not in capsys.readouterr().err
 

@@ -208,11 +208,24 @@ class TestFeatureFile:
         path = tmp_path / "features.jsonl"
         save_features_file(generate_dataset(small_cfg(n_samples=2)), path)
         lines = path.read_text("utf-8").splitlines()
-        head, sep, rest = lines[3].partition('"tokens": [[')
+        head, sep, rest = lines[3].partition('"tokens":[[')
         lines[3] = head + sep + literal + rest[rest.index(","):]
         path.write_text("\n".join(lines) + "\n", "utf-8")
         with pytest.raises(FormatError, match="line 4"):
             load_features_file(path)
+
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+    def test_non_finite_token_not_saved(self, tmp_path, value):
+        # refused with the line it would have had; the previous file stays whole
+        path = tmp_path / "features.jsonl"
+        save_features_file(generate_dataset(small_cfg(n_samples=2)), path)
+        before = path.read_bytes()
+        ds = generate_dataset(small_cfg(n_samples=2))
+        ds[1].image_seq.tokens.values[0, 1] = value  # sample 2's image-patches: line 7
+        with pytest.raises(FormatError, match="line 7: non-finite"):
+            save_features_file(ds, path)
+        assert path.read_bytes() == before
+        assert [p.name for p in tmp_path.iterdir()] == ["features.jsonl"]
 
     @pytest.mark.parametrize("label", [1.7, "1", True])
     def test_label_must_be_json_integer(self, tmp_path, label):

@@ -1,16 +1,18 @@
 """Property tests for the three file parsers and the config parser: any input
 either loads or is rejected with the package's own error types, never with a
-raw exception."""
+raw exception; and any finite array saved to a features or teacher file loads
+back bit-identical."""
 
 import numpy as np
 import pytest
-from hypothesis import HealthCheck, given, settings
+from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from mvrd.config import ConfigError, TrainConfig, build_configs, read_config_file
 from mvrd.datasynth import SyntheticConfig, generate_dataset, load_features_file, save_features_file
 from mvrd.diffcore import ParameterError, ValidationError
-from mvrd.fileio import FormatError
+from mvrd.fileio import FormatError, read_record_lines
 from mvrd.model import Model
 from mvrd.teacher import ProjectionSpec, ReasoningRecord, load_teacher_file, save_teacher_file
 from mvrd.trainer import CHECKPOINT_MAGIC, load_checkpoint, save_checkpoint
@@ -28,11 +30,15 @@ INTERESTING = st.sampled_from(
 )
 
 
-def write_features(path):
+def tiny_samples():
     synth = SyntheticConfig(
         n_samples=2, d_in=2, teacher_dim=4, len_text=2, len_image=1, len_clip=1, seed=1
     )
-    save_features_file(generate_dataset(synth), path)
+    return generate_dataset(synth)
+
+
+def write_features(path):
+    save_features_file(tiny_samples(), path)
 
 
 def write_teacher(path):
@@ -151,3 +157,44 @@ def test_features_header_widths(tmp_path, d_in, width):
         return
     assert all(type(d_in.get(tag)) is int and d_in[tag] == width >= 1 for tag in SOURCE_TAGS)
     assert [s.text_seq.tokens.shape[1] for s in samples] == [width]
+
+
+# negative zero, the smallest subnormal of each sign, a mid-range subnormal,
+# the largest subnormal and the largest finite double of each sign
+EDGE_FLOATS = [-0.0, 5e-324, -5e-324, 1e-310, 2.225073858507201e-308,
+               1.7976931348623157e308, -1.7976931348623157e308]
+FINITE = st.floats(allow_nan=False, allow_infinity=False) | st.sampled_from(EDGE_FLOATS)
+N_TOKENS = sum(seq.tokens.values.size for s in tiny_samples() for seq in s.sequences().values())
+
+
+@FUZZ
+@given(values=arrays(np.float64, N_TOKENS, elements=FINITE))
+@example(values=np.resize(EDGE_FLOATS, N_TOKENS))
+def test_finite_tokens_round_trip_bit_identical(tmp_path, values):
+    samples = tiny_samples()
+    seqs = [seq.tokens.values for s in samples for seq in s.sequences().values()]
+    for tokens, chunk in zip(seqs, np.split(values, np.cumsum([t.size for t in seqs])[:-1])):
+        tokens[...] = chunk.reshape(tokens.shape)
+    path = tmp_path / "features.jsonl"
+    save_features_file(samples, path)
+    back = [seq.tokens.values for s in load_features_file(path) for seq in s.sequences().values()]
+    assert [t.tobytes() for t in back] == [t.tobytes() for t in seqs]
+
+
+@FUZZ
+@given(rows=arrays(np.float64, (2 * len(VIEWS), 4), elements=FINITE))
+@example(rows=np.resize(EDGE_FLOATS, (2 * len(VIEWS), 4)))
+def test_finite_embeddings_round_trip_bit_identical(tmp_path, rows):
+    spec = ProjectionSpec(d_t=4, d=3, seed=2)
+    records = [ReasoningRecord(f"s{i // len(VIEWS)}", view, "", row)
+               for i, (view, row) in enumerate(zip(VIEWS * 2, rows))]
+    path = tmp_path / "teacher.jsonl"
+    save_teacher_file(records, spec, path)
+    _, *lines = read_record_lines(path)
+    assert [np.asarray(r["embedding"]).tobytes() for _, r in lines] == [r.tobytes() for r in rows]
+    # the projected rows too, overflow and all, as the loader computes them
+    with np.errstate(over="ignore", invalid="ignore"):
+        loaded = load_teacher_file(path).embeddings
+        expected = [row @ spec.matrix() for row in rows]
+    got = [loaded[r.sample_id].values[VIEWS.index(r.view)] for r in records]
+    assert [g.tobytes() for g in got] == [e.tobytes() for e in expected]

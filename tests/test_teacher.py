@@ -2,12 +2,14 @@
 the one chain path (``fetch_chains``), and the endpoint client with its
 on-disk cache, alone and through ``mvrd gen-teacher --mode endpoint``."""
 
+import gc
 import hashlib
 import io
 import json
 import sys
 import threading
 import time
+import warnings
 from http.server import BaseHTTPRequestHandler, HTTPServer
 
 import numpy as np
@@ -138,6 +140,23 @@ class TestTeacherFile:
                     again.embeddings[sid].view(view).values,
                 )
 
+    @pytest.mark.parametrize(
+        "row, error",
+        [(np.zeros(5), r"\(s1, image\) has embedding \(5,\)"), (np.full(8, np.nan), "line 6: non-finite")],
+        ids=["wrong-width", "nan"],
+    )
+    def test_refused_save_keeps_previous_file(self, tmp_path, row, error):
+        spec = ProjectionSpec(d_t=8, d=4, seed=0)
+        path = tmp_path / "teacher.jsonl"
+        save_teacher_file(make_records(3, 8), spec, path)
+        before = path.read_bytes()
+        records = make_records(3, 8, seed=1)
+        records[4].raw_embedding = row  # sample s1's image row, line 6
+        with pytest.raises(FormatError, match=error):
+            save_teacher_file(records, spec, path)
+        assert path.read_bytes() == before
+        assert [p.name for p in tmp_path.iterdir()] == ["teacher.jsonl"]
+
     def test_missing_view_named(self, tmp_path):
         spec = ProjectionSpec(d_t=8, d=4, seed=0)
         records = [r for r in make_records(3, 8) if not (r.sample_id == "s2" and r.view == "cross")]
@@ -175,7 +194,7 @@ class TestTeacherFile:
         path = tmp_path / "teacher.jsonl"
         save_teacher_file(make_records(1, 8), ProjectionSpec(d_t=8, d=4, seed=0), path)
         lines = path.read_text("utf-8").splitlines()
-        head, sep, rest = lines[2].partition('"embedding": [')
+        head, sep, rest = lines[2].partition('"embedding":[')
         lines[2] = head + sep + literal + rest[rest.index(","):]
         path.write_text("\n".join(lines) + "\n", "utf-8")
         with pytest.raises(FormatError, match="line 3"):
@@ -379,6 +398,7 @@ def echo_server():
     thread.start()
     yield f"http://127.0.0.1:{server.server_port}"
     server.shutdown()
+    server.server_close()
     thread.join(timeout=5)
 
 
@@ -419,6 +439,15 @@ class TestReasoningClient:
         client = ReasoningClient(echo_server, tmp_path / "cache", retries=3)
         chain = client.fetch_chain(default_templates()["text"], SamplePayload("s2", "t", "i"))
         assert chain.startswith("echo:")
+
+    def test_error_reply_closes_its_connection(self, echo_server, tmp_path):
+        _EchoHandler.fail_next = 1
+        client = ReasoningClient(echo_server, tmp_path / "cache", retries=2)
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always", ResourceWarning)
+            client.fetch_chain(default_templates()["text"], SamplePayload("s3", "t", "i"))
+            gc.collect()  # the retried error is freed with its traceback cycle
+        assert [str(w.message) for w in caught if w.category is ResourceWarning] == []
 
     def test_cache_file_named_by_key_digest(self, echo_server, tmp_path):
         cache_dir = tmp_path / "cache"

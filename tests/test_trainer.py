@@ -13,7 +13,7 @@ from mvrd import trainer
 from mvrd.config import ConfigError, TrainConfig
 from mvrd.datasynth import SyntheticConfig, generate_dataset, split
 from mvrd.diffcore import ContractError, DimensionError, ParameterError, ValidationError, backward
-from mvrd.fileio import FormatError
+from mvrd.fileio import FormatError, read_record_lines, write_records
 from mvrd.metrics import Metrics
 from mvrd.model import Model, StackedDataset, check_fit
 from mvrd.teacher import TeacherEmbeddings
@@ -215,12 +215,15 @@ class TestTrain:
         assert report.epoch_losses[0]["total"] > 1e4
         assert all(np.isfinite(p.tensor.values).all() for p in model.parameters())
 
-    def test_report_round_trips_losslessly(self):
+    def test_report_round_trips_losslessly(self, tmp_path):
+        # written as `mvrd train` writes report.jsonl
         ds = tiny_dataset()
         tr, te = split(ds, (0.75, 0.25), seed=2)
         _, report = train(tiny_cfg(), tr, eval_dataset=te)
-        back = RunReport(**json.loads(report.to_json()))
-        assert back == report
+        path = tmp_path / "report.jsonl"
+        write_records(path, [dataclasses.asdict(report)])
+        [(_, record)] = read_record_lines(path)
+        assert RunReport(**record) == report
 
 
 class TestEvaluate:
