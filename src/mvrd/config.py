@@ -107,16 +107,12 @@ def _parse_value(raw: str, py_type, key: str):
         if lowered in ("false", "0", "no", "off"):
             return False
         raise ConfigError(f"key {key!r}: expected a boolean, got {raw!r}")
-    if py_type is int:
+    if py_type in (int, float):
         try:
-            return int(raw)
+            return py_type(raw)
         except ValueError as exc:
-            raise ConfigError(f"key {key!r}: expected an integer, got {raw!r}") from exc
-    if py_type is float:
-        try:
-            return float(raw)
-        except ValueError as exc:
-            raise ConfigError(f"key {key!r}: expected a number, got {raw!r}") from exc
+            kind = "an integer" if py_type is int else "a number"
+            raise ConfigError(f"key {key!r}: expected {kind}, got {raw!r}") from exc
     # tuple-of-floats fields (corruption_mix)
     try:
         return tuple(float(part) for part in raw.split(","))

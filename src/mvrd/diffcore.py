@@ -3,12 +3,14 @@
 Everything in this package that needs gradients runs through the small op set
 below, ten ops in all. A whole multi-head attention block is one of them:
 ``attention`` projects its inputs to Q, K and V, runs the per-head
-softmax(Q K^T / sqrt(d_k)) V loop and mixes the heads with W_O inside a single
-op, so an attention block records one node. ``linear`` also takes a stacked
-weight, one matrix per slot of a view axis, so a per-view layer is one node
-too. Each forward op appends a record to a thread-local tape;
-``backward`` walks the tape in reverse and accumulates gradients into
-``Tensor.grad`` buffers. Gradients accumulate across calls; callers (the
+softmax(Q K^T / sqrt(d_k)) V loop, mixes the heads with W_O and returns the
+block's mean over its queries inside a single op, so an attention block
+records one node, and each of its weight gradients is one GEMM. ``linear``
+also takes a stacked weight, one matrix per slot of a view axis, so a
+per-view layer is one node too. Each forward op appends a record to a
+thread-local tape; ``backward`` walks the tape in reverse and accumulates
+gradients into ``Tensor.grad`` buffers, which ``pack_parameters`` can place
+in one flat array per model. Gradients accumulate across calls; callers (the
 optimizer) zero them between steps. The tape is freed after each backward
 pass.
 
@@ -43,6 +45,7 @@ __all__ = [
     "make_parameter",
     "mean",
     "no_grad",
+    "pack_parameters",
     "parameter_seed",
     "relu",
     "reshape",
@@ -168,6 +171,18 @@ def make_parameter(name: str, shape: tuple[int, ...], scheme: str, seed: int) ->
 def zero_grads(params) -> None:
     for p in params:
         p.tensor.zero_grad()
+
+
+def pack_parameters(params) -> tuple[np.ndarray, np.ndarray]:
+    """One flat array of the values of ``params`` and one of their gradients, in
+    order; each tensor's ``values`` and ``grad`` become views of its slice."""
+    tensors = [p.tensor for p in params]
+    values = np.concatenate([t.values.reshape(-1) for t in tensors])
+    grads = np.concatenate([t.grad.reshape(-1) for t in tensors])
+    bounds = np.cumsum([0] + [t.values.size for t in tensors])
+    for t, lo, hi in zip(tensors, bounds, bounds[1:]):
+        t.values, t.grad = values[lo:hi].reshape(t.shape), grads[lo:hi].reshape(t.shape)
+    return values, grads
 
 
 # ---------------------------------------------------------------------------
@@ -348,18 +363,19 @@ def _softmax_grad(s: np.ndarray, g: np.ndarray) -> np.ndarray:
 
 
 def attention(x_q, x_kv, w_q, w_k, w_v, w_o, heads: int) -> Tensor:
-    """One multi-head attention block: queries from x_q (.., L_q, d_q), keys and
-    values from x_kv (.., L_kv, d_kv).
+    """The mean over the queries of one multi-head attention block: queries
+    from x_q (.., L_q, d_q), keys and values from x_kv (.., L_kv, d_kv), output
+    (.., n_out).
 
     Q = x_q W_Q, K = x_kv W_K and V = x_kv W_V, each (.., L, W). Head h reads
-    columns [h*d_k, (h+1)*d_k) with d_k = W/heads and computes
-    softmax(Q_h K_h^T / sqrt(d_k)) V_h; the heads are concatenated and mixed by
-    W_O (W, n_out).
+    columns [h*d_k, (h+1)*d_k) with d_k = W/heads and computes S_h V_h with
+    S_h = softmax(Q_h K_h^T / sqrt(d_k)); the heads are concatenated and mixed
+    by W_O (W, n_out). The mean is linear, so mean_i((S V)_i) W_O =
+    (mean_i S_i) V W_O, and no (.., L_q, W) block output is formed.
 
     One tape node. Forward and backward loop over the heads; each head works on
     contiguous (.., L, d_k) copies of its operands, so no (.., heads, L, L)
-    temporary is ever built. A weight gradient is the batched product summed
-    over the leading axes.
+    temporary is ever built. Each weight gradient is one GEMM over all rows.
     """
     x_q, x_kv, w_q, w_k, w_v, w_o = (_tensor(t) for t in (x_q, x_kv, w_q, w_k, w_v, w_o))
     if x_q.ndim < 2 or x_kv.ndim != x_q.ndim or x_kv.shape[:-2] != x_q.shape[:-2]:
@@ -380,44 +396,46 @@ def attention(x_q, x_kv, w_q, w_k, w_v, w_o, heads: int) -> Tensor:
     width = w_q.shape[1]
     if not isinstance(heads, int) or heads < 1 or width % heads:
         raise DimensionError(f"attention heads={heads!r} must be an integer dividing width {width}")
+    lead, l_q = x_q.shape[:-2], x_q.shape[-2]
     q = np.matmul(x_q.values, w_q.values)
     k = np.matmul(x_kv.values, w_k.values)
     v = np.matmul(x_kv.values, w_v.values)
     d_k = width // heads
     inv_scale = float(1.0 / np.sqrt(d_k))
     cols = [np.s_[..., lo:lo + d_k] for lo in range(0, width, d_k)]
-    saved = []  # per head: Q_h, K_h^T, V_h, softmax weights
+    saved = []  # per head: Q_h, K_h^T, V_h, softmax weights, their mean over queries
     for col in cols:
         q_h = q[col].copy()
         k_t = _swap(k[col]).copy()
         v_h = v[col].copy()
-        saved.append((q_h, k_t, v_h, _softmax(np.matmul(q_h, k_t) * inv_scale)))
-    heads_out = np.concatenate([np.matmul(s, v_h) for _, _, v_h, s in saved], axis=-1)
-
-    lead = tuple(range(x_q.ndim - 2))
-
-    def weight_grad(x, g):
-        return np.matmul(_swap(x), g).sum(axis=lead)
+        s = _softmax(np.matmul(q_h, k_t) * inv_scale)
+        saved.append((q_h, k_t, v_h, s, s.mean(axis=-2, keepdims=True)))
+    # one row of pooled head outputs per leading index: (rows, W)
+    pooled = np.concatenate([np.matmul(s_bar, v_h) for _, _, v_h, _, s_bar in saved], axis=-1)
+    pooled = pooled.reshape(-1, width)
 
     def backward_fn(g):
+        g = g.reshape(-1, w_o.shape[1])
         if w_o.requires_grad:
-            w_o.grad += weight_grad(heads_out, g)
-        g_heads = np.matmul(g, _swap(w_o.values))
-        g_q, g_k, g_v = np.zeros_like(q), np.zeros_like(k), np.zeros_like(v)
-        for col, (q_h, k_t, v_h, s) in zip(cols, saved):
-            g_h = g_heads[col].copy()
-            g_v[col] += np.matmul(_swap(s), g_h)
-            g_scores = _softmax_grad(s, np.matmul(g_h, _swap(v_h))) * inv_scale
-            g_q[col] += np.matmul(g_scores, _swap(k_t))
-            g_k[col] += _swap(np.matmul(_swap(q_h), g_scores))
+            w_o.grad += pooled.T @ g
+        g_heads = (g @ w_o.values.T).reshape(lead + (1, width))
+        g_q, g_k, g_v = np.empty_like(q), np.empty_like(k), np.empty_like(v)
+        for col, (q_h, k_t, v_h, s, s_bar) in zip(cols, saved):
+            g_h = g_heads[col]
+            g_v[col] = np.matmul(_swap(s_bar), g_h)
+            # dL/dS: the same row for every query
+            g_scores = _softmax_grad(s, np.matmul(g_h, _swap(v_h)) / l_q) * inv_scale
+            g_q[col] = np.matmul(g_scores, _swap(k_t))
+            g_k[col] = _swap(np.matmul(_swap(q_h), g_scores))
         # V, then K, then Q: x_kv.grad sums its two paths in this fixed order
         for x, w, g_proj in ((x_kv, w_v, g_v), (x_kv, w_k, g_k), (x_q, w_q, g_q)):
             if x.requires_grad:
                 x.grad += np.matmul(g_proj, _swap(w.values))
             if w.requires_grad:
-                w.grad += weight_grad(x.values, g_proj)
+                w.grad += x.values.reshape(-1, w.shape[0]).T @ g_proj.reshape(-1, w.shape[1])
 
-    return _emit(np.matmul(heads_out, w_o.values), (x_q, x_kv, w_q, w_k, w_v, w_o), backward_fn)
+    out = (pooled @ w_o.values).reshape(lead + (w_o.shape[1],))
+    return _emit(out, (x_q, x_kv, w_q, w_k, w_v, w_o), backward_fn)
 
 
 def tempered_kl(student, teacher, tau: float) -> Tensor:

@@ -2,10 +2,12 @@
 
 The calibrated views arrive as one (B, 3, d) tensor, slots in ``VIEWS``
 order. Their mean over the view axis queries that same tensor through one
-multi-head cross-attention block; the fused vector feeds the final
-classifier. One stacked branch head supervises the *uncalibrated* view
-features, and the total training objective combines classification with the
-weighted per-view distillation losses.
+multi-head cross-attention block; with its single query position, the
+block's mean over queries, which ``diffcore.attention`` returns, is the
+(B, d) fused vector, and it feeds the final classifier. One stacked branch
+head supervises the *uncalibrated* view features, and the total training
+objective combines classification with the weighted per-view distillation
+losses.
 """
 
 from __future__ import annotations
@@ -56,8 +58,7 @@ class FusionParams:
 def cross_attention_fuse(query: Tensor, view_set: Tensor, params: FusionParams) -> Tensor:
     """Single cross-attention pass: the (.., d) query attends over the (.., 3, d) views."""
     q_seq = reshape(query, query.shape[:-1] + (1, query.shape[-1]))
-    fused = attention(q_seq, view_set, *params.attn, params.heads)
-    return reshape(fused, query.shape)
+    return attention(q_seq, view_set, *params.attn, params.heads)
 
 
 def _mean_ce(logits: Tensor, y) -> Tensor:

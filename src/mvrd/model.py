@@ -10,8 +10,10 @@ down to the losses. Training slices minibatches out of one stacked dataset.
 Prediction stacks one ``PREDICT_CHUNK`` of samples at a time, so a large
 evaluation set never holds a second, stacked copy of itself in memory.
 
-The model owns three parameter groups (view encoders, calibrator, fusion) and
-implements the ablation switches from TrainConfig:
+The model owns three parameter groups (view encoders, calibrator, fusion),
+whose values and gradients live in two flat arrays, ``Model.values`` and
+``Model.grads``, in ``parameters()`` order, and implements the ablation
+switches from TrainConfig:
 
 * ``drop_text_view`` / ``drop_image_view``: the view's slot is zeroed right
   after encoding, removing it everywhere downstream
@@ -39,7 +41,7 @@ from .calibration import CalibratorParams, calibrate_views, distill_losses
 from .config import ConfigError, TrainConfig
 from .diffcore import (
     DimensionError, Parameter, Tensor, ValidationError, add, attention, concat, linear, mean,
-    no_grad, reshape, scale,
+    no_grad, pack_parameters, reshape, scale,
 )
 from .fusion import (
     FusionParams,
@@ -48,7 +50,7 @@ from .fusion import (
     cross_attention_fuse,
     total_loss,
 )
-from .views import SOURCE_TAGS, VIEWS, ViewEncoderParams, co_pool_and_project, pool_and_project
+from .views import SOURCE_TAGS, VIEWS, ViewEncoderParams
 
 PREDICT_CHUNK = 256
 _NO_TEACHER = "lambda > 0 needs teacher embeddings; attach a teacher file or train with lambda = 0"
@@ -138,6 +140,7 @@ class Model:
         self.encoder = ViewEncoderParams(d_in, cfg.d, cfg.encoder_heads, cfg.master_seed)
         self.calibrator = CalibratorParams(cfg.d, cfg.d_h, cfg.master_seed)
         self.fusion = FusionParams(cfg.d, cfg.heads, cfg.master_seed)
+        self.values, self.grads = pack_parameters(self.parameters())
 
     def parameters(self) -> list[Parameter]:
         return self.encoder.parameters() + self.calibrator.parameters() + self.fusion.parameters()
@@ -148,24 +151,22 @@ class Model:
         """The (B, 3, d) view features of a stacked batch, slots in ``VIEWS`` order."""
         cfg, enc = self.cfg, self.encoder
         text, image, clip_t, clip_i = (Tensor(batch.tokens[tag]) for tag in SOURCE_TAGS)
-        if cfg.no_feature_extractors_mode:
-            views = [
-                mean(text, axis=-2),
-                mean(image, axis=-2),
-                scale(add(mean(clip_i, axis=-2), mean(clip_t, axis=-2)), 0.5),
-            ]
+        if cfg.no_feature_extractors_mode or cfg.no_attention_mode:
+            text, image, clip_i, clip_t = (mean(x, axis=-2) for x in (text, image, clip_i, clip_t))
         else:
-            if not cfg.no_attention_mode:
-                text = attention(text, text, *enc.text_attn, enc.heads)
-                image = attention(image, image, *enc.image_attn, enc.heads)
-                clip_i, clip_t = (
-                    attention(clip_i, clip_t, *enc.cross_i2t, enc.heads),
-                    attention(clip_t, clip_i, *enc.cross_t2i, enc.heads),
-                )
+            text = attention(text, text, *enc.text_attn, enc.heads)
+            image = attention(image, image, *enc.image_attn, enc.heads)
+            clip_i, clip_t = (
+                attention(clip_i, clip_t, *enc.cross_i2t, enc.heads),
+                attention(clip_t, clip_i, *enc.cross_t2i, enc.heads),
+            )
+        if cfg.no_feature_extractors_mode:
+            views = [text, image, scale(add(clip_i, clip_t), 0.5)]
+        else:
             views = [
-                pool_and_project(text, enc.text_proj),
-                pool_and_project(image, enc.image_proj),
-                co_pool_and_project(clip_i, clip_t, enc),
+                linear(text, *enc.text_proj),
+                linear(image, *enc.image_proj),
+                linear(concat([clip_i, clip_t], axis=-1), *enc.cross_proj),
             ]
         n = len(batch.labels)
         if cfg.drop_text_view:

@@ -31,7 +31,6 @@ from .diffcore import (
     ParameterError,
     ValidationError,
     backward,
-    zero_grads,
 )
 from .fileio import FormatError, parse_record, replace_atomically
 from .metrics import Metrics, compute_metrics
@@ -47,33 +46,37 @@ class Adam:
     """Adaptive-moment optimizer with the usual constants: first-moment decay
     BETA1 = 0.9, second-moment decay BETA2 = 0.999, and EPS = 1e-8 added to
     the root of the second moment. A zero-gradient step from fresh state is a
-    no-op."""
+    no-op. It updates a model's flat ``values`` from its flat ``grads`` in a
+    few whole-array operations, each entry by the per-parameter formula, op
+    for op, into scratch arrays made once."""
 
     BETA1, BETA2, EPS = 0.9, 0.999, 1e-8
 
-    def __init__(self, params: list[Parameter], lr: float = 1e-3):
-        self.params = list(params)
+    def __init__(self, values: np.ndarray, grads: np.ndarray, lr: float = 1e-3):
+        self.values, self.grads = values, grads
         self.lr = lr
         self.t = 0
-        self._m = {p.name: np.zeros(p.tensor.shape) for p in self.params}
-        self._v = {p.name: np.zeros(p.tensor.shape) for p in self.params}
+        self._m, self._v = np.zeros_like(values), np.zeros_like(values)
+        self._scratch = np.empty_like(values), np.empty_like(values)
 
     def zero_grad(self) -> None:
-        zero_grads(self.params)
+        self.grads.fill(0.0)
 
     def step(self) -> None:
         self.t += 1
         bc1 = 1.0 - self.BETA1**self.t
         bc2 = 1.0 - self.BETA2**self.t
-        for p in self.params:
-            g = p.tensor.grad
-            m = self._m[p.name]
-            v = self._v[p.name]
-            m *= self.BETA1
-            m += (1.0 - self.BETA1) * g
-            v *= self.BETA2
-            v += (1.0 - self.BETA2) * (g * g)
-            p.tensor.values -= self.lr * (m / bc1) / (np.sqrt(v / bc2) + self.EPS)
+        g, m, v = self.grads, self._m, self._v
+        a, b = self._scratch
+        m *= self.BETA1
+        m += np.multiply(g, 1.0 - self.BETA1, out=a)
+        v *= self.BETA2
+        v += np.multiply(np.multiply(g, g, out=a), 1.0 - self.BETA2, out=a)
+        # values -= lr * (m / bc1) / (sqrt(v / bc2) + EPS)
+        np.sqrt(np.divide(v, bc2, out=b), out=b)
+        b += self.EPS
+        np.multiply(np.divide(m, bc1, out=a), self.lr, out=a)
+        self.values -= np.divide(a, b, out=a)
 
 
 @dataclass
@@ -114,7 +117,7 @@ def train(
     data = StackedDataset.from_samples(dataset)
     check_fit(cfg, data.d_in, data)
     model = Model(cfg, data.d_in)
-    optimizer = Adam(model.parameters(), cfg.learning_rate)
+    optimizer = Adam(model.values, model.grads, cfg.learning_rate)
     shuffle_rng = np.random.default_rng(np.random.SeedSequence((cfg.master_seed, 17)))
     n = len(dataset)
 
@@ -350,8 +353,12 @@ def _layout_hash(params: list[Parameter]) -> str:
 
 
 def save_checkpoint(model: Model, path) -> None:
-    """Binary checkpoint: JSON header, then per-parameter meta + raw float64."""
+    """Binary checkpoint: JSON header, then per-parameter meta + raw float64.
+    A model with a non-finite value is refused, and the previous file stays."""
     params = model.parameters()
+    if not np.isfinite(model.values).all():
+        bad = [p.name for p in params if not np.isfinite(p.tensor.values).all()]
+        raise FormatError(f"{path}: refusing to save non-finite values in {bad}")
     header = {
         "format_version": CHECKPOINT_VERSION,
         "layout_hash": _layout_hash(params),
@@ -369,7 +376,8 @@ def save_checkpoint(model: Model, path) -> None:
 
 
 def load_checkpoint(path) -> tuple[dict, dict[str, np.ndarray]]:
-    """Parse a checkpoint fully before returning; truncation never partially loads."""
+    """Parse a checkpoint fully before returning; truncation never partially loads,
+    and a non-finite value is refused."""
     blob = Path(path).read_bytes()
     if not blob.startswith(CHECKPOINT_MAGIC):
         raise FormatError(f"{path}: not a checkpoint file")
@@ -403,6 +411,8 @@ def load_checkpoint(path) -> tuple[dict, dict[str, np.ndarray]]:
         if cursor + nbytes + 1 > len(blob):
             raise FormatError(f"{path}: truncated checkpoint at parameter {name!r}")
         arrays[name] = np.frombuffer(blob[cursor : cursor + nbytes], dtype="<f8").reshape(shape)
+        if not np.isfinite(arrays[name]).all():
+            raise FormatError(f"{path}: parameter {name!r} holds a non-finite value")
         cursor += nbytes + 1
     return header, arrays
 

@@ -10,11 +10,13 @@ stacked batch of (B, L, d_in) token arrays:
   sequences, each direction mean-pooled, concatenated, projected
 
 ``Model.encode_batch`` composes the pieces: one ``diffcore.attention`` block
-per sequence (skipped in the attention-free ablation), then
-``pool_and_project`` or ``co_pool_and_project``. Each block's (W_Q, W_K, W_V,
-W_O) tuple comes from ``attention_params``. Both co-attention directions read
-the un-attended clip tokens. No positional encodings are used, so attention +
-mean pooling is permutation invariant over positions.
+per sequence, which returns the block's mean over its query positions, then a
+``linear`` projection to d (the cross view projects the concatenation of its
+two directions, image first). The attention-free ablation mean-pools the raw
+tokens instead. Each block's (W_Q, W_K, W_V, W_O) tuple comes from
+``attention_params``. Both co-attention directions read the un-attended clip
+tokens. No positional encodings are used, so attention + mean pooling is
+permutation invariant over positions.
 
 From the end of ``Model.encode_batch`` to the losses, the views travel as one
 (B, 3, d) tensor, slots in ``VIEWS`` order; the per-view layers downstream
@@ -32,10 +34,7 @@ from .diffcore import (
     Parameter,
     Tensor,
     ValidationError,
-    concat,
-    linear,
     make_parameter,
-    mean,
     parameter_seed,
 )
 
@@ -124,20 +123,3 @@ class ViewEncoderParams:
             *self.text_attn, *self.image_attn, *self.cross_i2t, *self.cross_t2i,
             *self.text_proj, *self.image_proj, *self.cross_proj,
         ]
-
-
-# ---------------------------------------------------------------------------
-# pooling heads: each view's (B, L, d_in) tokens, attended or raw, to (B, d)
-
-
-def pool_and_project(tokens: Tensor, proj) -> Tensor:
-    """Text or image view: mean-pool the tokens over positions, then project to d."""
-    return linear(mean(tokens, axis=-2), *proj)
-
-
-def co_pool_and_project(
-    clip_image_tokens: Tensor, clip_text_tokens: Tensor, params: ViewEncoderParams
-) -> Tensor:
-    """Cross view: mean-pool both clip sequences, concatenate (image first), project to d."""
-    pooled = concat([mean(clip_image_tokens, axis=-2), mean(clip_text_tokens, axis=-2)], axis=-1)
-    return linear(pooled, *params.cross_proj)

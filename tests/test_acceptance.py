@@ -308,7 +308,7 @@ def test_criterion_9_teacher_constancy():
     def manual_run(swap):
         data = StackedDataset.from_samples(ds)
         model = Model(cfg0, data.d_in)
-        optimizer = Adam(model.parameters(), cfg0.learning_rate)
+        optimizer = Adam(model.values, model.grads, cfg0.learning_rate)
         for step, lo in enumerate(range(0, len(ds), 16)):
             if swap and step == 2:
                 data.teacher = data.teacher * -3.0 + 7.0

@@ -124,7 +124,8 @@ class TestSoftmaxTemp:
 
 
 def attention_reference(q, k, v, heads):
-    """Per-head softmax(Q_h K_h^T / sqrt(d_k)) V_h in plain numpy, heads concatenated."""
+    """Per-head softmax(Q_h K_h^T / sqrt(d_k)) V_h in plain numpy, heads
+    concatenated: the full (.., L_q, W) block, one row per query."""
     d_k = q.shape[-1] // heads
     outs = []
     for h in range(heads):
@@ -136,8 +137,9 @@ def attention_reference(q, k, v, heads):
 
 
 def attend(q, k, v, heads):
-    """The attention block over given Q, K and V: x_kv holds K and V side by side,
-    W_K and W_V select them, and W_Q and W_O are identities."""
+    """The attention op over given Q, K and V, which returns the block's mean over
+    the queries: x_kv holds K and V side by side, W_K and W_V select them, and
+    W_Q and W_O are identities."""
     width = q.shape[-1]
     eye, zero = np.eye(width), np.zeros((width, width))
     return attention(
@@ -156,8 +158,9 @@ class TestAttention:
         k = rng.normal(size=lead + (l_kv, 8))
         v = rng.normal(size=lead + (l_kv, 8))
         out = attend(q, k, v, heads)
-        assert out.shape == lead + (l_q, 8)
-        assert np.allclose(out.values, attention_reference(q, k, v, heads), rtol=0, atol=1e-12)
+        assert out.shape == lead + (8,)
+        expected = attention_reference(q, k, v, heads).mean(axis=-2)
+        assert np.allclose(out.values, expected, rtol=0, atol=1e-12)
 
     def test_projections_match_numpy_reference(self):
         # co-attention widths: d_q != d_kv, and a non-square W_O
@@ -166,8 +169,8 @@ class TestAttention:
         w_q, w_k, w_v = rng.normal(size=(5, 4)), rng.normal(size=(6, 4)), rng.normal(size=(6, 4))
         w_o = rng.normal(size=(4, 7))
         out = attention(x_q, x_kv, w_q, w_k, w_v, w_o, 2)
-        expected = attention_reference(x_q @ w_q, x_kv @ w_k, x_kv @ w_v, 2) @ w_o
-        assert out.shape == (2, 3, 7)
+        expected = (attention_reference(x_q @ w_q, x_kv @ w_k, x_kv @ w_v, 2) @ w_o).mean(axis=-2)
+        assert out.shape == (2, 7)
         assert np.allclose(out.values, expected, rtol=0, atol=1e-12)
 
     @pytest.mark.parametrize("heads", [3, 0, 16, 2.0])
@@ -201,10 +204,11 @@ class TestAttention:
         with pytest.raises(DimensionError, match=match):
             attention(*(Tensor(np.zeros(shape)) for shape in shapes), 1)
 
-    def test_default_step_records_43_nodes(self):
-        # each of the five attention blocks, projections included, records a
-        # single attention node, the per-view layers run once over the
-        # (B, 3, d) view tensor, and the tempered KL is one node
+    def test_default_step_records_38_nodes(self):
+        # each of the five attention blocks, projections and the mean over its
+        # queries included, records a single attention node, the per-view
+        # layers run once over the (B, 3, d) view tensor, and the tempered KL
+        # is one node
         from mvrd.config import TrainConfig
         from mvrd.datasynth import SyntheticConfig, generate_dataset
         from mvrd.model import Model, StackedDataset
@@ -214,7 +218,7 @@ class TestAttention:
         model = Model(TrainConfig(), batch.d_in)
         before = len(diffcore._state.tape)
         breakdown = model.forward_loss(batch)
-        assert len(diffcore._state.tape) - before == 43
+        assert len(diffcore._state.tape) - before == 38
         backward(breakdown.graph)
         assert len(diffcore._state.tape) == 0
 

@@ -394,7 +394,8 @@ def echo_server():
     _EchoHandler.fail_next = 0
     _EchoHandler.calls = 0
     server = HTTPServer(("127.0.0.1", 0), _EchoHandler)
-    thread = threading.Thread(target=server.serve_forever, daemon=True)
+    # a short poll: shutdown() waits up to one poll interval for the loop to stop
+    thread = threading.Thread(target=server.serve_forever, kwargs={"poll_interval": 0.05}, daemon=True)
     thread.start()
     yield f"http://127.0.0.1:{server.server_port}"
     server.shutdown()

@@ -59,7 +59,7 @@ def assert_params_equal(a, b):
 class TestAdam:
     def test_zero_gradient_step_is_noop(self):
         model = Model(tiny_cfg(), TINY_D_IN)
-        optimizer = Adam(model.parameters())
+        optimizer = Adam(model.values, model.grads)
         before = params_snapshot(model)
         optimizer.zero_grad()
         optimizer.step()
@@ -69,7 +69,7 @@ class TestAdam:
         ds = tiny_dataset()
         data = StackedDataset.from_samples(ds)
         model = Model(tiny_cfg(), data.d_in)
-        optimizer = Adam(model.parameters(), lr=1e-3)
+        optimizer = Adam(model.values, model.grads, lr=1e-3)
         optimizer.zero_grad()
         backward(model.forward_loss(data.batch(np.arange(16))).graph)
         before = params_snapshot(model)
@@ -78,13 +78,84 @@ class TestAdam:
         assert any(not np.array_equal(before[k], after[k]) for k in before)
 
 
+class ReferenceAdam:
+    """Adam over a parameter list, one parameter at a time, with per-parameter
+    moment arrays: the update the flat-arena ``Adam`` must reproduce bit for bit."""
+
+    def __init__(self, params, lr):
+        self.params, self.lr, self.t = list(params), lr, 0
+        self.m = [np.zeros(p.tensor.shape) for p in self.params]
+        self.v = [np.zeros(p.tensor.shape) for p in self.params]
+
+    def step(self):
+        self.t += 1
+        bc1 = 1.0 - Adam.BETA1**self.t
+        bc2 = 1.0 - Adam.BETA2**self.t
+        for p, m, v in zip(self.params, self.m, self.v):
+            g = p.tensor.grad
+            m *= Adam.BETA1
+            m += (1.0 - Adam.BETA1) * g
+            v *= Adam.BETA2
+            v += (1.0 - Adam.BETA2) * (g * g)
+            p.tensor.values -= self.lr * (m / bc1) / (np.sqrt(v / bc2) + Adam.EPS)
+
+
+class TestArena:
+    def test_parameters_are_views_of_two_flat_arrays(self):
+        model = Model(tiny_cfg(), TINY_D_IN)
+        params = model.parameters()
+        assert model.values.ndim == 1 and model.values.dtype == np.float64
+        assert model.grads.shape == model.values.shape
+        assert model.values.size == sum(p.tensor.values.size for p in params)
+        # write the entry index into every slot: each parameter must read its
+        # own contiguous run of the flat arrays, in parameters() order
+        model.values[:] = np.arange(model.values.size)
+        model.grads[:] = -np.arange(model.grads.size)
+        lo = 0
+        for p in params:
+            t = p.tensor
+            assert np.shares_memory(t.values, model.values), p.name
+            assert np.shares_memory(t.grad, model.grads), p.name
+            assert t.values.flags.c_contiguous and t.grad.flags.c_contiguous, p.name
+            hi = lo + t.values.size
+            assert np.array_equal(t.values.reshape(-1), np.arange(lo, hi)), p.name
+            assert np.array_equal(t.grad.reshape(-1), -np.arange(lo, hi)), p.name
+            lo = hi
+
+    def test_five_steps_bitwise_equal_to_per_parameter_adam(self):
+        data = StackedDataset.from_samples(tiny_dataset())
+        cfg = tiny_cfg()
+        flat, ref = Model(cfg, data.d_in), Model(cfg, data.d_in)
+        optimizers = (
+            (flat, Adam(flat.values, flat.grads, cfg.learning_rate)),
+            (ref, ReferenceAdam(ref.parameters(), cfg.learning_rate)),
+        )
+        for step in range(5):
+            batch = data.batch(np.arange(16 * step, 16 * step + 16) % 64)
+            for model, optimizer in optimizers:
+                for p in model.parameters():
+                    p.tensor.grad[...] = 0.0
+                backward(model.forward_loss(batch).graph)
+                optimizer.step()
+        assert np.any(flat.values != Model(cfg, data.d_in).values)  # the steps moved it
+        assert flat.values.tobytes() == ref.values.tobytes()
+        assert_params_equal(params_snapshot(flat), params_snapshot(ref))
+
+    def test_zero_grad_clears_every_gradient(self):
+        model = Model(tiny_cfg(), TINY_D_IN)
+        optimizer = Adam(model.values, model.grads)
+        model.grads[:] = 1.0
+        optimizer.zero_grad()
+        assert all(not p.tensor.grad.any() for p in model.parameters())
+
+
 class TestTrain:
     def test_one_step_descends(self):
         ds = tiny_dataset()
         data = StackedDataset.from_samples(ds)
         model = Model(tiny_cfg(), data.d_in)
         batch = data.batch(np.arange(32))
-        optimizer = Adam(model.parameters(), lr=1e-4)
+        optimizer = Adam(model.values, model.grads, lr=1e-4)
         loss_before = model.forward_loss(batch)
         backward(loss_before.graph)
         optimizer.step()
@@ -134,7 +205,7 @@ class TestTrain:
         def manual_run(swap):
             data = StackedDataset.from_samples(ds)
             model = Model(cfg, data.d_in)
-            optimizer = Adam(model.parameters(), cfg.learning_rate)
+            optimizer = Adam(model.values, model.grads, cfg.learning_rate)
             rng = np.random.default_rng(77)
             for step, lo in enumerate(range(0, 64, 16)):
                 if swap and step == 2:
@@ -156,7 +227,7 @@ class TestTrain:
         def manual_run(swap):
             data = StackedDataset.from_samples(ds)
             model = Model(cfg, data.d_in)
-            optimizer = Adam(model.parameters(), cfg.learning_rate)
+            optimizer = Adam(model.values, model.grads, cfg.learning_rate)
             for step, lo in enumerate(range(0, 64, 16)):
                 if swap and step == 2:
                     data.teacher[:, 2] = data.teacher[:, 2] * -3.0 + 7.0
@@ -666,6 +737,41 @@ class TestCheckpoints:
             save_checkpoint(model, path)
         assert path.read_bytes() == before
         assert [p.name for p in tmp_path.iterdir()] == ["ckpt.bin"]
+
+    def test_load_model_fills_the_arena(self, tmp_path):
+        model, _ = train(tiny_cfg(epochs=1), tiny_dataset())
+        path = tmp_path / "ckpt.bin"
+        save_checkpoint(model, path)
+        restored = load_model(path)
+        assert restored.values.tobytes() == model.values.tobytes()
+        for p in restored.parameters():
+            assert np.shares_memory(p.tensor.values, restored.values), p.name
+
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf"), float("-inf")], ids=["nan", "inf", "-inf"])
+    def test_non_finite_model_not_saved(self, tmp_path, bad):
+        model = Model(tiny_cfg(), TINY_D_IN)
+        path = tmp_path / "ckpt.bin"
+        save_checkpoint(model, path)
+        before = path.read_bytes()
+        first = model.parameters()[0]
+        first.tensor.values.flat[0] = bad
+        with pytest.raises(FormatError, match=first.name):
+            save_checkpoint(model, path)
+        assert path.read_bytes() == before
+        assert [p.name for p in tmp_path.iterdir()] == ["ckpt.bin"]
+
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf"), float("-inf")], ids=["nan", "inf", "-inf"])
+    def test_non_finite_value_not_loaded(self, tmp_path, bad):
+        path, blob = self.saved_blob(tmp_path)
+        first = self.first_parameter(blob)
+        meta_end = first.index(b"\n")
+        name = json.loads(first[:meta_end])["name"]
+        data_start = blob.index(first) + meta_end + 1
+        path.write_bytes(blob[:data_start] + np.array([bad], dtype="<f8").tobytes() + blob[data_start + 8 :])
+        with pytest.raises(FormatError, match="non-finite"):
+            load_checkpoint(path)
+        with pytest.raises(FormatError, match=name):
+            load_model(path)
 
     def test_not_a_checkpoint(self, tmp_path):
         path = tmp_path / "junk.bin"

@@ -2,8 +2,9 @@
 
 The encoders run only batched, through ``Model.encode_batch``, which returns
 one (B, 3, d) tensor with the views in text, image, cross slots; the oracles
-below read one slot for a one-row batch, or call the building blocks
-(``diffcore.attention``, ``pool_and_project``) directly.
+below read one slot for a one-row batch, or call the building blocks directly:
+``diffcore.attention``, which returns each block's mean over its queries, and
+the ``linear`` projection that follows it.
 """
 
 import numpy as np
@@ -11,9 +12,11 @@ import pytest
 
 from mvrd.config import TrainConfig
 from mvrd.datasynth import Sample
-from mvrd.diffcore import DimensionError, Tensor, ValidationError, attention, backward, mean, zero_grads
+from mvrd.diffcore import (
+    DimensionError, Tensor, ValidationError, attention, backward, linear, mean, zero_grads,
+)
 from mvrd.model import Model, StackedDataset, check_fit
-from mvrd.views import SOURCE_TAGS, EmbeddedSequence, pool_and_project
+from mvrd.views import SOURCE_TAGS, EmbeddedSequence
 
 TEXT, IMAGE, CROSS = range(3)
 
@@ -57,7 +60,7 @@ def encode_text(model, tokens):
     """The text view of (..., L, d_in) tokens, through the encoder blocks."""
     enc = model.encoder
     x = Tensor(tokens)
-    return pool_and_project(attention(x, x, *enc.text_attn, enc.heads), enc.text_proj)
+    return linear(attention(x, x, *enc.text_attn, enc.heads), *enc.text_proj)
 
 
 class TestEmbeddedSequence:
@@ -170,7 +173,8 @@ class TestCoAttention:
 
     def test_single_key_gives_unit_weight(self):
         # one position on the text side: image->text attention must output that
-        # single value row for every query regardless of content
+        # single value row for every query regardless of content, so their
+        # mean is that row too
         model = make_model(d=3, heads=2, d_in=4)
         enc = model.encoder
         rng = np.random.default_rng(6)
@@ -178,7 +182,8 @@ class TestCoAttention:
         txt = rng.normal(size=(1, 4))
         attended = attention(Tensor(img), Tensor(txt), *enc.cross_i2t, enc.heads)
         wv, wo = (p.tensor.values for p in enc.cross_i2t[2:])
-        expected = np.tile((txt @ wv) @ wo, (3, 1))
+        expected = ((txt @ wv) @ wo)[0]
+        assert attended.shape == expected.shape
         assert np.allclose(attended.values, expected, atol=1e-12)
 
     def test_hand_unrolled(self):
