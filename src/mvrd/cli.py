@@ -17,7 +17,7 @@ from dataclasses import asdict
 from pathlib import Path
 
 from . import diffcore
-from .config import TrainConfig, build_configs, read_config_file
+from .config import MIN_EMBED_DIM, TrainConfig, build_configs, read_config_file
 from .datasynth import (
     SyntheticConfig,
     attach_teacher,
@@ -116,6 +116,8 @@ def cmd_gen_data(args) -> int:
 
 def cmd_gen_teacher(args) -> int:
     spec = ProjectionSpec(d_t=args.d_t, d=args.student_dim, seed=args.seed or 0)
+    if spec.d_t < MIN_EMBED_DIM:  # checked before any chain is fetched
+        raise diffcore.ParameterError(f"--d-t must be >= {MIN_EMBED_DIM}, got {spec.d_t}")
     client = None
     if args.mode == "endpoint":
         client = ReasoningClient(

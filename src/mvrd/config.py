@@ -74,8 +74,8 @@ class TrainConfig:
         if self.d_h < self.d:
             raise ConfigError(f"d_h={self.d_h} must be >= d={self.d}")
         # the content teacher is a fallback_embed of width d
-        if self.no_reasoning_prompts_mode and self.d < 8:
-            raise ConfigError(f"no_reasoning_prompts_mode needs d >= 8, got {self.d}")
+        if self.no_reasoning_prompts_mode and self.d < MIN_EMBED_DIM:
+            raise ConfigError(f"no_reasoning_prompts_mode needs d >= {MIN_EMBED_DIM}, got {self.d}")
         if not 0.0 < self.learning_rate < math.inf:
             raise ConfigError(f"learning_rate must be finite and > 0, got {self.learning_rate}")
         if self.epochs < 1 or self.batch_size < 1:
@@ -96,6 +96,7 @@ class TrainConfig:
 
 
 _KEY_ALIASES = {"lambda": "lambda_"}
+MIN_EMBED_DIM = 8  # the narrowest teacher.fallback_embed
 
 
 def _parse_value(raw: str, py_type, key: str):
@@ -160,6 +161,8 @@ def build_configs(entries: dict[str, str]):
     synth_kwargs: dict = {}
     for key, raw in entries.items():
         field = _KEY_ALIASES.get(key, key)
+        if field != key and field in entries:
+            raise ConfigError(f"config keys {key!r} and {field!r} both set field {field!r}")
         if field in train_types:
             train_kwargs[field] = _parse_value(raw, train_types[field], key)
         elif field in synth_types:

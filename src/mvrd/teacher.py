@@ -41,6 +41,7 @@ from pathlib import Path
 
 import numpy as np
 
+from .config import MIN_EMBED_DIM
 from .diffcore import DimensionError, ParameterError, Tensor, ValidationError
 from .fileio import (
     FormatError,
@@ -253,8 +254,8 @@ def fallback_embed(chain: str, d_t: int, seed: int = 0) -> np.ndarray:
     the empty (or sub-3-char) string maps to the zero vector, which is left
     unnormalized. A lone surrogate raises ``UnicodeEncodeError``.
     """
-    if d_t < 8:
-        raise ParameterError(f"d_t must be >= 8, got {d_t}")
+    if d_t < MIN_EMBED_DIM:
+        raise ParameterError(f"d_t must be >= {MIN_EMBED_DIM}, got {d_t}")
     key = hashlib.blake2b(str(seed).encode(), digest_size=16).digest()
     vec = np.zeros(d_t)
     if len(chain) >= 3:

@@ -12,13 +12,13 @@ what the same ``train`` calls give one after another in this process.
 
 from __future__ import annotations
 
-import hashlib
 import json
 import math
 import os
 import threading
 import time
 from dataclasses import asdict, dataclass, field, replace
+from itertools import zip_longest
 from pathlib import Path
 
 import numpy as np
@@ -27,19 +27,18 @@ from .config import ConfigError, TrainConfig, field_types
 from .datasynth import Sample
 from .diffcore import (
     ContractError,
-    Parameter,
     ParameterError,
     ValidationError,
     backward,
 )
-from .fileio import FormatError, parse_record, replace_atomically
+from .fileio import FormatError, check_format_version, parse_record, replace_atomically
 from .metrics import Metrics, compute_metrics
 from .model import Model, StackedDataset, check_fit
 from .teacher import TeacherEmbeddings, fallback_embed
 from .views import SOURCE_TAGS
 
 CHECKPOINT_MAGIC = b"MVRD-CKPT\n"
-CHECKPOINT_VERSION = 2
+CHECKPOINT_VERSION = 3
 
 
 class Adam:
@@ -347,100 +346,70 @@ def sweep_chart(rows: list[VariantResult], axis: str, path) -> bool:
 # checkpoints
 
 
-def _layout_hash(params: list[Parameter]) -> str:
-    layout = [[p.name, list(p.tensor.shape)] for p in params]
-    return hashlib.sha256(json.dumps(layout).encode()).hexdigest()
+def _layout(model: Model) -> list:
+    return [[p.name, list(p.tensor.shape)] for p in model.parameters()]
+
+
+def _check_finite(values: np.ndarray, layout: list, where: str) -> None:
+    """Refuse a non-finite value, naming the parameter whose slice holds the first."""
+    finite = np.isfinite(values)
+    if not finite.all():
+        ends = np.cumsum([math.prod(shape) for _, shape in layout])
+        name = layout[int(np.searchsorted(ends, np.argmin(finite), side="right"))][0]
+        raise FormatError(f"{where}: parameter {name!r} holds a non-finite value")
 
 
 def save_checkpoint(model: Model, path) -> None:
-    """Binary checkpoint: JSON header, then per-parameter meta + raw float64.
-    A model with a non-finite value is refused, and the previous file stays."""
-    params = model.parameters()
-    if not np.isfinite(model.values).all():
-        bad = [p.name for p in params if not np.isfinite(p.tensor.values).all()]
-        raise FormatError(f"{path}: refusing to save non-finite values in {bad}")
-    header = {
-        "format_version": CHECKPOINT_VERSION,
-        "layout_hash": _layout_hash(params),
-        "train_config": asdict(model.cfg),
-        "d_in": model.d_in,
-    }
+    """Checkpoint format 3: ``CHECKPOINT_MAGIC``; one JSON header line holding
+    ``format_version``, ``layout`` (``[name, shape]`` pairs in ``parameters()``
+    order), ``train_config`` and ``d_in``; then ``Model.values`` as 8 x
+    sum(sizes) bytes of little-endian float64, and nothing after. A model with
+    a non-finite value is refused, and a failed save keeps the previous file.
+    ``load_checkpoint`` checks the file, and ``load_model`` what it means."""
+    layout = _layout(model)
+    _check_finite(model.values, layout, f"{path}: refusing to save")
+    header = {"format_version": CHECKPOINT_VERSION, "layout": layout,
+              "train_config": asdict(model.cfg), "d_in": model.d_in}
     with replace_atomically(path, "wb") as fh:
-        fh.write(CHECKPOINT_MAGIC)
-        fh.write(json.dumps(header).encode() + b"\n")
-        for p in params:
-            meta = {"name": p.name, "shape": list(p.tensor.shape)}
-            fh.write(json.dumps(meta).encode() + b"\n")
-            fh.write(np.ascontiguousarray(p.tensor.values, dtype="<f8").tobytes())
-            fh.write(b"\n")
+        fh.write(CHECKPOINT_MAGIC + json.dumps(header).encode() + b"\n")
+        fh.write(model.values.astype("<f8", copy=False))  # no copy on a little-endian host
 
 
-def load_checkpoint(path) -> tuple[dict, dict[str, np.ndarray]]:
-    """Parse a checkpoint fully before returning; truncation never partially loads,
-    and a non-finite value is refused."""
-    blob = Path(path).read_bytes()
-    if not blob.startswith(CHECKPOINT_MAGIC):
-        raise FormatError(f"{path}: not a checkpoint file")
-    cursor = len(CHECKPOINT_MAGIC)
-
-    def read_object(what: str) -> dict:
-        nonlocal cursor
-        end = blob.find(b"\n", cursor)
-        if end < 0:
-            raise FormatError(f"{path}: truncated checkpoint")
-        obj = parse_record(blob[cursor:end], f"{path}: checkpoint {what}")
-        cursor = end + 1
-        return obj
-
-    header = read_object("header")
-    if header.get("format_version") != CHECKPOINT_VERSION:
-        raise FormatError(
-            f"{path}: unsupported checkpoint format_version {header.get('format_version')!r}"
-        )
-    arrays: dict[str, np.ndarray] = {}
-    while cursor < len(blob):
-        meta = read_object("parameter meta line")
-        name, shape = meta.get("name"), meta.get("shape")
-        if not isinstance(name, str) or not (
-            isinstance(shape, list) and all(type(n) is int and n >= 0 for n in shape)
-        ):
-            raise FormatError(f"{path}: parameter meta line needs a name and a shape: {meta}")
-        if name in arrays:
-            raise FormatError(f"{path}: parameter {name!r} appears twice")
-        nbytes = math.prod(shape) * 8
-        if cursor + nbytes + 1 > len(blob):
-            raise FormatError(f"{path}: truncated checkpoint at parameter {name!r}")
-        arrays[name] = np.frombuffer(blob[cursor : cursor + nbytes], dtype="<f8").reshape(shape)
-        if not np.isfinite(arrays[name]).all():
-            raise FormatError(f"{path}: parameter {name!r} holds a non-finite value")
-        cursor += nbytes + 1
-    return header, arrays
-
-
-def _check_arrays(params: list[Parameter], header: dict, arrays: dict[str, np.ndarray]) -> None:
-    """The checkpoint must hold exactly the model's parameters, with the model's
-    shapes, and its header must record the model's layout hash."""
-    names, saved = {p.name for p in params}, set(arrays)
-    if saved != names:
-        raise FormatError(f"checkpoint lacks {sorted(names - saved)} and has extra {sorted(saved - names)}")
-    for p in params:
-        if arrays[p.name].shape != p.tensor.shape:
-            raise FormatError(
-                f"parameter {p.name!r}: checkpoint shape {arrays[p.name].shape} "
-                f"does not match model shape {p.tensor.shape}"
-            )
-    if header.get("layout_hash") != _layout_hash(params):
-        raise FormatError("checkpoint layout differs from the model's parameter layout")
+def load_checkpoint(path) -> tuple[dict, np.ndarray]:
+    """A checkpoint's header and flat values, once the whole file is checked:
+    the magic, the header line, ``format_version`` 3 (1 and 2 are refused), a
+    layout of ``[name, [size, ...]]`` pairs, a body of exactly 8 x sum(sizes)
+    bytes, and finite values. ``load_model`` checks what the header means."""
+    with Path(path).open("rb") as fh:
+        if fh.read(len(CHECKPOINT_MAGIC)) != CHECKPOINT_MAGIC:
+            raise FormatError(f"{path}: not a checkpoint file")
+        header = parse_record(fh.readline(), f"{path}: checkpoint header")
+        body = fh.read()
+    check_format_version(path, header, CHECKPOINT_VERSION)
+    layout = header.get("layout")
+    if not isinstance(layout, list) or not all(
+        type(e) is list and len(e) == 2 and type(e[0]) is str and type(e[1]) is list
+        and all(type(n) is int and n >= 0 for n in e[1]) for e in layout
+    ):
+        raise FormatError(f"{path}: checkpoint layout must list [name, [size, ...]] pairs")
+    needed = 8 * sum(math.prod(shape) for _, shape in layout)
+    if len(body) != needed:
+        what = "truncated" if len(body) < needed else "overlong"
+        raise FormatError(f"{path}: {what} checkpoint: {len(body)} body bytes, its layout needs {needed}")
+    values = np.frombuffer(body, dtype="<f8")
+    _check_finite(values, layout, str(path))
+    return header, values
 
 
 def load_model(path) -> Model:
-    """Rebuild the model architecture recorded in a checkpoint and load it."""
-    header, arrays = load_checkpoint(path)
+    """Rebuild the model a checkpoint records and fill its arena. The header's
+    ``train_config`` must hold every ``TrainConfig`` field with its type, and
+    its layout must equal the rebuilt model's."""
+    header, values = load_checkpoint(path)
     snapshot, d_in = header.get("train_config"), header.get("d_in")
     types = field_types(TrainConfig)
-    if not isinstance(snapshot, dict) or not all(
-        types.get(k) is type(v) or (types.get(k) is float and type(v) is int)
-        for k, v in snapshot.items()
+    if not isinstance(snapshot, dict) or set(snapshot) != set(types) or not all(
+        types[k] is type(v) or (types[k] is float and type(v) is int) for k, v in snapshot.items()
     ):
         raise FormatError(f"{path}: checkpoint train_config is missing or malformed: {snapshot!r}")
     if not (
@@ -453,8 +422,9 @@ def load_model(path) -> Model:
         model = Model(TrainConfig(**snapshot), d_in)
     except (ConfigError, ValidationError) as exc:
         raise FormatError(f"{path}: checkpoint records an invalid model ({exc})") from exc
-    params = model.parameters()
-    _check_arrays(params, header, arrays)
-    for p in params:
-        p.tensor.values[...] = arrays[p.name]
+    layout = _layout(model)
+    if header["layout"] != layout:
+        saved, wanted = next((a, b) for a, b in zip_longest(header["layout"], layout) if a != b)
+        raise FormatError(f"{path}: checkpoint layout has {saved} where the model has {wanted}")
+    model.values[...] = values
     return model

@@ -34,6 +34,12 @@ class TestParser:
         train_cfg, _ = parse(tmp_path, "lambda = 0.25\n")
         assert train_cfg.lambda_ == 0.25
 
+    @pytest.mark.parametrize("text", ["lambda = 0\nlambda_ = 1.5\n", "lambda_ = 1.5\nlambda = 0\n"])
+    def test_alias_and_field_name_together_rejected(self, tmp_path, text):
+        # either order: neither spelling may silently win
+        with pytest.raises(ConfigError, match="'lambda' and 'lambda_'"):
+            parse(tmp_path, text)
+
     def test_typed_values(self, tmp_path):
         train_cfg, synth_cfg = parse(
             tmp_path,

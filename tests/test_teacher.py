@@ -551,8 +551,10 @@ class TestGenTeacherEndpoint:
     @pytest.mark.parametrize(
         "flags",
         [[], ["--endpoint", "ftp://x"], ["--endpoint", "{echo}", "--retries", "0"],
-         ["--endpoint", "{echo}", "--timeout", "0"]],
-        ids=["no-endpoint", "ftp", "zero-retries", "zero-timeout"],
+         ["--endpoint", "{echo}", "--timeout", "0"],
+         # fallback_embed cannot embed 4 wide: refused before any fetch
+         ["--endpoint", "{echo}", "--d-t", "4"]],
+        ids=["no-endpoint", "ftp", "zero-retries", "zero-timeout", "narrow-d_t"],
     )
     def test_bad_client_setting_exits_before_any_request(
         self, echo_server, features, tmp_path, capsys, flags
@@ -563,3 +565,4 @@ class TestGenTeacherEndpoint:
         assert json.loads(capsys.readouterr().err)["error"] == "ParameterError"
         assert not out.exists()
         assert _EchoHandler.calls == 0
+        assert list((tmp_path / "cache").glob("*")) == []

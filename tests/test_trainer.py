@@ -5,6 +5,8 @@ import dataclasses
 import json
 import multiprocessing
 import pickle
+import re
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -621,26 +623,94 @@ class TestCheckpoints:
         with pytest.raises(FormatError, match="views"):
             load_model(path)
 
+    @staticmethod
+    def saved_blob(tmp_path):
+        model = Model(tiny_cfg(), TINY_D_IN)
+        path = tmp_path / "ckpt.bin"
+        save_checkpoint(model, path)
+        return path, path.read_bytes()
+
+    @staticmethod
+    def split_file(blob):
+        """A checkpoint's parsed header and its body bytes."""
+        header_end = blob.index(b"\n", len(CHECKPOINT_MAGIC))
+        return json.loads(blob[len(CHECKPOINT_MAGIC) : header_end]), blob[header_end + 1 :]
+
+    @staticmethod
+    def write_file(path, header, body):
+        path.write_bytes(CHECKPOINT_MAGIC + json.dumps(header).encode() + b"\n" + body)
+
     @pytest.mark.parametrize(
         "line, text",
         [
             ("header", b"[1, 2]"),  # not an object
+            # the per-parameter metadata lives in the header's layout: each
+            # case replaces the first layout entry
             ("meta", b'{"name": '),  # not JSON
             ("meta", b'{"shape": [2, 2]}'),  # no name
             ("meta", b'{"name": "views.text.attn.W_Q"}'),  # no shape
         ],
     )
     def test_corrupt_header_or_meta_is_format_error(self, tmp_path, line, text):
-        model = Model(tiny_cfg(), TINY_D_IN)
-        path = tmp_path / "ckpt.bin"
-        save_checkpoint(model, path)
-        blob = path.read_bytes()
+        path, blob = self.saved_blob(tmp_path)
         header_start = len(CHECKPOINT_MAGIC)
         header_end = blob.index(b"\n", header_start)
-        meta_end = blob.index(b"\n", header_end + 1)
-        lo, hi = (header_start, header_end) if line == "header" else (header_end + 1, meta_end)
-        path.write_bytes(blob[:lo] + text + blob[hi:])
+        if line == "header":
+            path.write_bytes(blob[:header_start] + text + blob[header_end:])
+        else:
+            header, _ = self.split_file(blob)
+            entry = json.dumps(header["layout"][0]).encode()
+            assert blob.count(entry) == 1
+            path.write_bytes(blob.replace(entry, text, 1))
         with pytest.raises(FormatError):
+            load_checkpoint(path)
+
+    @pytest.mark.parametrize(
+        "layout, message",
+        [
+            ([["a", [-1]]], "must list"),
+            ([["a", [True]]], "must list"),
+            ([["a"]], "must list"),
+            ({"a": [2]}, "must list"),
+            ([[1, [2]]], "must list"),
+            ([["a", 2]], "must list"),
+            (None, "must list"),
+            # well formed, but no body could hold it
+            ([["a", [10**30]]], "truncated"),
+        ],
+        ids=["negative-size", "bool-size", "no-shape", "dict", "int-name", "int-shape", "no-layout", "huge"],
+    )
+    def test_malformed_layout_is_format_error(self, tmp_path, layout, message):
+        path, blob = self.saved_blob(tmp_path)
+        header, body = self.split_file(blob)
+        header["layout"] = layout
+        self.write_file(path, header, body)
+        tracemalloc.start()
+        try:
+            with pytest.raises(FormatError, match=message):
+                load_checkpoint(path)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 2**20  # the file is 26 KiB; nothing is sized by the layout
+
+    def test_body_is_the_arena(self, tmp_path):
+        model, _ = train(tiny_cfg(epochs=1), tiny_dataset())
+        path = tmp_path / "ckpt.bin"
+        save_checkpoint(model, path)
+        header, body = self.split_file(path.read_bytes())
+        assert body == model.values.astype("<f8").tobytes()
+        assert header["format_version"] == 3
+        assert header["layout"] == [[p.name, list(p.tensor.shape)] for p in model.parameters()]
+        loaded_header, values = load_checkpoint(path)
+        assert loaded_header == header
+        assert values.tobytes() == body
+
+    @pytest.mark.parametrize("cut", [-1, 1], ids=["short", "long"])
+    def test_body_off_by_one_byte_is_refused(self, tmp_path, cut):
+        path, blob = self.saved_blob(tmp_path)
+        path.write_bytes(blob[:-1] if cut < 0 else blob + b"\0")
+        with pytest.raises(FormatError, match="truncated" if cut < 0 else "overlong"):
             load_checkpoint(path)
 
     @pytest.mark.parametrize(
@@ -663,77 +733,94 @@ class TestCheckpoints:
             lambda h: h.update(train_config={**h["train_config"], "pooling": "mean"}),
             # version 1 held one parameter per view; its layout cannot load
             lambda h: h.update(format_version=1),
+            # version 2 split the values into per-parameter records
+            lambda h: h.update(format_version=2),
+            # a missing field must not fall back to its default
+            lambda h: h["train_config"].pop("no_attention_mode"),
+            lambda h: h["train_config"].pop("lambda_"),
         ],
         ids=[
             "no-train_config", "no-d_in", "train_config-list", "str-int-field",
             "float-int-field", "int-bool-field", "unknown-field", "bad-head-count",
             "bad-encoder-head-count", "d_in-int", "str-d_in", "zero-d_in", "missing-source", "retired-field",
-            "format-version-1",
+            "format-version-1", "format-version-2", "no-no_attention_mode", "no-lambda_",
         ],
     )
     def test_bad_header_fields_are_format_error(self, tmp_path, edit):
-        model = Model(tiny_cfg(), TINY_D_IN)
+        model = Model(tiny_cfg(no_attention_mode=True, lambda_=0.25), TINY_D_IN)
         path = tmp_path / "ckpt.bin"
         save_checkpoint(model, path)
-        blob = path.read_bytes()
-        header_start = len(CHECKPOINT_MAGIC)
-        header_end = blob.index(b"\n", header_start)
-        header = json.loads(blob[header_start:header_end])
+        header, body = self.split_file(path.read_bytes())
         edit(header)
-        path.write_bytes(blob[:header_start] + json.dumps(header).encode() + blob[header_end:])
+        self.write_file(path, header, body)
         with pytest.raises(FormatError):
             load_model(path)
 
-    @staticmethod
-    def saved_blob(tmp_path):
-        model = Model(tiny_cfg(), TINY_D_IN)
-        path = tmp_path / "ckpt.bin"
-        save_checkpoint(model, path)
-        return path, path.read_bytes()
-
-    @staticmethod
-    def first_parameter(blob):
-        """The first parameter's meta line and data, with their newlines."""
-        header_end = blob.index(b"\n", len(CHECKPOINT_MAGIC))
-        meta_end = blob.index(b"\n", header_end + 1)
-        meta = json.loads(blob[header_end + 1 : meta_end])
-        data_end = meta_end + 1 + 8 * int(np.prod(meta["shape"])) + 1
-        return blob[header_end + 1 : data_end]
-
     def test_extra_parameter_rejected_by_both_loaders(self, tmp_path):
         path, blob = self.saved_blob(tmp_path)
-        meta = json.dumps({"name": "bogus.extra", "shape": [2]}).encode()
-        path.write_bytes(blob + meta + b"\n" + np.zeros(2).astype("<f8").tobytes() + b"\n")
+        header, body = self.split_file(blob)
+        extra = np.zeros(2).astype("<f8").tobytes()
+        # extra bytes the layout does not list
+        path.write_bytes(blob + extra)
+        with pytest.raises(FormatError, match="overlong"):
+            load_checkpoint(path)
+        # an extra layout entry with its bytes: a well-formed file, a foreign model
+        header["layout"].append(["bogus.extra", [2]])
+        self.write_file(path, header, body + extra)
+        load_checkpoint(path)
         with pytest.raises(FormatError, match="bogus.extra"):
             load_model(path)
 
     def test_repeated_parameter_rejected_by_both_loaders(self, tmp_path):
         path, blob = self.saved_blob(tmp_path)
-        path.write_bytes(blob + self.first_parameter(blob))
-        with pytest.raises(FormatError, match="twice"):
+        header, body = self.split_file(blob)
+        first = header["layout"][0]
+        header["layout"].insert(1, first)
+        # the repeated entry without its bytes
+        self.write_file(path, header, body)
+        with pytest.raises(FormatError, match="truncated"):
             load_checkpoint(path)
-        with pytest.raises(FormatError, match="twice"):
+        # with its bytes
+        size = 8 * int(np.prod(first[1]))
+        self.write_file(path, header, body[:size] + body)
+        load_checkpoint(path)
+        with pytest.raises(FormatError, match=first[0]):
             load_model(path)
 
-    def test_layout_hash_checked_by_both_loaders(self, tmp_path):
+    @pytest.mark.parametrize(
+        "edit",
+        [
+            lambda layout: layout[3].__setitem__(0, "views.text.attn.W_X"),  # renamed
+            lambda layout: layout.insert(0, layout.pop(1)),  # reordered
+            # (16, 8) -> (8, 16): the same size, another shape
+            lambda layout: dict(layout)["views.cross.proj.W"].reverse(),
+            lambda layout: layout.pop(),  # the last parameter is missing
+        ],
+        ids=["renamed", "reordered", "transposed", "missing"],
+    )
+    def test_layout_must_equal_the_model(self, tmp_path, edit):
         path, blob = self.saved_blob(tmp_path)
-        header_start = len(CHECKPOINT_MAGIC)
-        header_end = blob.index(b"\n", header_start)
-        header = json.loads(blob[header_start:header_end])
-        header["layout_hash"] = "0" * 64
-        path.write_bytes(blob[:header_start] + json.dumps(header).encode() + blob[header_end:])
+        header, body = self.split_file(blob)
+        edit(header["layout"])
+        body = body[: 8 * sum(int(np.prod(shape)) for _, shape in header["layout"])]
+        self.write_file(path, header, body)
+        load_checkpoint(path)  # well formed
         with pytest.raises(FormatError, match="layout"):
             load_model(path)
 
     def test_failed_save_keeps_previous_checkpoint(self, tmp_path):
+        class Unwritable(np.ndarray):
+            def astype(self, *args, **kwargs):
+                raise ValueError("cannot be written")
+
         model = Model(tiny_cfg(), TINY_D_IN)
         path = tmp_path / "ckpt.bin"
         save_checkpoint(model, path)
         before = path.read_bytes()
-        # the last parameter cannot be written as float64, so the save fails
-        # after the header and every other parameter have been written
-        model.parameters()[-1].tensor.values = np.array(["not a number"])
-        with pytest.raises(ValueError):
+        # the values cannot be written, so the save fails after the header
+        # has been written
+        model.values = model.values.view(Unwritable)
+        with pytest.raises(ValueError, match="cannot be written"):
             save_checkpoint(model, path)
         assert path.read_bytes() == before
         assert [p.name for p in tmp_path.iterdir()] == ["ckpt.bin"]
@@ -763,15 +850,20 @@ class TestCheckpoints:
     @pytest.mark.parametrize("bad", [float("nan"), float("inf"), float("-inf")], ids=["nan", "inf", "-inf"])
     def test_non_finite_value_not_loaded(self, tmp_path, bad):
         path, blob = self.saved_blob(tmp_path)
-        first = self.first_parameter(blob)
-        meta_end = first.index(b"\n")
-        name = json.loads(first[:meta_end])["name"]
-        data_start = blob.index(first) + meta_end + 1
-        path.write_bytes(blob[:data_start] + np.array([bad], dtype="<f8").tobytes() + blob[data_start + 8 :])
-        with pytest.raises(FormatError, match="non-finite"):
-            load_checkpoint(path)
-        with pytest.raises(FormatError, match=name):
-            load_model(path)
+        header, body = self.split_file(blob)
+        sizes = [int(np.prod(shape)) for _, shape in header["layout"]]
+        starts = np.cumsum([0] + sizes)
+        # the first and the last value of the first, a middle and the last parameter
+        for k in (0, len(sizes) // 2, len(sizes) - 1):
+            name = header["layout"][k][0]
+            for index in (starts[k], starts[k + 1] - 1):
+                values = np.frombuffer(body, dtype="<f8").copy()
+                values[index] = bad
+                self.write_file(path, header, values.astype("<f8").tobytes())
+                with pytest.raises(FormatError, match="non-finite"):
+                    load_checkpoint(path)
+                with pytest.raises(FormatError, match=re.escape(repr(name))):
+                    load_model(path)
 
     def test_not_a_checkpoint(self, tmp_path):
         path = tmp_path / "junk.bin"
