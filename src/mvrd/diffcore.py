@@ -2,10 +2,10 @@
 
 Everything in this package that needs gradients runs through the small op set
 below, ten ops in all. A whole multi-head attention block is one of them:
-``attention`` projects its inputs to Q, K and V, runs the per-head
-softmax(Q K^T / sqrt(d_k)) V loop, mixes the heads with W_O and returns the
-block's mean over its queries inside a single op, so an attention block
-records one node, and each of its weight gradients is one GEMM. ``linear``
+``attention`` projects its inputs to Q, K and V, runs softmax(Q K^T /
+sqrt(d_k)) V with the heads as a batch axis, mixes the heads with W_O and
+returns the block's mean over its queries inside a single op, so an attention
+block records one node, and each of its weight gradients is one GEMM. ``linear``
 also takes a stacked weight, one matrix per slot of a view axis, so a
 per-view layer is one node too. Each forward op appends a record to a
 thread-local tape; ``backward`` walks the tape in reverse and accumulates
@@ -346,20 +346,10 @@ def mean(x, axis: int | None = None) -> Tensor:
     return _emit(np.asarray(values), (x,), backward_fn)
 
 
-def _softmax(z: np.ndarray) -> np.ndarray:
-    e = np.exp(z - z.max(axis=-1, keepdims=True))
-    return e / e.sum(axis=-1, keepdims=True)
-
-
 def _log_softmax(z: np.ndarray) -> np.ndarray:
     """log softmax(z) over the last axis, max-subtracted: finite for finite z."""
     shifted = z - z.max(axis=-1, keepdims=True)
     return shifted - np.log(np.exp(shifted).sum(axis=-1, keepdims=True))
-
-
-def _softmax_grad(s: np.ndarray, g: np.ndarray) -> np.ndarray:
-    """Gradient w.r.t. the softmax input z, given s = _softmax(z) and dL/ds = g."""
-    return s * (g - (g * s).sum(axis=-1, keepdims=True))
 
 
 def attention(x_q, x_kv, w_q, w_k, w_v, w_o, heads: int) -> Tensor:
@@ -373,9 +363,13 @@ def attention(x_q, x_kv, w_q, w_k, w_v, w_o, heads: int) -> Tensor:
     by W_O (W, n_out). The mean is linear, so mean_i((S V)_i) W_O =
     (mean_i S_i) V W_O, and no (.., L_q, W) block output is formed.
 
-    One tape node. Forward and backward loop over the heads; each head works on
-    contiguous (.., L, d_k) copies of its operands, so no (.., heads, L, L)
-    temporary is ever built. Each weight gradient is one GEMM over all rows.
+    One tape node. The heads are a batch axis of (.., heads, L, d_k) views: each
+    product is one batched matmul, over one (.., heads, L_q, L_kv) score block,
+    and the head gradients are written straight into (.., L, W) arrays. K^T is
+    copied to a contiguous array once and the gradient of Q reads K from it, so
+    results are bitwise equal to a loop over the heads on contiguous copies;
+    the strided K view rounds differently at L_q = 1 (fusion). Each weight
+    gradient is one GEMM over all rows.
     """
     x_q, x_kv, w_q, w_k, w_v, w_o = (_tensor(t) for t in (x_q, x_kv, w_q, w_k, w_v, w_o))
     if x_q.ndim < 2 or x_kv.ndim != x_q.ndim or x_kv.shape[:-2] != x_q.shape[:-2]:
@@ -397,36 +391,40 @@ def attention(x_q, x_kv, w_q, w_k, w_v, w_o, heads: int) -> Tensor:
     if not isinstance(heads, int) or heads < 1 or width % heads:
         raise DimensionError(f"attention heads={heads!r} must be an integer dividing width {width}")
     lead, l_q = x_q.shape[:-2], x_q.shape[-2]
-    q = np.matmul(x_q.values, w_q.values)
-    k = np.matmul(x_kv.values, w_k.values)
-    v = np.matmul(x_kv.values, w_v.values)
     d_k = width // heads
     inv_scale = float(1.0 / np.sqrt(d_k))
-    cols = [np.s_[..., lo:lo + d_k] for lo in range(0, width, d_k)]
-    saved = []  # per head: Q_h, K_h^T, V_h, softmax weights, their mean over queries
-    for col in cols:
-        q_h = q[col].copy()
-        k_t = _swap(k[col]).copy()
-        v_h = v[col].copy()
-        s = _softmax(np.matmul(q_h, k_t) * inv_scale)
-        saved.append((q_h, k_t, v_h, s, s.mean(axis=-2, keepdims=True)))
-    # one row of pooled head outputs per leading index: (rows, W)
-    pooled = np.concatenate([np.matmul(s_bar, v_h) for _, _, v_h, _, s_bar in saved], axis=-1)
-    pooled = pooled.reshape(-1, width)
+
+    def split(a):  # (.., L, W) -> a (.., heads, L, d_k) view
+        return a.reshape(a.shape[:-1] + (heads, d_k)).swapaxes(-2, -3)
+
+    q_h = split(np.matmul(x_q.values, w_q.values))
+    k_t = _swap(split(np.matmul(x_kv.values, w_k.values))).copy()  # contiguous: see the docstring
+    v_h = split(np.matmul(x_kv.values, w_v.values))
+    s = np.matmul(q_h, k_t)  # the softmax of the scaled scores, in place
+    s *= inv_scale
+    s -= s.max(axis=-1, keepdims=True)
+    np.exp(s, out=s)
+    s /= s.sum(axis=-1, keepdims=True)
+    s_bar = s.mean(axis=-2, keepdims=True)
+    # (rows, W): at one pooled query, (.., heads, 1, d_k) holds the heads side by side
+    pooled = np.matmul(s_bar, v_h).reshape(-1, width)
 
     def backward_fn(g):
         g = g.reshape(-1, w_o.shape[1])
         if w_o.requires_grad:
             w_o.grad += pooled.T @ g
-        g_heads = (g @ w_o.values.T).reshape(lead + (1, width))
-        g_q, g_k, g_v = np.empty_like(q), np.empty_like(k), np.empty_like(v)
-        for col, (q_h, k_t, v_h, s, s_bar) in zip(cols, saved):
-            g_h = g_heads[col]
-            g_v[col] = np.matmul(_swap(s_bar), g_h)
-            # dL/dS: the same row for every query
-            g_scores = _softmax_grad(s, np.matmul(g_h, _swap(v_h)) / l_q) * inv_scale
-            g_q[col] = np.matmul(g_scores, _swap(k_t))
-            g_k[col] = _swap(np.matmul(_swap(q_h), g_scores))
+        g_heads = (g @ w_o.values.T).reshape(lead + (heads, 1, d_k))
+        g_q, g_v = np.empty(x_q.shape[:-1] + (width,)), np.empty(x_kv.shape[:-1] + (width,))
+        g_k = np.empty_like(g_v)
+        np.matmul(_swap(s_bar), g_heads, out=split(g_v))
+        # dL/dS is the same row for every query; the softmax's gradient in place
+        g_s = np.matmul(g_heads, _swap(v_h)) / l_q
+        g_scores = g_s * s
+        np.subtract(g_s, g_scores.sum(axis=-1, keepdims=True), out=g_scores)
+        g_scores *= s
+        g_scores *= inv_scale
+        np.matmul(g_scores, _swap(k_t), out=split(g_q))
+        np.matmul(_swap(q_h), g_scores, out=_swap(split(g_k)))
         # V, then K, then Q: x_kv.grad sums its two paths in this fixed order
         for x, w, g_proj in ((x_kv, w_v, g_v), (x_kv, w_k, g_k), (x_q, w_q, g_q)):
             if x.requires_grad:

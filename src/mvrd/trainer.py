@@ -105,7 +105,8 @@ def replace_teacher_with_content_embeddings(samples: list[Sample], d: int) -> li
 def train(
     cfg: TrainConfig, dataset: list[Sample], eval_dataset: list[Sample] | None = None
 ) -> tuple[Model, RunReport]:
-    """Mini-batch Adam training of the full model on one dataset."""
+    """Mini-batch Adam training of the full model on one dataset. A step whose loss
+    identities fail or whose gradient is non-finite raises ``ContractError`` before Adam."""
     cfg.validate()
     if not dataset:
         raise ValidationError("training set is empty")
@@ -139,6 +140,9 @@ def train(
                 raise ContractError(
                     f"loss identities violated: |L_C err|={err_c:.3e}, |total err|={err_total:.3e}"
                 )
+            if not np.isfinite(model.grads).all():
+                name = _non_finite_parameter(model.grads, _layout(model))
+                raise ContractError(f"parameter {name!r} has a non-finite gradient; Adam did not step")
             optimizer.step()
             for key in ("final", "branch", "classification", "total"):
                 sums[key] = sums.get(key, 0.0) + getattr(breakdown, key)
@@ -350,13 +354,16 @@ def _layout(model: Model) -> list:
     return [[p.name, list(p.tensor.shape)] for p in model.parameters()]
 
 
+def _non_finite_parameter(values: np.ndarray, layout: list) -> str:
+    """The parameter whose slice of the flat ``values`` holds its first non-finite entry."""
+    ends = np.cumsum([math.prod(shape) for _, shape in layout])
+    return layout[int(np.searchsorted(ends, np.argmin(np.isfinite(values)), side="right"))][0]
+
+
 def _check_finite(values: np.ndarray, layout: list, where: str) -> None:
     """Refuse a non-finite value, naming the parameter whose slice holds the first."""
-    finite = np.isfinite(values)
-    if not finite.all():
-        ends = np.cumsum([math.prod(shape) for _, shape in layout])
-        name = layout[int(np.searchsorted(ends, np.argmin(finite), side="right"))][0]
-        raise FormatError(f"{where}: parameter {name!r} holds a non-finite value")
+    if not np.isfinite(values).all():
+        raise FormatError(f"{where}: parameter {_non_finite_parameter(values, layout)!r} holds a non-finite value")
 
 
 def save_checkpoint(model: Model, path) -> None:

@@ -148,6 +148,87 @@ def attend(q, k, v, heads):
     )
 
 
+def softmax_grad(s, g):
+    return s * (g - (g * s).sum(axis=-1, keepdims=True))
+
+
+def per_head_attention(x_q, x_kv, w_q, w_k, w_v, w_o, heads, g):
+    """The attention op as a loop over the heads, each on contiguous copies of
+    its columns, applied to Tensors: returns the output and adds the gradients
+    for the upstream gradient g into the Tensors' grad buffers. The batched op
+    must reproduce it bit for bit."""
+    width = w_q.shape[1]
+    lead, l_q = x_q.shape[:-2], x_q.shape[-2]
+    q = np.matmul(x_q.values, w_q.values)
+    k = np.matmul(x_kv.values, w_k.values)
+    v = np.matmul(x_kv.values, w_v.values)
+    d_k = width // heads
+    inv_scale = float(1.0 / np.sqrt(d_k))
+    cols = [np.s_[..., lo:lo + d_k] for lo in range(0, width, d_k)]
+    saved = []
+    for col in cols:
+        q_h = q[col].copy()
+        k_t = np.swapaxes(k[col], -1, -2).copy()
+        v_h = v[col].copy()
+        s = softmax(np.matmul(q_h, k_t) * inv_scale)
+        saved.append((q_h, k_t, v_h, s, s.mean(axis=-2, keepdims=True)))
+    pooled = np.concatenate([np.matmul(s_bar, v_h) for _, _, v_h, _, s_bar in saved], axis=-1)
+    pooled = pooled.reshape(-1, width)
+
+    def swap(a):
+        return np.swapaxes(a, -1, -2)
+
+    g = g.reshape(-1, w_o.shape[1])
+    w_o.grad += pooled.T @ g
+    g_heads = (g @ w_o.values.T).reshape(lead + (1, width))
+    g_q, g_k, g_v = np.empty_like(q), np.empty_like(k), np.empty_like(v)
+    for col, (q_h, k_t, v_h, s, s_bar) in zip(cols, saved):
+        g_h = g_heads[col]
+        g_v[col] = np.matmul(swap(s_bar), g_h)
+        g_scores = softmax_grad(s, np.matmul(g_h, swap(v_h)) / l_q) * inv_scale
+        g_q[col] = np.matmul(g_scores, swap(k_t))
+        g_k[col] = swap(np.matmul(swap(q_h), g_scores))
+    for x, w, g_proj in ((x_kv, w_v, g_v), (x_kv, w_k, g_k), (x_q, w_q, g_q)):
+        x.grad += np.matmul(g_proj, swap(w.values))
+        w.grad += x.values.reshape(-1, w.shape[0]).T @ g_proj.reshape(-1, w.shape[1])
+    return (pooled @ w_o.values).reshape(lead + (w_o.shape[1],))
+
+
+class TestAttentionBitwise:
+    """The op against ``per_head_attention`` at the shapes the model runs."""
+
+    @pytest.mark.parametrize(
+        "rows, l_q, l_kv, heads, self_attention",
+        [(64, 8, 8, 4, True), (64, 4, 4, 4, False), (64, 1, 3, 8, False),
+         (256, 8, 8, 4, True), (256, 1, 3, 8, False)],
+        ids=["self-attention", "co-attention", "fusion", "predict-self", "predict-fusion"],
+    )
+    def test_equals_per_head_loop(self, rows, l_q, l_kv, heads, self_attention):
+        rng = np.random.default_rng(rows + 10 * l_q + l_kv)
+        width = 32
+        x_q = rng.normal(size=(rows, l_q, width))
+        x_kv = x_q if self_attention else rng.normal(size=(rows, l_kv, width))
+        weights = [rng.uniform(-0.3, 0.3, size=(width, width)) for _ in range(4)]
+        g = rng.normal(size=(rows, width))
+
+        def tensors():
+            tq = Tensor(x_q, requires_grad=True)
+            tkv = tq if self_attention else Tensor(x_kv, requires_grad=True)
+            return [tq, tkv] + [Tensor(w, requires_grad=True) for w in weights]
+
+        ref = tensors()
+        expected = per_head_attention(*ref, heads, g)
+        got = tensors()
+        out = attention(*got, heads)
+        # sum(out * g) as a linear map onto g: the op's upstream gradient is g exactly
+        n = out.values.size
+        backward(reshape(linear(reshape(out, (1, n)), g.reshape(n, 1), np.zeros(1)), ()))
+        assert np.array_equal(out.values, expected)
+        names = ["x_q", "x_kv", "W_Q", "W_K", "W_V", "W_O"]
+        for name, a, b in zip(names, got, ref):
+            assert np.array_equal(a.grad, b.grad), name
+
+
 class TestAttention:
     @pytest.mark.parametrize("heads", [1, 2, 4])
     @pytest.mark.parametrize("lead", [(), (3,)])

@@ -279,6 +279,33 @@ class TestTrain:
         with pytest.raises(ContractError, match="identities"):
             train(tiny_cfg(epochs=1), ds)
 
+    def test_non_finite_gradient_stops_before_adam(self, monkeypatch):
+        # a finite loss whose gradient overflowed must not step Adam
+        target = "fusion.attn.W_O"
+        params = Model(tiny_cfg(), TINY_D_IN).parameters()
+        names = [p.name for p in params]
+        offset = sum(p.tensor.values.size for p in params[: names.index(target)])
+        made, steps = [], []
+
+        class RecordingAdam(trainer.Adam):
+            def __init__(self, *args, **kwargs):
+                super().__init__(*args, **kwargs)
+                made.append(self)
+
+            def step(self):
+                steps.append(self.t)
+                super().step()
+
+        def overflowing_backward(graph):
+            backward(graph)
+            made[0].grads[offset + 1] = np.inf
+
+        monkeypatch.setattr(trainer, "Adam", RecordingAdam)
+        monkeypatch.setattr(trainer, "backward", overflowing_backward)
+        with pytest.raises(ContractError, match=f"'{target}' has a non-finite gradient"):
+            train(tiny_cfg(epochs=1), tiny_dataset())
+        assert steps == []
+
     def test_large_losses_pass_the_identity_check(self):
         # at learning rate 1 the losses reach ~1e6, where the two sides of the
         # total-loss identity differ by rounding above 1e-12 but not relative
