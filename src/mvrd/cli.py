@@ -115,7 +115,7 @@ def cmd_gen_data(args) -> int:
 
 
 def cmd_gen_teacher(args) -> int:
-    spec = ProjectionSpec(d_t=args.d_t, d=args.student_dim, seed=args.seed or 0)
+    spec = ProjectionSpec(d_t=args.d_t, d=args.student_dim, seed=args.seed)
     if spec.d_t < MIN_EMBED_DIM:  # checked before any chain is fetched
         raise diffcore.ParameterError(f"--d-t must be >= {MIN_EMBED_DIM}, got {spec.d_t}")
     client = None
@@ -174,6 +174,8 @@ def cmd_ablate(args) -> int:
 
 
 def cmd_sweep(args) -> int:
+    if args.chart and not args.out:
+        raise diffcore.ParameterError("--chart needs --out, the directory the chart is written to")
     values = _numbers(args.values, "--values")
     train_cfg, train_set, test_set = _load_split(args)
     rows = sweep(train_cfg, args.axis, values, train_set, test_set, n_seeds=args.seeds)
@@ -202,12 +204,12 @@ def cmd_grad_check(args) -> int:
         len_text=3,
         len_image=3,
         len_clip=2,
-        seed=args.seed or 0,
+        seed=args.seed,
     )
     samples = generate_dataset(synth)
     heads = max(h for h in (1, 2, 4) if args.d % h == 0)
     cfg = TrainConfig(
-        d=args.d, d_h=2 * args.d, heads=heads, encoder_heads=heads, master_seed=args.seed or 0
+        d=args.d, d_h=2 * args.d, heads=heads, encoder_heads=heads, master_seed=args.seed
     )
     batch = StackedDataset.from_samples(samples)
     model = Model(cfg, batch.d_in)
@@ -238,10 +240,10 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     def common(p, out_default=None):
+        """The ``--config`` and ``--seed`` flags that ``_load_configs`` reads, and ``--out``."""
         p.add_argument("--config", help="flat key=value config file")
         p.add_argument("--seed", type=int, default=None, help="override the master seed")
-        if out_default is not None:
-            p.add_argument("--out", default=out_default, help="output directory/file")
+        p.add_argument("--out", default=out_default, help="output directory/file")
 
     def data(p):
         """The features, teacher and split flags that ``_load_split`` reads."""
@@ -254,7 +256,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(fn=cmd_gen_data)
 
     p = sub.add_parser("gen-teacher", help="generate a teacher file for a features file")
-    common(p, out_default="teacher.jsonl")
+    p.add_argument("--seed", type=int, default=0, help="projection seed")
+    p.add_argument("--out", default="teacher.jsonl")
     p.add_argument("--features", required=True)
     p.add_argument("--mode", choices=("mock", "endpoint"), default="mock")
     p.add_argument("--endpoint", help="chat-completion URL (endpoint mode)")
@@ -272,26 +275,23 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(fn=cmd_train)
 
     p = sub.add_parser("eval", help="evaluate a checkpoint on a features file")
-    common(p)
     p.add_argument("--checkpoint", required=True)
     p.add_argument("--features", required=True)
     p.add_argument("--out")
     p.set_defaults(fn=cmd_eval)
 
     p = sub.add_parser("ablate", help="run the full ablation table")
-    common(p, out_default=None)
+    common(p)
     data(p)
     p.add_argument("--seeds", type=int, default=5)
-    p.add_argument("--out")
     p.set_defaults(fn=cmd_ablate)
 
     p = sub.add_parser("sweep", help="sweep lambda/tau/alpha/heads")
-    common(p, out_default=None)
+    common(p)
     data(p)
     p.add_argument("--axis", required=True, choices=("lambda", "tau", "alpha", "heads"))
     p.add_argument("--values", required=True, help="comma-separated values")
     p.add_argument("--seeds", type=int, default=3)
-    p.add_argument("--out")
     p.add_argument("--chart", action="store_true", help="also render a PNG chart")
     p.set_defaults(fn=cmd_sweep)
 
@@ -301,7 +301,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(fn=cmd_ttest)
 
     p = sub.add_parser("grad-check", help="finite-difference check of the full loss")
-    common(p)
+    p.add_argument("--seed", type=int, default=0, help="data and parameter seed")
     p.add_argument("--d", type=int, default=8)
     p.add_argument("--samples", type=int, default=4)
     p.set_defaults(fn=cmd_grad_check)

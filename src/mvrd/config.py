@@ -4,10 +4,11 @@
 run varies: the loss weights (``lambda_``, ``tau``, ``alpha``), the widths
 (``d``, ``d_h``) and head counts (``heads``, ``encoder_heads``), the schedule
 (``learning_rate``, ``epochs``, ``batch_size``), the ``master_seed``, and the
-eight ablation switches (the ninth ablation, no teacher, is ``lambda_ = 0``).
-It is also the one home of their rules (``validate``). Everything else is
-fixed: the encoders mean-pool, and Adam's moment constants live in
-``trainer.Adam``.
+``ablation`` the run makes: "full" or one row of the paper's ablation table,
+all named in ``ABLATIONS`` (the no-teacher row is ``lambda_ = 0``). A run
+removes at most one mechanism. ``TrainConfig`` is also the one home of their
+rules (``validate``). Everything else is fixed: the encoders mean-pool, and
+Adam's moment constants live in ``trainer.Adam``.
 
 Config files contain one ``key = value`` pair per line (``#`` comments and
 blank lines allowed). Keys mirror the field names of TrainConfig and
@@ -23,9 +24,22 @@ import math
 from dataclasses import dataclass
 from pathlib import Path
 
+from .views import VIEWS
+
 
 class ConfigError(ValueError):
     """A configuration value (or file) violates its contract."""
+
+
+# "full" and the mechanism each ablation row removes: one view's distillation
+# loss (drop_L_*: weight 0, not reported), one view (drop_*_view: its slot is
+# zeroed after encoding), the reasoning prompts (the teacher embeds the raw
+# content instead), the feature extractors (the views are the mean-pooled
+# tokens; needs d_in == d) or the attention (encoders and fusion mean-pool)
+ABLATIONS = (
+    "full", "drop_L_text", "drop_L_image", "drop_L_cross", "drop_text_view", "drop_image_view",
+    "no_reasoning_prompts", "no_feature_extractors", "no_attention",
+)
 
 
 @dataclass(frozen=True)
@@ -34,6 +48,8 @@ class TrainConfig:
 
     Note the defaults pair heads=8 with d=32; the head count must divide d,
     so configs that raise d to a multiple of 12 can use 12 fusion heads.
+    ``ablation`` is one name from ``ABLATIONS``; a config file sets it as
+    ``ablation = no_attention``.
     """
 
     lambda_: float = 1.0  # config key: lambda
@@ -47,14 +63,7 @@ class TrainConfig:
     epochs: int = 30
     batch_size: int = 32
     master_seed: int = 0
-    drop_L_text: bool = False
-    drop_L_image: bool = False
-    drop_L_cross: bool = False
-    drop_text_view: bool = False
-    drop_image_view: bool = False
-    no_reasoning_prompts_mode: bool = False
-    no_feature_extractors_mode: bool = False
-    no_attention_mode: bool = False
+    ablation: str = "full"
 
     def validate(self) -> "TrainConfig":
         # each check is written so that a NaN fails it
@@ -73,9 +82,13 @@ class TrainConfig:
             raise ConfigError(f"encoder_heads must be >= 1, got {self.encoder_heads}")
         if self.d_h < self.d:
             raise ConfigError(f"d_h={self.d_h} must be >= d={self.d}")
+        if self.ablation not in ABLATIONS:
+            raise ConfigError(
+                f"ablation must be one of {list(ABLATIONS)} (no_teacher is lambda = 0), got {self.ablation!r}"
+            )
         # the content teacher is a fallback_embed of width d
-        if self.no_reasoning_prompts_mode and self.d < MIN_EMBED_DIM:
-            raise ConfigError(f"no_reasoning_prompts_mode needs d >= {MIN_EMBED_DIM}, got {self.d}")
+        if self.ablation == "no_reasoning_prompts" and self.d < MIN_EMBED_DIM:
+            raise ConfigError(f"no_reasoning_prompts needs d >= {MIN_EMBED_DIM}, got {self.d}")
         if not 0.0 < self.learning_rate < math.inf:
             raise ConfigError(f"learning_rate must be finite and > 0, got {self.learning_rate}")
         if self.epochs < 1 or self.batch_size < 1:
@@ -86,10 +99,9 @@ class TrainConfig:
 
     @property
     def view_weights(self) -> tuple[float, ...]:
-        """Each view's distillation weight, 1.0 or 0.0 (``drop_L_*``), in
-        ``VIEWS`` order: text, image, cross."""
-        dropped = (self.drop_L_text, self.drop_L_image, self.drop_L_cross)
-        return tuple(float(not off) for off in dropped)
+        """Each view's distillation weight in ``VIEWS`` order (text, image,
+        cross): 0.0 for the view a ``drop_L_*`` ablation drops, else 1.0."""
+        return tuple(float(self.ablation != f"drop_L_{view}") for view in VIEWS)
 
     def replace(self, **changes) -> "TrainConfig":
         return dataclasses.replace(self, **changes)
@@ -101,13 +113,8 @@ MIN_EMBED_DIM = 8  # the narrowest teacher.fallback_embed
 
 def _parse_value(raw: str, py_type, key: str):
     raw = raw.strip()
-    if py_type is bool:
-        lowered = raw.lower()
-        if lowered in ("true", "1", "yes", "on"):
-            return True
-        if lowered in ("false", "0", "no", "off"):
-            return False
-        raise ConfigError(f"key {key!r}: expected a boolean, got {raw!r}")
+    if py_type is str:  # ablation; validate checks the name
+        return raw
     if py_type in (int, float):
         try:
             return py_type(raw)

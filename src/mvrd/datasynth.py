@@ -32,7 +32,7 @@ from .teacher import (
     TeacherEmbeddings,
     synthetic_teacher_oracle,
 )
-from .views import SOURCE_TAGS, EmbeddedSequence
+from .views import SOURCE_TAGS, EmbeddedSequence, check_d_in
 
 FAKE_TYPES = ("text-fabrication", "image-artifact", "cross-mismatch")
 
@@ -290,10 +290,7 @@ def load_features_file(path) -> list[Sample]:
         return []
     check_format_version(path, header)
     d_in = header.get("d_in")
-    if not (
-        isinstance(d_in, dict) and all(type(d_in.get(tag)) is int and d_in[tag] >= 1 for tag in SOURCE_TAGS)
-    ):
-        raise FormatError(f"{path}: header d_in must map every source tag to an integer >= 1, got {d_in!r}")
+    check_d_in(d_in, FormatError, f"{path}: header d_in")
 
     # sample id -> (label, corruption, {source tag: sequence}), in file order
     found: dict[str, tuple[int, str, dict[str, EmbeddedSequence]]] = {}
@@ -312,10 +309,10 @@ def load_features_file(path) -> list[Sample]:
             raise FormatError(f"{path}: line {lineno}: unknown source_tag {tag!r}")
         if not np.isfinite(tokens).all():
             raise FormatError(f"{path}: line {lineno}: non-finite token value")
-        if tokens.ndim != 2 or tokens.shape[1] != d_in.get(tag):
+        if tokens.ndim != 2 or tokens.shape[1] != d_in[tag]:
             raise FormatError(
                 f"{path}: sample {sid!r} has d_in {tokens.shape[1:]} for {tag}, "
-                f"header declares {d_in.get(tag)}"
+                f"header declares {d_in[tag]}"
             )
         first_label, first_corruption, seqs = found.setdefault(sid, (label, corruption, {}))
         if (first_label, first_corruption) != (label, corruption):

@@ -112,7 +112,7 @@ def total_loss(
     weights = np.asarray(cfg.view_weights, dtype=np.float64)
     loss_c = add(loss_final, loss_branch)
     total = loss_c
-    if distill is not None and lambda_ > 0 and weights.any():
+    if distill is not None and lambda_ > 0:
         weighted = linear(distill, (lambda_ * weights).reshape(-1, 1), np.zeros(1))
         total = add(loss_c, reshape(weighted, ()))
     return LossBreakdown(

@@ -12,19 +12,12 @@ evaluation set never holds a second, stacked copy of itself in memory.
 
 The model owns three parameter groups (view encoders, calibrator, fusion),
 whose values and gradients live in two flat arrays, ``Model.values`` and
-``Model.grads``, in ``parameters()`` order, and implements the ablation
-switches from TrainConfig:
-
-* ``drop_text_view`` / ``drop_image_view``: the view's slot is zeroed right
-  after encoding, removing it everywhere downstream
-* ``drop_L_*``: the view's distillation loss gets weight 0 in the total
-* ``no_feature_extractors_mode``: view features are raw mean-pooled input
-  tokens (requires d_in == d)
-* ``no_attention_mode``: the attention step is skipped: encoders mean-pool
-  and project the raw tokens, and fusion returns the pooled query itself
-* ``lambda_ == 0`` (the ``no_teacher`` ablation row): the distillation
-  subgraph is never recorded, so teacher values provably cannot influence
-  gradients
+``Model.grads``, in ``parameters()`` order, and implements the run's
+``TrainConfig.ablation`` (``config.ABLATIONS`` says what each row removes):
+``encode_batch`` zeroes a dropped view and skips the extractors or the
+attention, and ``fuse`` skips the attention. At ``lambda_ == 0`` (the
+``no_teacher`` row) the distillation subgraph is never recorded, so teacher
+values provably cannot influence gradients.
 
 ``StackedDataset.from_samples`` holds the one shape rule: each source's
 sequences, and the teachers, share one shape across the stacked samples.
@@ -58,20 +51,20 @@ _NO_TEACHER = "lambda > 0 needs teacher embeddings; attach a teacher file or tra
 
 def check_fit(cfg: TrainConfig, d_in: dict[str, int], data: StackedDataset | None = None) -> None:
     """The rules that need both a run's config and its corpus: the encoder
-    heads divide every input width, ``no_feature_extractors_mode`` needs
-    d_in == d, and, given the stacked corpus ``data`` and unless the run swaps
-    its teacher out under ``no_reasoning_prompts_mode``, lambda > 0 needs a
+    heads divide every input width, the ``no_feature_extractors`` ablation
+    needs d_in == d, and, given the stacked corpus ``data`` and unless the run
+    swaps its teacher out (``no_reasoning_prompts``), lambda > 0 needs a
     teacher and the teacher is d wide."""
     widths = sorted(set(d_in.values()))
     if cfg.encoder_heads < 1 or any(w % cfg.encoder_heads for w in widths):
         raise ValidationError(
             f"encoder heads={cfg.encoder_heads} must divide every input width {widths}"
         )
-    if cfg.no_feature_extractors_mode:
+    if cfg.ablation == "no_feature_extractors":
         bad = {tag: dim for tag, dim in d_in.items() if dim != cfg.d}
         if bad:
-            raise ConfigError(f"no_feature_extractors_mode needs d_in == d == {cfg.d}, got {bad}")
-    if data is None or cfg.no_reasoning_prompts_mode:
+            raise ConfigError(f"no_feature_extractors needs d_in == d == {cfg.d}, got {bad}")
+    if data is None or cfg.ablation == "no_reasoning_prompts":
         return
     if data.teacher is None:
         if cfg.lambda_ > 0:
@@ -149,9 +142,9 @@ class Model:
 
     def encode_batch(self, batch: StackedDataset) -> Tensor:
         """The (B, 3, d) view features of a stacked batch, slots in ``VIEWS`` order."""
-        cfg, enc = self.cfg, self.encoder
+        cfg, enc, ablation = self.cfg, self.encoder, self.cfg.ablation
         text, image, clip_t, clip_i = (Tensor(batch.tokens[tag]) for tag in SOURCE_TAGS)
-        if cfg.no_feature_extractors_mode or cfg.no_attention_mode:
+        if ablation in ("no_feature_extractors", "no_attention"):
             text, image, clip_i, clip_t = (mean(x, axis=-2) for x in (text, image, clip_i, clip_t))
         else:
             text = attention(text, text, *enc.text_attn, enc.heads)
@@ -160,7 +153,7 @@ class Model:
                 attention(clip_i, clip_t, *enc.cross_i2t, enc.heads),
                 attention(clip_t, clip_i, *enc.cross_t2i, enc.heads),
             )
-        if cfg.no_feature_extractors_mode:
+        if ablation == "no_feature_extractors":
             views = [text, image, scale(add(clip_i, clip_t), 0.5)]
         else:
             views = [
@@ -169,10 +162,9 @@ class Model:
                 linear(concat([clip_i, clip_t], axis=-1), *enc.cross_proj),
             ]
         n = len(batch.labels)
-        if cfg.drop_text_view:
-            views[0] = Tensor(np.zeros((n, cfg.d)))
-        if cfg.drop_image_view:
-            views[1] = Tensor(np.zeros((n, cfg.d)))
+        for slot, view in enumerate(VIEWS):
+            if ablation == f"drop_{view}_view":
+                views[slot] = Tensor(np.zeros((n, cfg.d)))
         return reshape(concat(views, axis=-1), (n, len(VIEWS), cfg.d))
 
     def forward_loss(self, batch: StackedDataset) -> LossBreakdown:
@@ -196,7 +188,7 @@ class Model:
     def fuse(self, calibrated: Tensor) -> Tensor:
         """(B, 3, d) calibrated views to the (B, d) fused vector."""
         pooled = mean(calibrated, axis=-2)
-        if self.cfg.no_attention_mode:
+        if self.cfg.ablation == "no_attention":
             return pooled
         return cross_attention_fuse(pooled, calibrated, self.fusion)
 

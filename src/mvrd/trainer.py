@@ -23,7 +23,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .config import ConfigError, TrainConfig, field_types
+from .config import ABLATIONS, ConfigError, TrainConfig, field_types
 from .datasynth import Sample
 from .diffcore import (
     ContractError,
@@ -35,7 +35,7 @@ from .fileio import FormatError, check_format_version, parse_record, replace_ato
 from .metrics import Metrics, compute_metrics
 from .model import Model, StackedDataset, check_fit
 from .teacher import TeacherEmbeddings, fallback_embed
-from .views import SOURCE_TAGS
+from .views import check_d_in
 
 CHECKPOINT_MAGIC = b"MVRD-CKPT\n"
 CHECKPOINT_VERSION = 3
@@ -110,7 +110,7 @@ def train(
     cfg.validate()
     if not dataset:
         raise ValidationError("training set is empty")
-    if cfg.no_reasoning_prompts_mode:
+    if cfg.ablation == "no_reasoning_prompts":
         dataset = replace_teacher_with_content_embeddings(dataset, cfg.d)
 
     start = time.perf_counter()
@@ -183,17 +183,13 @@ class VariantResult:
     per_seed: list[dict[str, float]] = field(default_factory=list)
 
 
+# the paper's table: "full" and every row of ``ABLATIONS``, with the no_teacher
+# row (lambda = 0) after no_reasoning_prompts
+_NO_TEACHER_AT = ABLATIONS.index("no_reasoning_prompts") + 1
 ABLATION_VARIANTS: tuple[tuple[str, dict], ...] = (
-    ("full", {}),
-    ("drop_L_text", {"drop_L_text": True}),
-    ("drop_L_image", {"drop_L_image": True}),
-    ("drop_L_cross", {"drop_L_cross": True}),
-    ("drop_text_view", {"drop_text_view": True}),
-    ("drop_image_view", {"drop_image_view": True}),
-    ("no_reasoning_prompts", {"no_reasoning_prompts_mode": True}),
+    *((name, {"ablation": name}) for name in ABLATIONS[:_NO_TEACHER_AT]),
     ("no_teacher", {"lambda_": 0.0}),
-    ("no_feature_extractors", {"no_feature_extractors_mode": True}),
-    ("no_attention", {"no_attention_mode": True}),
+    *((name, {"ablation": name}) for name in ABLATIONS[_NO_TEACHER_AT:]),
 )
 
 
@@ -294,6 +290,8 @@ def ablation_suite(
     """
     if n_seeds < 3:
         raise ParameterError(f"ablation needs n_seeds >= 3, got {n_seeds}")
+    if cfg.ablation != "full":  # each row sets its own
+        raise ConfigError(f"ablation_suite needs a base config with ablation = full, got {cfg.ablation!r}")
     return _table(cfg, ABLATION_VARIANTS, train_set, test_set, n_seeds)
 
 
@@ -419,12 +417,7 @@ def load_model(path) -> Model:
         types[k] is type(v) or (types[k] is float and type(v) is int) for k, v in snapshot.items()
     ):
         raise FormatError(f"{path}: checkpoint train_config is missing or malformed: {snapshot!r}")
-    if not (
-        isinstance(d_in, dict)
-        and set(d_in) == set(SOURCE_TAGS)
-        and all(type(v) is int and v >= 1 for v in d_in.values())
-    ):
-        raise FormatError(f"{path}: checkpoint d_in is missing or malformed: {d_in!r}")
+    check_d_in(d_in, FormatError, f"{path}: checkpoint d_in")
     try:
         model = Model(TrainConfig(**snapshot), d_in)
     except (ConfigError, ValidationError) as exc:

@@ -42,6 +42,17 @@ VIEWS = ("text", "image", "cross")
 SOURCE_TAGS = ("text-tokens", "image-patches", "clip-text", "clip-image")
 
 
+def check_d_in(d_in, error: type[Exception] = ValidationError, what: str = "d_in") -> None:
+    """The one d_in rule: a dict whose keys are exactly ``SOURCE_TAGS``, each
+    mapped to an int >= 1 (not a bool). ``error`` names ``what`` otherwise."""
+    if not (
+        isinstance(d_in, dict)
+        and set(d_in) == set(SOURCE_TAGS)
+        and all(type(v) is int and v >= 1 for v in d_in.values())
+    ):
+        raise error(f"{what} must map exactly the source tags {list(SOURCE_TAGS)} to ints >= 1, got {d_in!r}")
+
+
 def stacked_parameter(slice_name: str, shape: tuple[int, ...], scheme: str, master_seed: int) -> Parameter:
     """One (3, *shape) parameter with a slice per view, in ``VIEWS`` order, named
     ``slice_name`` without its ``{view}.`` part. Slice v is initialised as the
@@ -93,9 +104,7 @@ class ViewEncoderParams:
     """All learnable parts of the three view encoders."""
 
     def __init__(self, d_in: dict[str, int], d: int, heads: int = 4, master_seed: int = 0):
-        missing = [tag for tag in SOURCE_TAGS if tag not in d_in]
-        if missing:
-            raise ValidationError(f"d_in missing source tags: {missing}")
+        check_d_in(d_in)
         self.d_in = dict(d_in)
         self.d = d
         self.heads = heads

@@ -251,7 +251,7 @@ def test_criterion_6_ablation_directions(default_data, efficacy_runs):
     full_f1 = [evaluate(m, cross_only).f1_fake for m in full_models]
     drop_f1 = []
     for seed in SEEDS:
-        model, _ = train(RUN_CFG.replace(master_seed=seed, drop_L_cross=True), train_set)
+        model, _ = train(RUN_CFG.replace(master_seed=seed, ablation="drop_L_cross"), train_set)
         drop_f1.append(evaluate(model, cross_only).f1_fake)
     degradation = float(np.mean(full_f1) - np.mean(drop_f1))
     assert degradation >= 0.05, (full_f1, drop_f1)

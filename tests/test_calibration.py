@@ -279,16 +279,19 @@ class TestCalibrationForward:
         return Tensor(np.array(x), requires_grad=True)
 
     def test_disabled_views_contribute_no_loss(self):
+        # each drop_L_* ablation: its view is neither weighted nor reported
         params = CalibratorParams(d=4, d_h=8, master_seed=16)
         v, t = self.make_inputs()
-        cfg = TrainConfig(drop_L_text=True, drop_L_image=True, drop_L_cross=True)
         calibrated = calibrate_views(v, params)
-        losses = distill_losses(calibrated, t, 0, cfg, params)
-        breakdown = total_loss(self.scalar(0.5), self.scalar(0.25), losses, cfg)
-        assert breakdown.distill == {}
-        assert breakdown.total == breakdown.classification
-        # features still flow through calibration
-        assert calibrated.values[TEXT].shape == (4,)
+        for slot, dropped in enumerate(VIEWS):
+            cfg = TrainConfig(ablation=f"drop_L_{dropped}")
+            losses = distill_losses(calibrated, t, 0, cfg, params)
+            breakdown = total_loss(self.scalar(0.5), self.scalar(0.25), losses, cfg)
+            assert list(breakdown.distill) == [view for view in VIEWS if view != dropped]
+            kept = losses.values.sum() - losses.values[slot]
+            assert breakdown.total == pytest.approx(breakdown.classification + kept, abs=1e-12)
+            # features still flow through calibration
+            assert calibrated.values[slot].shape == (4,)
 
     def test_full_enablement_gives_nonnegative_kl(self):
         params = CalibratorParams(d=4, d_h=8, master_seed=17)

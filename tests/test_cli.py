@@ -165,6 +165,25 @@ class TestGradCheckCommand:
         assert out["max_rel_error"] < 1e-4
 
 
+class TestFlags:
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["eval", "--checkpoint", "c.bin", "--features", "f.jsonl", "--config", "run.cfg"],
+            ["eval", "--checkpoint", "c.bin", "--features", "f.jsonl", "--seed", "1"],
+            ["gen-teacher", "--features", "f.jsonl", "--config", "run.cfg"],
+            ["grad-check", "--config", "/nonexistent.cfg", "--d", "8", "--samples", "2"],
+        ],
+        ids=["eval-config", "eval-seed", "gen-teacher-config", "grad-check-config"],
+    )
+    def test_flags_nothing_reads_are_refused(self, argv, capsys):
+        # each subcommand takes only the flags it reads
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
+        assert "unrecognized arguments" in capsys.readouterr().err
+
+
 class TestErrors:
     def test_unknown_config_key_is_machine_parsable(self, tmp_path, capsys):
         bad = tmp_path / "bad.txt"
@@ -282,6 +301,15 @@ class TestSweepCommand:
         assert "matplotlib unavailable; skipped chart" in capsys.readouterr().err
         assert (out / "sweep_tau.jsonl").exists()
         assert not (out / "sweep_tau.png").exists()
+
+    def test_chart_without_out_refused_before_loading(self, tmp_path, capsys):
+        # the features file does not exist: the flags are checked first
+        argv = ["sweep", "--features", str(tmp_path / "none.jsonl"), "--axis", "tau",
+                "--values", "1.0", "--chart"]
+        assert main(argv) == 1
+        err = json.loads(capsys.readouterr().err.strip())
+        assert err["error"] == "ParameterError"
+        assert "--chart needs --out" in err["message"]
 
     def test_zero_seeds_is_parameter_error(self, data_dir, config_file, capsys):
         code = main(

@@ -6,7 +6,7 @@ import math
 
 import pytest
 
-from mvrd.config import ConfigError, TrainConfig, build_configs, field_types, read_config_file
+from mvrd.config import ABLATIONS, ConfigError, TrainConfig, build_configs, field_types, read_config_file
 from mvrd.datasynth import SyntheticConfig
 from mvrd.diffcore import ParameterError
 
@@ -17,6 +17,11 @@ RETIRED_KEYS = {
     "debug_checks": "true",
     "pooling": "mean",
     "no_teacher": "true",
+    # the eight ablation switches that one ablation name replaced
+    **dict.fromkeys([
+        "drop_L_text", "drop_L_image", "drop_L_cross", "drop_text_view", "drop_image_view",
+        "no_reasoning_prompts_mode", "no_feature_extractors_mode", "no_attention_mode",
+    ], "yes"),
 }
 
 
@@ -43,10 +48,10 @@ class TestParser:
     def test_typed_values(self, tmp_path):
         train_cfg, synth_cfg = parse(
             tmp_path,
-            "drop_image_view = yes\ndrop_L_text = off\nepochs = 3\ntau = 1.5\n"
+            "ablation = no_attention\nepochs = 3\ntau = 1.5\n"
             "corruption_mix = 0.5, 0.25, 0.25\nn_samples = 12\n",
         )
-        assert train_cfg.drop_image_view is True and train_cfg.drop_L_text is False
+        assert train_cfg.ablation == "no_attention"
         assert train_cfg.epochs == 3 and type(train_cfg.epochs) is int
         assert train_cfg.tau == 1.5 and type(train_cfg.tau) is float
         assert synth_cfg.corruption_mix == (0.5, 0.25, 0.25)
@@ -82,8 +87,22 @@ class TestParser:
             assert types[f.name].__name__ == f.type, f.name
 
     def test_train_config_fields(self):
-        assert len(dataclasses.fields(TrainConfig)) == 19
+        assert len(dataclasses.fields(TrainConfig)) == 12
         assert not set(RETIRED_KEYS) & set(field_types(TrainConfig))
+        # the parser has no boolean syntax, so no field may be a bool
+        assert bool not in {*field_types(TrainConfig).values(), *field_types(SyntheticConfig).values()}
+
+    @pytest.mark.parametrize("name", ABLATIONS)
+    def test_every_ablation_parses(self, tmp_path, name):
+        train_cfg, _ = parse(tmp_path, f"ablation = {name}\n")
+        assert train_cfg.ablation == name
+
+    @pytest.mark.parametrize(
+        "name", ["no_heads", "no_teacher", "No_Attention", "drop_L_text, no_attention", ""]
+    )
+    def test_unknown_ablation_rejected(self, tmp_path, name):
+        with pytest.raises(ConfigError, match="ablation must be one of"):
+            parse(tmp_path, f"ablation = {name}\n")
 
 
 class TestValidation:
@@ -125,7 +144,7 @@ class TestValidation:
             parse(tmp_path, text)
 
     def test_content_teacher_needs_d_of_eight(self):
-        cfg = TrainConfig(d=4, d_h=8, heads=4, no_reasoning_prompts_mode=True)
+        cfg = TrainConfig(d=4, d_h=8, heads=4, ablation="no_reasoning_prompts")
         with pytest.raises(ConfigError, match="d >= 8"):
             cfg.validate()
-        cfg.replace(no_reasoning_prompts_mode=False).validate()
+        cfg.replace(ablation="full").validate()

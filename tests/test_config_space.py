@@ -13,16 +13,12 @@ import numpy as np
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from mvrd.config import ConfigError, TrainConfig
+from mvrd.config import ABLATIONS, ConfigError, TrainConfig
 from mvrd.datasynth import SyntheticConfig, generate_dataset
 from mvrd.diffcore import DimensionError, ParameterError, ValidationError
 from mvrd.trainer import train
 
 REFUSALS = (ConfigError, DimensionError, ParameterError, ValidationError)
-SWITCHES = (
-    "drop_L_text", "drop_L_image", "drop_L_cross", "drop_text_view", "drop_image_view",
-    "no_reasoning_prompts_mode", "no_feature_extractors_mode", "no_attention_mode",
-)
 # values that validation must refuse, one field at a time
 BAD_VALUES = {
     "lambda_": [-1.0, math.nan, math.inf],
@@ -36,6 +32,7 @@ BAD_VALUES = {
     "epochs": [0],
     "batch_size": [0],
     "master_seed": [-1],
+    "ablation": ["no_heads", "", "no_attention_mode"],
 }
 
 
@@ -43,7 +40,7 @@ BAD_VALUES = {
 def runs(draw):
     """A TrainConfig and a tiny corpus. Half the configs have one field broken;
     the rest may still clash with the corpus (encoder heads, input and teacher
-    widths) or with each other (the ablation switches)."""
+    widths, and the widths some ablations need)."""
     heads, encoder_heads = draw(st.integers(1, 3)), draw(st.integers(1, 3))
     d = heads * draw(st.integers(1, 4))
     cfg = TrainConfig(
@@ -58,7 +55,7 @@ def runs(draw):
         epochs=1,
         batch_size=draw(st.integers(1, 8)),
         master_seed=draw(st.integers(0, 2**32 - 1)),
-        **dict.fromkeys(draw(st.sets(st.sampled_from(SWITCHES), max_size=3)), True),
+        ablation=draw(st.sampled_from(ABLATIONS)),
     )
     broken = draw(st.none() | st.sampled_from(sorted(BAD_VALUES)))
     if broken:

@@ -317,6 +317,17 @@ class TestFeatureFile:
         with pytest.raises(FormatError, match="d_in"):
             load_features_file(path)
 
+    def test_header_with_an_extra_source_refused(self, tmp_path):
+        ds = generate_dataset(small_cfg(n_samples=2))
+        path = tmp_path / "features.jsonl"
+        save_features_file(ds, path)
+        lines = path.read_text("utf-8").splitlines()
+        header = json.loads(lines[0])
+        header["d_in"]["audio"] = 5
+        path.write_text("\n".join([json.dumps(header)] + lines[1:]) + "\n", "utf-8")
+        with pytest.raises(FormatError, match="header d_in must map exactly the source tags"):
+            load_features_file(path)
+
     def test_missing_source_named(self, tmp_path):
         ds = generate_dataset(small_cfg(n_samples=2))
         path = tmp_path / "features.jsonl"

@@ -37,7 +37,7 @@ def views_of(t, i, c, requires_grad=False):
 
 def pool(views):
     """Model.fuse with attention off: the mean over the view axis."""
-    cfg = TrainConfig(d=4, d_h=8, heads=1, encoder_heads=1, no_attention_mode=True)
+    cfg = TrainConfig(d=4, d_h=8, heads=1, encoder_heads=1, ablation="no_attention")
     return Model(cfg, {tag: 4 for tag in SOURCE_TAGS}).fuse(views)
 
 
@@ -51,7 +51,7 @@ def encode_constant(model, t, i, c):
 
 
 def raw_pooling_model(d):
-    cfg = TrainConfig(d=d, d_h=2 * d, heads=1, encoder_heads=1, no_feature_extractors_mode=True)
+    cfg = TrainConfig(d=d, d_h=2 * d, heads=1, encoder_heads=1, ablation="no_feature_extractors")
     return Model(cfg, {tag: d for tag in SOURCE_TAGS})
 
 
@@ -236,10 +236,13 @@ class TestTotalLoss:
         return Tensor(np.array([text, image, cross]), requires_grad=True)
 
     def test_lambda_zero_equals_classification(self):
-        cfg = TrainConfig(lambda_=0.0, drop_L_image=True, drop_L_cross=True)
-        breakdown = total_loss(self.scalar(0.7), self.scalar(1.1), self.vector(text=5.0), cfg)
+        cfg = TrainConfig(lambda_=0.0, ablation="drop_L_image")
+        distill = self.vector(text=5.0, image=7.0, cross=3.0)
+        breakdown = total_loss(self.scalar(0.7), self.scalar(1.1), distill, cfg)
         assert breakdown.total == breakdown.classification
         assert breakdown.classification == pytest.approx(1.8, abs=1e-15)
+        # the dropped view is not reported; the others are, for the record
+        assert breakdown.distill == {"text": 5.0, "cross": 3.0}
 
     def test_zero_distill_terms(self):
         cfg = TrainConfig(lambda_=3.0)
@@ -251,7 +254,7 @@ class TestTotalLoss:
             self.scalar(0.4),
             self.scalar(0.6),
             self.vector(text=0.1, image=9.9, cross=0.3),
-            TrainConfig(lambda_=0.5, drop_L_image=True),
+            TrainConfig(lambda_=0.5, ablation="drop_L_image"),
         )
         assert breakdown.total == pytest.approx(1.2, abs=1e-12)
         assert set(breakdown.distill) == {"text", "cross"}

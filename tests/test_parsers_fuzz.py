@@ -58,7 +58,7 @@ def write_checkpoint(path):
 
 def write_config(path):
     path.write_text("# run\nlambda = 0.5\ntau = 2\nheads = 4\ncorruption_mix = 0.5, 0.25, 0.25\n"
-                    "seed = 7\nmaster_seed = 3\ndrop_L_text = yes\n", "utf-8")
+                    "seed = 7\nmaster_seed = 3\nablation = drop_L_text\n", "utf-8")
 
 
 def load_config(path):

@@ -221,10 +221,10 @@ class TestTrain:
         assert_params_equal(manual_run(swap=False), manual_run(swap=True))
 
     def test_disabled_view_teacher_slot_is_bitwise_invisible(self):
-        # drop_L_cross weights the cross loss by 0: rewriting only the cross
+        # the drop_L_cross ablation weights the cross loss by 0: rewriting only the cross
         # slot of the stacked teacher mid-run changes no parameter bit
         ds = tiny_dataset()
-        cfg = tiny_cfg(drop_L_cross=True, epochs=1)
+        cfg = tiny_cfg(ablation="drop_L_cross", epochs=1)
 
         def manual_run(swap):
             data = StackedDataset.from_samples(ds)
@@ -400,7 +400,7 @@ class TestAblationRunner:
         names = [r.name for r in rows]
         assert names[0] == "full"
         assert len(names) == 10 and len(set(names)) == 10
-        # no flags enabled reproduces the base run bit-exactly
+        # the full row reproduces the base run bit-exactly
         _, base_report = train(tiny_cfg(epochs=1), tr, eval_dataset=te)
         assert rows[0].per_seed[0] == base_report.metrics
 
@@ -408,6 +408,16 @@ class TestAblationRunner:
         ds = tiny_dataset()
         with pytest.raises(Exception):
             ablation_suite(tiny_cfg(), ds, ds, n_seeds=2)
+
+    def test_base_ablation_refused_before_any_job(self, monkeypatch):
+        # every row sets its own ablation, which would replace the base's unsaid
+        def no_jobs(*args, **kwargs):
+            raise AssertionError("the jobs were started")
+
+        monkeypatch.setattr(trainer, "_run_jobs", no_jobs)
+        ds = tiny_dataset()
+        with pytest.raises(ConfigError, match="ablation = full, got 'no_attention'"):
+            ablation_suite(tiny_cfg(ablation="no_attention"), ds, ds, n_seeds=3)
 
     def test_empty_split_rejected_before_any_job(self, monkeypatch):
         ds = tiny_dataset()
@@ -426,10 +436,10 @@ class TestAblationRunner:
         "overrides, error",
         [
             (dict(encoder_heads=3), ValidationError),  # 3 does not divide d_in = 8
-            (dict(d=16, d_h=32, no_feature_extractors_mode=True), ConfigError),  # d_in != d
+            (dict(d=16, d_h=32, ablation="no_feature_extractors"), ConfigError),  # d_in != d
             (dict(d=16, d_h=32), DimensionError),  # the teacher is 8 wide
             (dict(teacher=None), ConfigError),  # lambda > 0 on a corpus without teachers
-            (dict(d=4, d_h=8, no_reasoning_prompts_mode=True), ConfigError),  # content teacher
+            (dict(d=4, d_h=8, ablation="no_reasoning_prompts"), ConfigError),  # content teacher
         ],
     )
     def test_corpus_rules_checked_before_any_job(self, monkeypatch, overrides, error):
@@ -464,9 +474,9 @@ class TestAblationRunner:
             ablation_suite(cfg, ds, ds, n_seeds=3)
 
     def test_content_teacher_width_is_not_checked(self):
-        # under no_reasoning_prompts_mode the run replaces the 8-wide teacher
+        # under no_reasoning_prompts the run replaces the 8-wide teacher
         data = StackedDataset.from_samples(tiny_dataset())
-        check_fit(tiny_cfg(d=16, d_h=32, no_reasoning_prompts_mode=True), data.d_in, data)
+        check_fit(tiny_cfg(d=16, d_h=32, ablation="no_reasoning_prompts"), data.d_in, data)
 
 
 class TestParallelRunner:
@@ -548,7 +558,7 @@ class TestParallelRunner:
         job_metrics = trainer._job_metrics
 
         def failing_job(cfg, train_set, test_set):
-            if cfg.no_attention_mode:
+            if cfg.ablation == "no_attention":
                 raise ValidationError(f"job {cfg.master_seed} failed in its worker")
             return job_metrics(cfg, train_set, test_set)
 
@@ -748,7 +758,7 @@ class TestCheckpoints:
             lambda h: h.update(train_config=[1, 2]),
             lambda h: h.update(train_config={**h["train_config"], "d": "8"}),
             lambda h: h.update(train_config={**h["train_config"], "epochs": 2.0}),
-            lambda h: h.update(train_config={**h["train_config"], "drop_L_text": 1}),
+            lambda h: h.update(train_config={**h["train_config"], "ablation": 1}),
             lambda h: h.update(train_config={**h["train_config"], "dropout": 0.1}),
             lambda h: h.update(train_config={**h["train_config"], "heads": 3}),
             # 3 encoder heads cannot split the 8-wide inputs
@@ -757,30 +767,46 @@ class TestCheckpoints:
             lambda h: h.update(d_in={**h["d_in"], "text-tokens": "8"}),
             lambda h: h.update(d_in={**h["d_in"], "text-tokens": 0}),
             lambda h: h["d_in"].pop("clip-image"),
+            lambda h: h.update(d_in={**h["d_in"], "audio": 5}),
             lambda h: h.update(train_config={**h["train_config"], "pooling": "mean"}),
             # version 1 held one parameter per view; its layout cannot load
             lambda h: h.update(format_version=1),
             # version 2 split the values into per-parameter records
             lambda h: h.update(format_version=2),
             # a missing field must not fall back to its default
-            lambda h: h["train_config"].pop("no_attention_mode"),
+            lambda h: h["train_config"].pop("ablation"),
             lambda h: h["train_config"].pop("lambda_"),
         ],
         ids=[
             "no-train_config", "no-d_in", "train_config-list", "str-int-field",
-            "float-int-field", "int-bool-field", "unknown-field", "bad-head-count",
-            "bad-encoder-head-count", "d_in-int", "str-d_in", "zero-d_in", "missing-source", "retired-field",
-            "format-version-1", "format-version-2", "no-no_attention_mode", "no-lambda_",
+            "float-int-field", "int-str-field", "unknown-field", "bad-head-count",
+            "bad-encoder-head-count", "d_in-int", "str-d_in", "zero-d_in", "missing-source",
+            "extra-source", "retired-field",
+            "format-version-1", "format-version-2", "no-ablation", "no-lambda_",
         ],
     )
     def test_bad_header_fields_are_format_error(self, tmp_path, edit):
-        model = Model(tiny_cfg(no_attention_mode=True, lambda_=0.25), TINY_D_IN)
+        model = Model(tiny_cfg(ablation="no_attention", lambda_=0.25), TINY_D_IN)
         path = tmp_path / "ckpt.bin"
         save_checkpoint(model, path)
         header, body = self.split_file(path.read_bytes())
         edit(header)
         self.write_file(path, header, body)
         with pytest.raises(FormatError):
+            load_model(path)
+
+    def test_header_with_the_eight_old_switches_is_format_error(self, tmp_path):
+        # the train_config of a checkpoint saved before one ablation name
+        # replaced the eight switches
+        path, blob = self.saved_blob(tmp_path)
+        header, body = self.split_file(blob)
+        del header["train_config"]["ablation"]
+        header["train_config"].update(dict.fromkeys([
+            "drop_L_text", "drop_L_image", "drop_L_cross", "drop_text_view", "drop_image_view",
+            "no_reasoning_prompts_mode", "no_feature_extractors_mode", "no_attention_mode",
+        ], False))
+        self.write_file(path, header, body)
+        with pytest.raises(FormatError, match="train_config is missing or malformed"):
             load_model(path)
 
     def test_extra_parameter_rejected_by_both_loaders(self, tmp_path):
@@ -920,7 +946,7 @@ class TestContentTeacher:
 class TestAblationModes:
     def test_dropped_views_are_zeroed(self):
         ds = tiny_dataset()
-        cfg = tiny_cfg(drop_text_view=True)
+        cfg = tiny_cfg(ablation="drop_text_view")
         data = StackedDataset.from_samples(ds)
         model = Model(cfg, data.d_in)
         views = model.encode_batch(data.batch(np.arange(8)))
@@ -930,12 +956,12 @@ class TestAblationModes:
     def test_no_feature_extractors_requires_matching_dims(self):
         ds = tiny_dataset()  # d_in = 8
         with pytest.raises(ConfigError):
-            Model(tiny_cfg(d=16, d_h=32, no_feature_extractors_mode=True), TINY_D_IN)
+            Model(tiny_cfg(d=16, d_h=32, ablation="no_feature_extractors"), TINY_D_IN)
 
     def test_no_feature_extractors_uses_raw_pooled_tokens(self):
         ds = tiny_dataset()
         data = StackedDataset.from_samples(ds)
-        model = Model(tiny_cfg(no_feature_extractors_mode=True), data.d_in)
+        model = Model(tiny_cfg(ablation="no_feature_extractors"), data.d_in)
         batch = data.batch(np.arange(4))
         views = model.encode_batch(batch)
         assert np.allclose(views.values[:, 0], batch.tokens["text-tokens"].mean(axis=1), atol=1e-15)
@@ -943,5 +969,5 @@ class TestAblationModes:
     def test_no_attention_mode_trains(self):
         ds = tiny_dataset()
         tr, te = split(ds, (0.75, 0.25), seed=10)
-        _, report = train(tiny_cfg(epochs=1, no_attention_mode=True), tr, eval_dataset=te)
+        _, report = train(tiny_cfg(epochs=1, ablation="no_attention"), tr, eval_dataset=te)
         assert report.metrics is not None

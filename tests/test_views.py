@@ -16,13 +16,13 @@ from mvrd.diffcore import (
     DimensionError, Tensor, ValidationError, attention, backward, linear, mean, zero_grads,
 )
 from mvrd.model import Model, StackedDataset, check_fit
-from mvrd.views import SOURCE_TAGS, EmbeddedSequence
+from mvrd.views import SOURCE_TAGS, EmbeddedSequence, ViewEncoderParams
 
 TEXT, IMAGE, CROSS = range(3)
 
 
-def make_model(d=6, heads=2, seed=0, d_in=8, **flags):
-    cfg = TrainConfig(d=d, d_h=2 * d, heads=1, encoder_heads=heads, master_seed=seed, **flags)
+def make_model(d=6, heads=2, seed=0, d_in=8, **overrides):
+    cfg = TrainConfig(d=d, d_h=2 * d, heads=1, encoder_heads=heads, master_seed=seed, **overrides)
     return Model(cfg, {tag: d_in for tag in SOURCE_TAGS})
 
 
@@ -271,10 +271,10 @@ class TestEncodeViews:
         nonzero = sum(int((p.tensor.grad != 0).sum()) for p in params)
         assert nonzero / total >= 0.99
 
-    @pytest.mark.parametrize("no_attention_mode", [False, True])
-    def test_batch_equals_its_rows(self, no_attention_mode):
+    @pytest.mark.parametrize("no_attention", [False, True])
+    def test_batch_equals_its_rows(self, no_attention):
         # GEMM results for a row may differ in the last bits with the row count
-        model = make_model(d=6, no_attention_mode=no_attention_mode)
+        model = make_model(d=6, ablation="no_attention" if no_attention else "full")
         rng = np.random.default_rng(13)
         samples = [rand_sample(rng, sample_id=f"s{i}") for i in range(5)]
         batched = encode(model, samples)
@@ -291,3 +291,14 @@ def test_head_divisibility_enforced():
     for heads, widths in ((3, d_in), (0, d_in), (4, {**d_in, "clip-image": 6})):
         with pytest.raises(ValidationError, match="heads"):
             check_fit(TrainConfig(d=6, encoder_heads=heads), widths)
+
+
+@pytest.mark.parametrize(
+    "change",
+    [{"audio": 5}, {"clip-image": 0}, {"clip-image": True}],
+    ids=["extra-source", "zero-width", "bool-width"],
+)
+def test_d_in_must_name_exactly_the_source_tags(change):
+    d_in = {**{tag: 8 for tag in SOURCE_TAGS}, **change}
+    with pytest.raises(ValidationError, match="exactly the source tags"):
+        ViewEncoderParams(d_in, d=8)
