@@ -1,5 +1,11 @@
 """Synthetic dataset generation and feature-file ingestion.
 
+A features file (format 2) is JSON lines: a header with ``format_version``
+and the ``d_in`` width of each source tag, then one record per sample and
+source, whose ``tokens`` field is ``fileio.encode_floats``' base64 of the
+(L, d_in[tag]) token array, so tokens are neither printed nor parsed as
+decimal text.
+
 Real samples draw all four embedded sequences around one shared latent, so
 the modalities agree. Fake samples carry exactly one falsity type:
 
@@ -25,7 +31,9 @@ from pathlib import Path
 import numpy as np
 
 from .diffcore import ParameterError, Tensor, ValidationError
-from .fileio import FormatError, check_format_version, read_record_lines, write_records
+from .fileio import (
+    FormatError, check_format_version, decode_floats, encode_floats, read_record_lines, write_records,
+)
 from .model import StackedDataset
 from .teacher import (
     CORRUPTION_TYPES,
@@ -265,30 +273,41 @@ def attach_teacher(samples: list[Sample], embeddings: dict[str, TeacherEmbedding
 # feature files
 
 
+FEATURES_VERSION = 2
+_REMEDY = "; regenerate the file with `mvrd gen-data`, or re-save its samples with `save_features_file`"
+
+
 def save_features_file(samples: list[Sample], path) -> None:
     """Write the four sequences of every sample as line-delimited records,
-    one per sample and source; a non-finite token raises ``FormatError``."""
+    one per sample and source, each token array as ``encode_floats`` text; a
+    non-finite token raises ``FormatError`` naming its line, and the previous
+    file stays whole."""
     # an empty list, mixed widths or ragged lengths raise before the file is opened
     d_in = StackedDataset.from_samples(samples).d_in
 
     def records():
-        yield {"format_version": 1, "d_in": d_in}
+        yield {"format_version": FEATURES_VERSION, "d_in": d_in}
+        lineno = 1
         for s in samples:
             for tag, seq in s.sequences().items():
+                lineno += 1
+                if not np.isfinite(seq.tokens.values).all():
+                    raise FormatError(f"{path}: line {lineno}: non-finite token value")
                 yield {"sample_id": s.sample_id, "label": s.label, "corruption": s.corruption,
-                       "source_tag": tag, "tokens": seq.tokens.values}
+                       "source_tag": tag, "tokens": encode_floats(seq.tokens.values)}
 
     write_records(path, records())
 
 
 def load_features_file(path) -> list[Sample]:
-    """Load samples from a features file; teacher embeddings attach separately."""
+    """Load samples from a features file; teacher embeddings attach separately.
+    Only format 2 is read; any other version is refused with ``FormatError``."""
     path = Path(path)
     lines = read_record_lines(path)
     _, header = next(lines, (0, None))
     if header is None:
         return []
-    check_format_version(path, header)
+    check_format_version(path, header, FEATURES_VERSION, _REMEDY)
     d_in = header.get("d_in")
     check_d_in(d_in, FormatError, f"{path}: header d_in")
 
@@ -300,20 +319,14 @@ def load_features_file(path) -> list[Sample]:
             label = obj["label"]
             corruption = str(obj["corruption"])
             tag = str(obj["source_tag"])
-            tokens = np.asarray(obj["tokens"], dtype=np.float64)
-        except (KeyError, TypeError, ValueError, OverflowError) as exc:
-            raise FormatError(f"{path}: line {lineno}: bad record ({exc})") from exc
+            text = obj["tokens"]
+        except KeyError as exc:
+            raise FormatError(f"{path}: line {lineno}: bad record (no field {exc})") from exc
         if type(label) is not int or label not in (0, 1):
             raise FormatError(f"{path}: line {lineno}: label must be the integer 0 or 1, not {label!r}")
         if tag not in SOURCE_TAGS:
             raise FormatError(f"{path}: line {lineno}: unknown source_tag {tag!r}")
-        if not np.isfinite(tokens).all():
-            raise FormatError(f"{path}: line {lineno}: non-finite token value")
-        if tokens.ndim != 2 or tokens.shape[1] != d_in[tag]:
-            raise FormatError(
-                f"{path}: sample {sid!r} has d_in {tokens.shape[1:]} for {tag}, "
-                f"header declares {d_in[tag]}"
-            )
+        tokens = decode_floats(text, d_in[tag], f"{path}: line {lineno}: sample {sid!r}, {tag}")
         first_label, first_corruption, seqs = found.setdefault(sid, (label, corruption, {}))
         if (first_label, first_corruption) != (label, corruption):
             raise FormatError(f"{path}: sample {sid!r} has conflicting label/corruption records")

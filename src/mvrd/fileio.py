@@ -1,11 +1,14 @@
 """One writer and one line parser for every file this package saves.
 
 The features and teacher files and a run's JSONL outputs are UTF-8 text: a
-compact JSON header line, then one JSON record per line. Floats are written
-as Python's shortest round-trip ``repr``, which reads back to the same
-double, and a non-finite value is refused on save. Every file, the binary
-checkpoint too, is written beside its target and renamed over it only when
-whole, so a failed save leaves the previous file as it was, never truncated.
+compact JSON header line, then one JSON record per line. In the teacher file
+and the run outputs, floats are written as Python's shortest round-trip
+``repr``, which reads back to the same double, and a non-finite value is
+refused on save. A features record holds each token array as one string,
+``encode_floats``' base64 of its little-endian float64 bytes, which
+``decode_floats`` reads back bit for bit. Every file, the binary checkpoint
+too, is written beside its target and renamed over it only when whole, so a
+failed save leaves the previous file as it was, never truncated.
 
 Records stream both ways: ``write_records`` encodes one record at a time and
 ``read_record_lines`` yields one parsed line at a time, so a loader checks the
@@ -14,6 +17,7 @@ header before any record and never holds the list of every record dict.
 
 from __future__ import annotations
 
+import base64
 import json
 import os
 import threading
@@ -82,9 +86,34 @@ def read_record_lines(path) -> Iterator[tuple[int, dict]]:
                 yield lineno, parse_record(raw, f"{path}: line {lineno}")
 
 
-def check_format_version(path, header: dict | None, expected: int = 1) -> None:
+def check_format_version(path, header: dict | None, expected: int = 1, remedy: str = "") -> None:
+    """Refuse a missing header or any ``format_version`` but ``expected``;
+    ``remedy``, when given, ends the message and says how to get a readable file."""
     if header is None:
         raise FormatError(f"{path}: missing header line")
     version = header.get("format_version")
     if version != expected:
-        raise FormatError(f"{path}: unsupported format_version {version!r} (expected {expected})")
+        raise FormatError(f"{path}: unsupported format_version {version!r} (expected {expected}){remedy}")
+
+
+def encode_floats(values: np.ndarray) -> str:
+    """The standard base64, with padding, of ``values`` as little-endian
+    float64, row-major."""
+    return base64.b64encode(np.asarray(values, dtype="<f8").tobytes()).decode("ascii")
+
+
+def decode_floats(text, width: int, where: str) -> np.ndarray:
+    """The (rows >= 1, width) float64 array that ``encode_floats`` wrote as
+    ``text``. A non-string, invalid base64, a byte count that is not a whole
+    number >= 1 of rows, or a non-finite value raises ``FormatError``
+    prefixed with ``where``."""
+    try:
+        raw = base64.b64decode(text, validate=True)
+    except (TypeError, ValueError) as exc:  # binascii.Error is a ValueError
+        raise FormatError(f"{where}: tokens are not a base64 string ({exc})") from exc
+    if not raw or len(raw) % (8 * width):
+        raise FormatError(f"{where}: {len(raw)} token bytes are not one or more {width}-wide float64 rows")
+    values = np.frombuffer(raw, "<f8").reshape(-1, width)
+    if not np.isfinite(values).all():
+        raise FormatError(f"{where}: non-finite token value")
+    return values

@@ -35,12 +35,13 @@ from .views import VIEWS, attention_params, per_view_labels, stacked_parameter
 
 class FusionParams:
     """Cross-attention projections, the final classifier, and the branch heads
-    stacked over the view axis."""
+    stacked over the view axis. Without ``attention`` the projections are an
+    empty tuple, for the ablation that fuses by pooling alone."""
 
-    def __init__(self, d: int, heads: int = 8, master_seed: int = 0):
+    def __init__(self, d: int, heads: int = 8, master_seed: int = 0, attention: bool = True):
         self.d = d
         self.heads = heads
-        self.attn = attention_params("fusion.attn", d, d, master_seed)
+        self.attn = attention_params("fusion.attn", d, d, master_seed) if attention else ()
         w_name, b_name = "fusion.final.W", "fusion.final.b"
         self.final_head = (
             make_parameter(w_name, (d, 2), "xavier_uniform", parameter_seed(master_seed, w_name)),

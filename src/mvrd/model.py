@@ -15,9 +15,11 @@ whose values and gradients live in two flat arrays, ``Model.values`` and
 ``Model.grads``, in ``parameters()`` order, and implements the run's
 ``TrainConfig.ablation`` (``config.ABLATIONS`` says what each row removes):
 ``encode_batch`` zeroes a dropped view and skips the extractors or the
-attention, and ``fuse`` skips the attention. At ``lambda_ == 0`` (the
-``no_teacher`` row) the distillation subgraph is never recorded, so teacher
-values provably cannot influence gradients.
+attention, and ``fuse`` skips the attention. A skipped attention block or
+projection is never built, so Adam and the checkpoint carry only parameters
+the run uses. At ``lambda_ == 0`` (the ``no_teacher`` row) the distillation
+subgraph is never recorded, so teacher values provably cannot influence
+gradients.
 
 ``StackedDataset.from_samples`` holds the one shape rule: each source's
 sequences, and the teachers, share one shape across the stacked samples.
@@ -46,6 +48,8 @@ from .fusion import (
 from .views import SOURCE_TAGS, VIEWS, ViewEncoderParams
 
 PREDICT_CHUNK = 256
+# the ablations whose encoders mean-pool the raw tokens, with no attention
+_ATTENTION_FREE = ("no_feature_extractors", "no_attention")
 _NO_TEACHER = "lambda > 0 needs teacher embeddings; attach a teacher file or train with lambda = 0"
 
 
@@ -130,9 +134,17 @@ class Model:
         check_fit(cfg.validate(), d_in)
         self.cfg = cfg
         self.d_in = dict(d_in)
-        self.encoder = ViewEncoderParams(d_in, cfg.d, cfg.encoder_heads, cfg.master_seed)
+        # only the groups the run's ablation uses are built; each parameter is
+        # seeded by its own name, so the others start as in the full model
+        self.encoder = ViewEncoderParams(
+            d_in, cfg.d, cfg.encoder_heads, cfg.master_seed,
+            attention=cfg.ablation not in _ATTENTION_FREE,
+            projections=cfg.ablation != "no_feature_extractors",
+        )
         self.calibrator = CalibratorParams(cfg.d, cfg.d_h, cfg.master_seed)
-        self.fusion = FusionParams(cfg.d, cfg.heads, cfg.master_seed)
+        self.fusion = FusionParams(
+            cfg.d, cfg.heads, cfg.master_seed, attention=cfg.ablation != "no_attention"
+        )
         self.values, self.grads = pack_parameters(self.parameters())
 
     def parameters(self) -> list[Parameter]:
@@ -144,7 +156,7 @@ class Model:
         """The (B, 3, d) view features of a stacked batch, slots in ``VIEWS`` order."""
         cfg, enc, ablation = self.cfg, self.encoder, self.cfg.ablation
         text, image, clip_t, clip_i = (Tensor(batch.tokens[tag]) for tag in SOURCE_TAGS)
-        if ablation in ("no_feature_extractors", "no_attention"):
+        if ablation in _ATTENTION_FREE:
             text, image, clip_i, clip_t = (mean(x, axis=-2) for x in (text, image, clip_i, clip_t))
         else:
             text = attention(text, text, *enc.text_attn, enc.heads)

@@ -1,10 +1,12 @@
 """End-to-end CLI coverage: data generation, training, evaluation, the
 significance test, and error reporting."""
 
+import base64
 import json
 import sys
 from unittest import mock
 
+import numpy as np
 import pytest
 
 from mvrd.cli import main
@@ -217,6 +219,31 @@ class TestErrors:
         err = json.loads(capsys.readouterr().err.strip())
         assert err["error"] == "ValidationError"
         assert "'text-tokens': 8" in err["message"] and "'text-tokens': 32" in err["message"]
+
+    @pytest.mark.parametrize("command", ["train", "eval", "gen-teacher"])
+    def test_format_1_features_file_refused(self, data_dir, tmp_path, capsys, command):
+        # the generated corpus written back in format 1: decimal token lists
+        lines = (data_dir / "features.jsonl").read_text("utf-8").splitlines()
+        header, *records = (json.loads(line) for line in lines)
+        for r in records:
+            width = header["d_in"][r["source_tag"]]
+            r["tokens"] = np.frombuffer(base64.b64decode(r["tokens"]), "<f8").reshape(-1, width).tolist()
+        old = tmp_path / "old.jsonl"
+        old.write_text("".join(json.dumps(r) + "\n" for r in [{**header, "format_version": 1}, *records]))
+        checkpoint = tmp_path / "model.bin"
+        save_checkpoint(Model(TrainConfig(), {tag: 8 for tag in SOURCE_TAGS}), checkpoint)
+        out = tmp_path / "out"
+        argv = {
+            "train": ["train", "--features", str(old), "--out", str(out)],
+            "eval": ["eval", "--checkpoint", str(checkpoint), "--features", str(old), "--out", str(out)],
+            "gen-teacher": ["gen-teacher", "--features", str(old), "--out", str(out)],
+        }[command]
+        assert main(argv) == 1
+        err = json.loads(capsys.readouterr().err.strip())
+        assert err["error"] == "FormatError"
+        assert "format_version 1 (expected 2)" in err["message"]
+        assert "mvrd gen-data" in err["message"] and "save_features_file" in err["message"]
+        assert not out.exists()
 
     def test_bad_value_type(self, tmp_path, capsys):
         bad = tmp_path / "bad.txt"

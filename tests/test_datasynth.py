@@ -2,6 +2,7 @@
 undetectability of cross-mismatch outside the cross view, splits, and the
 feature file format."""
 
+import base64
 import json
 
 import numpy as np
@@ -21,9 +22,10 @@ from mvrd.fileio import FormatError
 from mvrd.metrics import welch_ttest
 from mvrd.views import SOURCE_TAGS, EmbeddedSequence
 
+from features_lines import header_line, one_sample_file, tokens_text
 
 # a features header that loads, so that a later line's fault is the one reported
-VALID_HEADER = json.dumps({"format_version": 1, "d_in": {tag: 2 for tag in SOURCE_TAGS}}).encode()
+VALID_HEADER = header_line({tag: 2 for tag in SOURCE_TAGS}).encode()
 
 
 def small_cfg(**kw):
@@ -208,10 +210,13 @@ class TestFeatureFile:
         path = tmp_path / "features.jsonl"
         save_features_file(generate_dataset(small_cfg(n_samples=2)), path)
         lines = path.read_text("utf-8").splitlines()
-        head, sep, rest = lines[3].partition('"tokens":[[')
-        lines[3] = head + sep + literal + rest[rest.index(","):]
+        record = json.loads(lines[3])
+        tokens = np.frombuffer(base64.b64decode(record["tokens"]), "<f8").copy()
+        tokens[0] = float(literal)
+        record["tokens"] = tokens_text(tokens)
+        lines[3] = json.dumps(record)
         path.write_text("\n".join(lines) + "\n", "utf-8")
-        with pytest.raises(FormatError, match="line 4"):
+        with pytest.raises(FormatError, match="line 4.*non-finite"):
             load_features_file(path)
 
     @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
@@ -253,23 +258,74 @@ class TestFeatureFile:
     def test_bad_header_refused_before_later_lines(self, tmp_path):
         # records stream: the header is checked before line 2 is decoded
         path = tmp_path / "features.jsonl"
-        path.write_bytes(b'{"format_version": 2}\n{"sample_id": "\xff"}\n')
-        with pytest.raises(FormatError, match="format_version 2"):
+        path.write_bytes(b'{"format_version": 3}\n{"sample_id": "\xff"}\n')
+        with pytest.raises(FormatError, match="format_version 3"):
             load_features_file(path)
+
+    def test_format_1_file_refused_with_remedy(self, tmp_path):
+        # format 1 wrote each token array as nested lists of decimal floats
+        path = tmp_path / "features.jsonl"
+        d_in = {tag: 2 for tag in SOURCE_TAGS}
+        lines = [header_line(d_in, version=1)] + [
+            json.dumps({"sample_id": "s", "label": 0, "corruption": "none", "source_tag": tag,
+                        "tokens": [[0.5, 0.25]]})
+            for tag in SOURCE_TAGS
+        ]
+        path.write_text("\n".join(lines) + "\n", "utf-8")
+        with pytest.raises(FormatError, match=r"format_version 1 \(expected 2\)") as info:
+            load_features_file(path)
+        assert "mvrd gen-data" in str(info.value) and "save_features_file" in str(info.value)
+
+    @pytest.mark.parametrize(
+        "tokens",
+        [[[0.5, 0.25]], 0.5, None, {"b64": ""}, "not base64!", "AAAAAAAAAAA", "AAAA=AAA",
+         "", "AAAAAAAAAAA=", base64.b64encode(bytes(24)).decode(),
+         tokens_text([[0.5, np.nan]]), tokens_text([[np.inf, 0.5]]), tokens_text([[0.5, -np.inf]]),
+         base64.b64encode(b"\xff" * 16).decode()],
+        ids=["list", "number", "null", "object", "bad-character", "no-padding", "inner-padding",
+             "zero-bytes", "one-double", "three-doubles", "nan", "inf", "-inf", "nan-bits"],
+    )
+    def test_bad_tokens_refused_naming_line(self, tmp_path, tokens):
+        # the header declares width 2, so a row is 16 bytes; line 5 is the last record
+        path = tmp_path / "features.jsonl"
+        d_in = {tag: 2 for tag in SOURCE_TAGS}
+        one_sample_file(path, d_in, {tag: [[0.5, 0.25]] for tag in SOURCE_TAGS})
+        lines = path.read_text("utf-8").splitlines()
+        record = json.loads(lines[4])
+        record["tokens"] = tokens
+        lines[4] = json.dumps(record)
+        path.write_text("\n".join(lines) + "\n", "utf-8")
+        with pytest.raises(FormatError, match="line 5"):
+            load_features_file(path)
+
+    def test_tokens_are_base64_little_endian_float64(self, tmp_path):
+        ds = generate_dataset(small_cfg(n_samples=2))
+        path = tmp_path / "features.jsonl"
+        save_features_file(ds, path)
+        header, *records = (json.loads(line) for line in path.read_text("utf-8").splitlines())
+        assert header == {"format_version": 2, "d_in": {tag: 8 for tag in SOURCE_TAGS}}
+        expected = [(s.sample_id, tag, tokens_text(seq.tokens.values))
+                    for s in ds for tag, seq in s.sequences().items()]
+        assert [(r["sample_id"], r["source_tag"], r["tokens"]) for r in records] == expected
+
+    def test_two_saves_write_identical_bytes(self, tmp_path):
+        ds = generate_dataset(small_cfg(n_samples=6))
+        first, second = tmp_path / "first.jsonl", tmp_path / "second.jsonl"
+        save_features_file(ds, first)
+        save_features_file(ds, second)
+        assert first.read_bytes() == second.read_bytes()
 
     def test_mixed_d_in_names_sample(self, tmp_path):
         ds = generate_dataset(small_cfg(n_samples=4))
         path = tmp_path / "features.jsonl"
         save_features_file(ds, path)
         lines = path.read_text("utf-8").splitlines()
-        # corrupt one record's token width
-        import json
-
+        # corrupt one record's token width: 4 rows of 7, which no row count of 8 fills
         record = json.loads(lines[2])
-        record["tokens"] = [row[:-1] for row in record["tokens"]]
+        record["tokens"] = tokens_text(ds[0].image_seq.tokens.values[:, :-1])
         lines[2] = json.dumps(record)
         path.write_text("\n".join(lines) + "\n", "utf-8")
-        with pytest.raises(FormatError, match=record["sample_id"]):
+        with pytest.raises(FormatError, match=f"line 3.*{record['sample_id']}"):
             load_features_file(path)
 
     def test_mixed_widths_not_saved(self, tmp_path):
@@ -304,16 +360,9 @@ class TestFeatureFile:
         ids=["zero", "bool", "negative", "float", "str", "missing"],
     )
     def test_header_widths_must_be_positive_integers(self, tmp_path, width, tokens):
-        import json
-
         d_in = {tag: width for tag in SOURCE_TAGS if width is not None}
-        lines = [json.dumps({"format_version": 1, "d_in": d_in})] + [
-            json.dumps({"sample_id": "s", "label": 0, "corruption": "none", "source_tag": tag,
-                        "tokens": tokens})
-            for tag in SOURCE_TAGS
-        ]
         path = tmp_path / "features.jsonl"
-        path.write_text("\n".join(lines) + "\n", "utf-8")
+        one_sample_file(path, d_in, dict.fromkeys(SOURCE_TAGS, tokens))
         with pytest.raises(FormatError, match="d_in"):
             load_features_file(path)
 

@@ -18,15 +18,18 @@ from mvrd.teacher import ProjectionSpec, ReasoningRecord, load_teacher_file, sav
 from mvrd.trainer import CHECKPOINT_MAGIC, load_checkpoint, save_checkpoint
 from mvrd.views import SOURCE_TAGS, VIEWS
 
+from features_lines import one_sample_file
+
 FUZZ = settings(
     max_examples=150,
     deadline=None,
     suppress_health_check=[HealthCheck.function_scoped_fixture],
 )
-# bytes that steer a mutation towards JSON structure and number syntax
+# bytes that steer a mutation towards JSON structure, number syntax and
+# base64 token spans (the last decodes to eight 0xFF bytes, a NaN double)
 INTERESTING = st.sampled_from(
     [b"", b"\n", b"{", b"}", b"[", b"]", b",", b":", b'"', b"-", b"1e999", b"NaN", b"Infinity",
-     b"null", b"true", b"\xff", b"\xc3", b"0", b"9" * 30]
+     b"null", b"true", b"\xff", b"\xc3", b"0", b"9" * 30, b"=", b"//////////8="]
 )
 
 
@@ -141,22 +144,18 @@ WIDTHS = st.one_of(st.integers(-1, 3), st.booleans(), st.floats(0, 3), st.text(m
 )
 def test_features_header_widths(tmp_path, d_in, width):
     """A features file loads only if its header maps every source tag to an
-    integer >= 1 (not a bool) and its tokens have that width."""
-    import json
-
-    lines = [json.dumps({"format_version": 1, "d_in": d_in})] + [
-        json.dumps({"sample_id": "s", "label": 0, "corruption": "none", "source_tag": tag,
-                    "tokens": [[0.5] * width]})
-        for tag in SOURCE_TAGS
-    ]
+    integer >= 1 (not a bool) and each record's ``width`` doubles fill whole
+    rows of that width; the row count is the double count over the width."""
     path = tmp_path / "features.jsonl"
-    path.write_text("\n".join(lines) + "\n", "utf-8")
+    one_sample_file(path, d_in, dict.fromkeys(SOURCE_TAGS, [[0.5] * width]))
     try:
         samples = load_features_file(path)
     except (FormatError, ValidationError):
         return
-    assert all(type(d_in.get(tag)) is int and d_in[tag] == width >= 1 for tag in SOURCE_TAGS)
-    assert [s.text_seq.tokens.shape[1] for s in samples] == [width]
+    assert all(type(d_in.get(tag)) is int and d_in[tag] >= 1 and width % d_in[tag] == 0 < width
+               for tag in SOURCE_TAGS)
+    text_width = d_in["text-tokens"]
+    assert [s.text_seq.tokens.shape for s in samples] == [(width // text_width, text_width)]
 
 
 # negative zero, the smallest subnormal of each sign, a mid-range subnormal,

@@ -966,6 +966,25 @@ class TestAblationModes:
         views = model.encode_batch(batch)
         assert np.allclose(views.values[:, 0], batch.tokens["text-tokens"].mean(axis=1), atol=1e-15)
 
+    @pytest.mark.parametrize("ablation", ["no_attention", "no_feature_extractors"])
+    def test_every_parameter_gets_a_gradient(self, ablation):
+        # the attention blocks and projections these rows skip are not built,
+        # so Adam and the checkpoint carry no parameter without a gradient path
+        data = StackedDataset.from_samples(tiny_dataset())
+        model = Model(tiny_cfg(ablation=ablation), data.d_in)
+        backward(model.forward_loss(data.batch(np.arange(64))).graph)
+        assert [p.name for p in model.parameters() if not p.tensor.grad.any()] == []
+        # the kept parameters start as in the full model, since each is seeded by its name
+        full = params_snapshot(Model(tiny_cfg(), data.d_in))
+        kept = params_snapshot(model)
+        assert_params_equal(kept, {name: full[name] for name in kept})
+        skipped = {name.rsplit(".", 1)[0] for name in full.keys() - kept.keys()}
+        attention = {"views.text.attn", "views.image.attn", "views.cross.i2t", "views.cross.t2i"}
+        assert skipped == {
+            "no_attention": attention | {"fusion.attn"},
+            "no_feature_extractors": attention | {f"views.{v}.proj" for v in ("text", "image", "cross")},
+        }[ablation]
+
     def test_no_attention_mode_trains(self):
         ds = tiny_dataset()
         tr, te = split(ds, (0.75, 0.25), seed=10)
