@@ -16,6 +16,8 @@ import sys
 from dataclasses import asdict
 from pathlib import Path
 
+import numpy as np
+
 from . import diffcore
 from .config import MIN_EMBED_DIM, TrainConfig, build_configs, read_config_file
 from .datasynth import (
@@ -104,11 +106,7 @@ def cmd_gen_data(args) -> int:
     spec = ProjectionSpec(
         d_t=synth_cfg.teacher_dim, d=synth_cfg.teacher_dim, seed=synth_cfg.seed + 7919
     )
-    records = [
-        ReasoningRecord(s.sample_id, view, "", row)
-        for s in samples
-        for view, row in zip(VIEWS, s.teacher.values)
-    ]
+    records = [ReasoningRecord(s.sample_id, [""] * len(VIEWS), s.teacher.values) for s in samples]
     save_teacher_file(records, spec, out / "teacher.jsonl")
     print(f"wrote {len(samples)} samples to {out}/features.jsonl and {out}/teacher.jsonl")
     return 0
@@ -129,13 +127,12 @@ def cmd_gen_teacher(args) -> int:
         for s in samples
     ]
     fetch = mock_chain if client is None else client.fetch_chain
-    records = [
-        ReasoningRecord(p.sample_id, view, chain, fallback_embed(chain, spec.d_t, spec.seed))
-        for p, chains in zip(payloads, fetch_chains(fetch, payloads, default_templates()))
-        for view, chain in zip(VIEWS, chains)
-    ]
+    records = []
+    for p, chains in zip(payloads, fetch_chains(fetch, payloads, default_templates())):
+        raw = np.stack([fallback_embed(chain, spec.d_t, spec.seed) for chain in chains])
+        records.append(ReasoningRecord(p.sample_id, chains, raw))
     save_teacher_file(records, spec, args.out)
-    summary = f"wrote {len(records)} teacher records to {args.out}"
+    summary = f"wrote the teacher records of {len(records)} samples to {args.out}"
     if client is not None:
         summary += f" ({client.network_calls} network calls, {client.cache_hits} cache hits)"
     print(summary)

@@ -34,7 +34,7 @@ from .diffcore import ParameterError, Tensor, ValidationError
 from .fileio import (
     FormatError, check_format_version, decode_floats, encode_floats, read_record_lines, write_records,
 )
-from .model import StackedDataset
+from .model import one_shape
 from .teacher import (
     CORRUPTION_TYPES,
     TeacherEmbeddings,
@@ -283,7 +283,8 @@ def save_features_file(samples: list[Sample], path) -> None:
     non-finite token raises ``FormatError`` naming its line, and the previous
     file stays whole."""
     # an empty list, mixed widths or ragged lengths raise before the file is opened
-    d_in = StackedDataset.from_samples(samples).d_in
+    d_in = {tag: one_shape(tag, [s.sequences()[tag].tokens.shape for s in samples])[-1]
+            for tag in SOURCE_TAGS}
 
     def records():
         yield {"format_version": FEATURES_VERSION, "d_in": d_in}
@@ -291,10 +292,8 @@ def save_features_file(samples: list[Sample], path) -> None:
         for s in samples:
             for tag, seq in s.sequences().items():
                 lineno += 1
-                if not np.isfinite(seq.tokens.values).all():
-                    raise FormatError(f"{path}: line {lineno}: non-finite token value")
                 yield {"sample_id": s.sample_id, "label": s.label, "corruption": s.corruption,
-                       "source_tag": tag, "tokens": encode_floats(seq.tokens.values)}
+                       "source_tag": tag, "tokens": encode_floats(seq.tokens.values, f"{path}: line {lineno}")}
 
     write_records(path, records())
 

@@ -1,14 +1,13 @@
 """One writer and one line parser for every file this package saves.
 
 The features and teacher files and a run's JSONL outputs are UTF-8 text: a
-compact JSON header line, then one JSON record per line. In the teacher file
-and the run outputs, floats are written as Python's shortest round-trip
-``repr``, which reads back to the same double, and a non-finite value is
-refused on save. A features record holds each token array as one string,
-``encode_floats``' base64 of its little-endian float64 bytes, which
-``decode_floats`` reads back bit for bit. Every file, the binary checkpoint
-too, is written beside its target and renamed over it only when whole, so a
-failed save leaves the previous file as it was, never truncated.
+compact JSON header line, then one JSON record per line. Each array in a data
+file is one string, ``encode_floats``' base64 of its little-endian float64
+bytes, which ``decode_floats`` reads back bit for bit. Only a run's outputs
+hold decimal floats, as Python's shortest round-trip ``repr``. Either way a
+non-finite value is refused. Every file, the binary checkpoint too, is written
+beside its target and renamed over it only when whole, so a failed save
+leaves the previous file as it was, never truncated.
 
 Records stream both ways: ``write_records`` encodes one record at a time and
 ``read_record_lines`` yields one parsed line at a time, so a loader checks the
@@ -46,13 +45,7 @@ def replace_atomically(path, mode: str = "w"):
         tmp.unlink(missing_ok=True)
 
 
-def _plain(obj):
-    if isinstance(obj, (np.ndarray, np.generic)):
-        return obj.tolist()
-    raise TypeError(f"{type(obj).__name__} is not JSON serializable")
-
-
-_encode = json.JSONEncoder(separators=(",", ":"), allow_nan=False, default=_plain).encode
+_encode = json.JSONEncoder(separators=(",", ":"), allow_nan=False).encode
 
 
 def write_records(path, records: Iterable[dict]) -> None:
@@ -86,7 +79,7 @@ def read_record_lines(path) -> Iterator[tuple[int, dict]]:
                 yield lineno, parse_record(raw, f"{path}: line {lineno}")
 
 
-def check_format_version(path, header: dict | None, expected: int = 1, remedy: str = "") -> None:
+def check_format_version(path, header: dict | None, expected: int, remedy: str = "") -> None:
     """Refuse a missing header or any ``format_version`` but ``expected``;
     ``remedy``, when given, ends the message and says how to get a readable file."""
     if header is None:
@@ -96,9 +89,12 @@ def check_format_version(path, header: dict | None, expected: int = 1, remedy: s
         raise FormatError(f"{path}: unsupported format_version {version!r} (expected {expected}){remedy}")
 
 
-def encode_floats(values: np.ndarray) -> str:
+def encode_floats(values: np.ndarray, where: str) -> str:
     """The standard base64, with padding, of ``values`` as little-endian
-    float64, row-major."""
+    float64, row-major; a non-finite value raises ``FormatError`` prefixed
+    with ``where``."""
+    if not np.isfinite(values).all():
+        raise FormatError(f"{where}: non-finite value")
     return base64.b64encode(np.asarray(values, dtype="<f8").tobytes()).decode("ascii")
 
 
@@ -110,10 +106,10 @@ def decode_floats(text, width: int, where: str) -> np.ndarray:
     try:
         raw = base64.b64decode(text, validate=True)
     except (TypeError, ValueError) as exc:  # binascii.Error is a ValueError
-        raise FormatError(f"{where}: tokens are not a base64 string ({exc})") from exc
+        raise FormatError(f"{where}: not a base64 string ({exc})") from exc
     if not raw or len(raw) % (8 * width):
-        raise FormatError(f"{where}: {len(raw)} token bytes are not one or more {width}-wide float64 rows")
+        raise FormatError(f"{where}: {len(raw)} bytes are not one or more {width}-wide float64 rows")
     values = np.frombuffer(raw, "<f8").reshape(-1, width)
     if not np.isfinite(values).all():
-        raise FormatError(f"{where}: non-finite token value")
+        raise FormatError(f"{where}: non-finite value")
     return values

@@ -55,18 +55,6 @@ def auc_rank(labels: np.ndarray, scores: np.ndarray) -> float:
     return float(u / (n_fake * n_real))
 
 
-def auc_pairwise(labels: np.ndarray, scores: np.ndarray) -> float:
-    """Brute-force ordered-pair count; the independent oracle for auc_rank."""
-    labels = np.asarray(labels)
-    scores = np.asarray(scores, dtype=np.float64)
-    fake = scores[labels == 1]
-    real = scores[labels == 0]
-    if len(fake) == 0 or len(real) == 0:
-        return 0.5
-    wins = (fake[:, None] > real[None, :]).sum() + 0.5 * (fake[:, None] == real[None, :]).sum()
-    return float(wins) / (len(fake) * len(real))
-
-
 def compute_metrics(labels, logits) -> Metrics:
     """Accuracy/F1 from argmax predictions, AUC from the fake-class probability."""
     labels = np.asarray(labels, dtype=np.int64)

@@ -14,15 +14,16 @@ The model owns three parameter groups (view encoders, calibrator, fusion),
 whose values and gradients live in two flat arrays, ``Model.values`` and
 ``Model.grads``, in ``parameters()`` order, and implements the run's
 ``TrainConfig.ablation`` (``config.ABLATIONS`` says what each row removes):
-``encode_batch`` zeroes a dropped view and skips the extractors or the
-attention, and ``fuse`` skips the attention. A skipped attention block or
-projection is never built, so Adam and the checkpoint carry only parameters
-the run uses. At ``lambda_ == 0`` (the ``no_teacher`` row) the distillation
-subgraph is never recorded, so teacher values provably cannot influence
-gradients.
+``encode_batch`` zeroes a dropped view's slot and skips the extractors or
+the attention, and ``fuse`` skips the attention. A skipped attention block or
+projection, and a dropped view's whole encoder, is never built or run, so
+Adam and the checkpoint carry only parameters the run uses. At
+``lambda_ == 0`` (the ``no_teacher`` row) the distillation subgraph is never
+recorded, so teacher values provably cannot influence gradients.
 
-``StackedDataset.from_samples`` holds the one shape rule: each source's
-sequences, and the teachers, share one shape across the stacked samples.
+``one_shape`` holds the one shape rule, which ``StackedDataset.from_samples``
+and ``save_features_file`` apply: each source's sequences, and the teachers,
+share one shape across the samples.
 """
 
 from __future__ import annotations
@@ -78,10 +79,18 @@ def check_fit(cfg: TrainConfig, d_in: dict[str, int], data: StackedDataset | Non
         raise DimensionError(f"the teacher embeddings are {data.teacher.shape[-1]} wide, but d={cfg.d}")
 
 
+def one_shape(what: str, shapes) -> tuple[int, ...]:
+    """The shape of every sample's ``what``; none, or two, raise ``ValidationError``."""
+    distinct = sorted(set(shapes))
+    if not distinct:
+        raise ValidationError("cannot stack an empty sample list")
+    if len(distinct) > 1:
+        raise ValidationError(f"every sample's {what} must have one shape, got {distinct}")
+    return distinct[0]
+
+
 def _stack(what: str, arrays: list[np.ndarray]) -> np.ndarray:
-    shapes = sorted({a.shape for a in arrays})
-    if len(shapes) > 1:
-        raise ValidationError(f"every sample's {what} must have one shape, got {shapes}")
+    one_shape(what, [a.shape for a in arrays])
     return np.stack(arrays)
 
 
@@ -92,10 +101,10 @@ class StackedDataset:
     ``tokens`` maps each of ``SOURCE_TAGS`` to the samples' (N, L, d_in)
     token array. ``teacher`` is the samples' (3, d) teacher arrays stacked
     into one (N, 3, d) array, view slots in ``VIEWS`` order, or None unless
-    every sample has a teacher. ``from_samples`` is the one place a sample
-    list is checked for stacking: each source's sequences, and the teachers,
-    must share one shape. Training stacks its whole set once; prediction
-    stacks one ``PREDICT_CHUNK`` at a time, to keep its peak memory flat.
+    every sample has a teacher. ``from_samples`` checks the list with
+    ``one_shape``: each source's sequences, and the teachers, must share one
+    shape. Training stacks its whole set once; prediction stacks one
+    ``PREDICT_CHUNK`` at a time, to keep its peak memory flat.
     """
 
     tokens: dict[str, np.ndarray]
@@ -108,8 +117,6 @@ class StackedDataset:
 
     @classmethod
     def from_samples(cls, samples) -> "StackedDataset":
-        if not samples:
-            raise ValidationError("cannot stack an empty sample list")
         tokens = {
             tag: _stack(tag, [s.sequences()[tag].tokens.values for s in samples])
             for tag in SOURCE_TAGS
@@ -140,6 +147,7 @@ class Model:
             d_in, cfg.d, cfg.encoder_heads, cfg.master_seed,
             attention=cfg.ablation not in _ATTENTION_FREE,
             projections=cfg.ablation != "no_feature_extractors",
+            views=tuple(v for v in VIEWS if cfg.ablation != f"drop_{v}_view"),
         )
         self.calibrator = CalibratorParams(cfg.d, cfg.d_h, cfg.master_seed)
         self.fusion = FusionParams(
@@ -153,31 +161,32 @@ class Model:
     # -- forward ------------------------------------------------------------
 
     def encode_batch(self, batch: StackedDataset) -> Tensor:
-        """The (B, 3, d) view features of a stacked batch, slots in ``VIEWS`` order."""
-        cfg, enc, ablation = self.cfg, self.encoder, self.cfg.ablation
-        text, image, clip_t, clip_i = (Tensor(batch.tokens[tag]) for tag in SOURCE_TAGS)
-        if ablation in _ATTENTION_FREE:
-            text, image, clip_i, clip_t = (mean(x, axis=-2) for x in (text, image, clip_i, clip_t))
-        else:
-            text = attention(text, text, *enc.text_attn, enc.heads)
-            image = attention(image, image, *enc.image_attn, enc.heads)
-            clip_i, clip_t = (
+        """The (B, 3, d) view features of a stacked batch, slots in ``VIEWS``
+        order; a dropped view's slot is zeros, and its encoder never runs."""
+        n, d = len(batch.labels), self.cfg.d
+        tokens = {tag: Tensor(batch.tokens[tag]) for tag in SOURCE_TAGS}
+        views = [self._encode_view(view, tokens) if view in self.encoder.views
+                 else Tensor(np.zeros((n, d))) for view in VIEWS]
+        return reshape(concat(views, axis=-1), (n, len(VIEWS), d))
+
+    def _encode_view(self, view: str, tokens: dict[str, Tensor]) -> Tensor:
+        """One view's (B, d) features: its sequences attended (or mean-pooled
+        when the ablation is attention-free), then projected."""
+        enc, ablation = self.encoder, self.cfg.ablation
+        pool = ablation in _ATTENTION_FREE
+        if view == "cross":
+            clip_t, clip_i = tokens["clip-text"], tokens["clip-image"]
+            pair = [mean(clip_i, axis=-2), mean(clip_t, axis=-2)] if pool else [
                 attention(clip_i, clip_t, *enc.cross_i2t, enc.heads),
                 attention(clip_t, clip_i, *enc.cross_t2i, enc.heads),
-            )
-        if ablation == "no_feature_extractors":
-            views = [text, image, scale(add(clip_i, clip_t), 0.5)]
-        else:
-            views = [
-                linear(text, *enc.text_proj),
-                linear(image, *enc.image_proj),
-                linear(concat([clip_i, clip_t], axis=-1), *enc.cross_proj),
             ]
-        n = len(batch.labels)
-        for slot, view in enumerate(VIEWS):
-            if ablation == f"drop_{view}_view":
-                views[slot] = Tensor(np.zeros((n, cfg.d)))
-        return reshape(concat(views, axis=-1), (n, len(VIEWS), cfg.d))
+            if ablation == "no_feature_extractors":
+                return scale(add(*pair), 0.5)
+            return linear(concat(pair, axis=-1), *enc.cross_proj)
+        x = tokens["text-tokens" if view == "text" else "image-patches"]
+        block, proj = (enc.text_attn, enc.text_proj) if view == "text" else (enc.image_attn, enc.image_proj)
+        x = mean(x, axis=-2) if pool else attention(x, x, *block, enc.heads)
+        return x if ablation == "no_feature_extractors" else linear(x, *proj)
 
     def forward_loss(self, batch: StackedDataset) -> LossBreakdown:
         lam = self.cfg.lambda_

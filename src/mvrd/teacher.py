@@ -13,11 +13,12 @@ neither is bundled here. This module provides everything around that gap:
   sentence embedder
 * a synthetic oracle that emits teacher embeddings with a planted
   class/corruption geometry for desk-scale experiments
-* the teacher file format and the fixed random projection that bridges the
-  teacher embedding dimension d_t to the student dimension d
+* the teacher file (format 2: one record per sample, its three chains and
+  its raw (3, d_t) embeddings as ``fileio.encode_floats`` text) and the
+  fixed random projection that bridges d_t to the student dimension d
 
 A sample's teacher is one (3, d) float64 array, a row per view in ``VIEWS``
-order, and a raw embedding is a plain (d_t,) array. Plain arrays carry no
+order, projected from its plain (3, d_t) raw array. Plain arrays carry no
 gradient, so teacher targets are gradient-free by type: the (B, 3, d) batch
 array goes straight into ``diffcore.tempered_kl``, and no backward path can
 reach it.
@@ -44,11 +45,8 @@ import numpy as np
 from .config import MIN_EMBED_DIM
 from .diffcore import DimensionError, ParameterError, Tensor, ValidationError
 from .fileio import (
-    FormatError,
-    check_format_version,
-    read_record_lines,
-    replace_atomically,
-    write_records,
+    FormatError, check_format_version, decode_floats, encode_floats, read_record_lines,
+    replace_atomically, write_records,
 )
 from .views import VIEWS
 
@@ -149,16 +147,11 @@ def _projection_matrix(d_t: int, d: int, seed: int) -> np.ndarray:
 
 @dataclass
 class ReasoningRecord:
-    """One generated explanation plus its raw (pre-projection) embedding."""
+    """One sample's chains and raw (pre-projection) (3, d_t) embeddings, in ``VIEWS`` order."""
 
     sample_id: str
-    view: str
-    chain: str
-    raw_embedding: np.ndarray
-
-    def __post_init__(self):
-        if self.view not in VIEWS:
-            raise ValidationError(f"unknown view {self.view!r}")
+    chains: list[str]
+    raw: np.ndarray
 
 
 @dataclass
@@ -167,72 +160,65 @@ class TeacherFileData:
     embeddings: dict[str, TeacherEmbeddings]
 
 
+TEACHER_VERSION = 2
+_REMEDY = "; regenerate the file with `mvrd gen-data` or `mvrd gen-teacher`"
+
+
+def _check_record(chains, raw: np.ndarray, d_t: int, where: str) -> None:
+    """The record rule, on save and on load: a chain string and a d_t wide raw row per view."""
+    if not (type(chains) is list and len(chains) == len(VIEWS) and all(type(c) is str for c in chains)):
+        raise FormatError(f"{where}: chains must be a list of {len(VIEWS)} strings, one per view")
+    if raw.shape != (len(VIEWS), d_t):
+        raise FormatError(f"{where}: embeddings have shape {raw.shape}, expected ({len(VIEWS)}, {d_t})")
+
+
 def save_teacher_file(records, spec: ProjectionSpec, path) -> None:
-    """Write records in the line-delimited teacher format; a record of the
-    wrong width or with a non-finite value raises ``FormatError``."""
+    """Write format 2: a header, then per sample its ``chains`` and raw ``embeddings``
+    as ``encode_floats`` text. A bad record raises ``FormatError`` naming its
+    line, and the previous file stays whole."""
 
     def lines():
-        yield {"format_version": 1, "d_t": spec.d_t, "d": spec.d, "projection_seed": spec.seed}
-        for rec in records:
-            if rec.raw_embedding.shape != (spec.d_t,):
-                raise FormatError(
-                    f"record ({rec.sample_id}, {rec.view}) has embedding {rec.raw_embedding.shape}, "
-                    f"expected ({spec.d_t},)"
-                )
-            yield {"sample_id": rec.sample_id, "view": rec.view, "chain": rec.chain,
-                   "embedding": rec.raw_embedding}
+        yield {"format_version": TEACHER_VERSION, "d_t": spec.d_t, "d": spec.d, "projection_seed": spec.seed}
+        for lineno, rec in enumerate(records, start=2):
+            where = f"{path}: line {lineno}: sample {rec.sample_id!r}"
+            _check_record(rec.chains, rec.raw, spec.d_t, where)
+            yield {"sample_id": rec.sample_id, "chains": rec.chains,
+                   "embeddings": encode_floats(rec.raw, where)}
 
     write_records(path, lines())
 
 
 def load_teacher_file(path) -> TeacherFileData:
-    """Load and validate a teacher file; every sample must carry all three views.
-
-    Each record must carry a chain, but only the projected rows are kept."""
+    """Load and validate a format 2 teacher file; any other version is refused.
+    Only each sample's projected (3, d) rows are kept; a sample seen twice, or
+    rows that overflow the projection, are refused."""
     path = Path(path)
     lines = read_record_lines(path)
     _, header = next(lines, (0, None))
-    check_format_version(path, header)
+    check_format_version(path, header, TEACHER_VERSION, _REMEDY)
     try:
         spec = ProjectionSpec(header.get("d_t"), header.get("d"), header.get("projection_seed"))
-    except ParameterError as exc:
+        matrix = spec.matrix()
+    except (ValueError, MemoryError) as exc:  # a ParameterError, or a projection too large to build
         raise FormatError(f"{path}: header {exc}") from exc
 
-    by_sample: dict[str, dict[str, np.ndarray]] = {}
+    embeddings: dict[str, TeacherEmbeddings] = {}
     for lineno, obj in lines:
         try:
-            rec = ReasoningRecord(
-                sample_id=str(obj["sample_id"]),
-                view=str(obj["view"]),
-                chain=str(obj["chain"]),
-                raw_embedding=np.asarray(obj["embedding"], dtype=np.float64),
-            )
-        except (KeyError, TypeError, ValueError, OverflowError) as exc:
-            raise FormatError(f"{path}: line {lineno}: bad record ({exc})") from exc
-        if rec.raw_embedding.shape != (spec.d_t,):
-            raise FormatError(
-                f"{path}: line {lineno}: embedding has shape {rec.raw_embedding.shape}, "
-                f"header declares d_t={spec.d_t}"
-            )
-        if not np.isfinite(rec.raw_embedding).all():
-            raise FormatError(f"{path}: line {lineno}: non-finite embedding value")
-        slot = by_sample.setdefault(rec.sample_id, {})
-        if rec.view in slot:
-            raise ValidationError(f"duplicate record for ({rec.sample_id!r}, {rec.view})")
-        slot[rec.view] = rec.raw_embedding
-
-    missing = [
-        (sid, view) for sid, views in by_sample.items() for view in VIEWS if view not in views
-    ]
-    if missing:
-        raise ValidationError(f"missing teacher views: {missing}")
-
-    # row by row: one (3, d_t) GEMM would round differently from three GEMVs
-    matrix = spec.matrix()
-    embeddings = {
-        sid: TeacherEmbeddings(np.stack([views[v] @ matrix for v in VIEWS]))
-        for sid, views in by_sample.items()
-    }
+            sid, chains, text = str(obj["sample_id"]), obj["chains"], obj["embeddings"]
+        except KeyError as exc:
+            raise FormatError(f"{path}: line {lineno}: bad record (no field {exc})") from exc
+        where = f"{path}: line {lineno}: sample {sid!r}"
+        raw = decode_floats(text, spec.d_t, f"{where} embeddings")
+        _check_record(chains, raw, spec.d_t, where)
+        if sid in embeddings:
+            raise ValidationError(f"{where}: duplicate record for the sample")
+        # row by row: one (3, d_t) GEMM would round differently from three GEMVs
+        with np.errstate(over="ignore", invalid="ignore"):  # refused just below
+            rows = np.stack([row @ matrix for row in raw])
+        if not np.isfinite(rows).all():
+            raise FormatError(f"{where}: embeddings overflow the projection")
+        embeddings[sid] = TeacherEmbeddings(rows)
     return TeacherFileData(spec=spec, embeddings=embeddings)
 
 

@@ -102,38 +102,41 @@ def attention_params(prefix: str, d_q: int, d_kv: int, master_seed: int) -> tupl
 
 class ViewEncoderParams:
     """All learnable parts of the three view encoders. Without ``attention``
-    the four attention blocks are empty tuples, and without ``projections``
-    so are the three projections: an ablation that skips a group builds none
-    of its parameters."""
+    the four attention blocks are empty tuples, without ``projections`` so
+    are the three projections, and so are both for a view not in ``views``:
+    an ablation that skips a group or a view builds none of its parameters."""
 
     def __init__(
         self, d_in: dict[str, int], d: int, heads: int = 4, master_seed: int = 0,
-        attention: bool = True, projections: bool = True,
+        attention: bool = True, projections: bool = True, views: tuple[str, ...] = VIEWS,
     ):
         check_d_in(d_in)
         self.d_in = dict(d_in)
         self.d = d
         self.heads = heads
+        self.views = views
 
         def proj(name, n_in):
-            if not projections:
+            if not projections or name not in views:
                 return ()
             w_name, b_name = f"views.{name}.proj.W", f"views.{name}.proj.b"
             w = make_parameter(w_name, (n_in, d), "xavier_uniform", parameter_seed(master_seed, w_name))
             b = make_parameter(b_name, (d,), "zeros", parameter_seed(master_seed, b_name))
             return w, b
 
-        def attn(prefix, d_q, d_kv):
-            return attention_params(prefix, d_q, d_kv, master_seed) if attention else ()
+        def attn(view, block, d_q, d_kv):
+            if not attention or view not in views:
+                return ()
+            return attention_params(f"views.{view}.{block}", d_q, d_kv, master_seed)
 
         w_text = d_in["text-tokens"]
         w_image = d_in["image-patches"]
         w_ct, w_ci = d_in["clip-text"], d_in["clip-image"]
-        self.text_attn = attn("views.text.attn", w_text, w_text)
-        self.image_attn = attn("views.image.attn", w_image, w_image)
+        self.text_attn = attn("text", "attn", w_text, w_text)
+        self.image_attn = attn("image", "attn", w_image, w_image)
         # co-attention pair: image side queries text, and vice versa
-        self.cross_i2t = attn("views.cross.i2t", w_ci, w_ct)
-        self.cross_t2i = attn("views.cross.t2i", w_ct, w_ci)
+        self.cross_i2t = attn("cross", "i2t", w_ci, w_ct)
+        self.cross_t2i = attn("cross", "t2i", w_ct, w_ci)
         self.text_proj = proj("text", w_text)
         self.image_proj = proj("image", w_image)
         self.cross_proj = proj("cross", w_ci + w_ct)

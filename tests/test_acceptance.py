@@ -16,7 +16,7 @@ from mvrd.calibration import CalibratorParams, calibrate_views, distill_losses
 from mvrd.config import TrainConfig
 from mvrd.datasynth import SyntheticConfig, generate_dataset, split
 from mvrd.diffcore import Tensor, backward, grad_check, linear, no_grad
-from mvrd.metrics import auc_pairwise, auc_rank, compute_metrics, welch_ttest
+from mvrd.metrics import auc_rank, compute_metrics, welch_ttest
 from mvrd.model import Model, StackedDataset
 from mvrd.trainer import (
     Adam,
@@ -26,6 +26,8 @@ from mvrd.trainer import (
     save_checkpoint,
     train,
 )
+
+from test_metrics import auc_pairwise
 
 SEEDS = [100, 101, 102, 103, 104]
 RUN_CFG = TrainConfig(epochs=15, batch_size=64, learning_rate=2e-3, master_seed=SEEDS[0])

@@ -106,7 +106,7 @@ class TestTrainEval:
 
 
 class TestGenTeacher:
-    def test_mock_mode(self, data_dir, tmp_path):
+    def test_mock_mode(self, data_dir, tmp_path, capsys):
         out = tmp_path / "teacher-mock.jsonl"
         code = main(
             [
@@ -124,10 +124,11 @@ class TestGenTeacher:
             ]
         )
         assert code == 0
+        assert f"wrote the teacher records of 48 samples to {out}" in capsys.readouterr().out
         loaded = load_teacher_file(out)
         assert loaded.spec.d_t == 16
-        lines = out.read_text(encoding="utf-8").splitlines()[1:]
-        assert lines and all(json.loads(line)["chain"] for line in lines)
+        chains = [json.loads(line)["chains"] for line in out.read_text(encoding="utf-8").splitlines()[1:]]
+        assert len(chains) == 48 and all(len(c) == 3 and all(c) for c in chains)
 
     def test_zero_student_dim_is_an_error(self, data_dir, tmp_path, capsys):
         out = tmp_path / "teacher-bad.jsonl"
@@ -243,6 +244,30 @@ class TestErrors:
         assert err["error"] == "FormatError"
         assert "format_version 1 (expected 2)" in err["message"]
         assert "mvrd gen-data" in err["message"] and "save_features_file" in err["message"]
+        assert not out.exists()
+
+    @pytest.mark.parametrize("command", ["train", "ablate", "sweep"])
+    def test_format_1_teacher_file_refused(self, data_dir, config_file, tmp_path, capsys, command):
+        # the generated teacher written back in format 1: one record per
+        # (sample, view), each embedding a list of decimals
+        lines = (data_dir / "teacher.jsonl").read_text("utf-8").splitlines()
+        header, *records = (json.loads(line) for line in lines)
+        old_lines = [{**header, "format_version": 1}]
+        for r in records:
+            raw = np.frombuffer(base64.b64decode(r["embeddings"]), "<f8").reshape(3, -1)
+            old_lines += [{"sample_id": r["sample_id"], "view": view, "chain": chain, "embedding": row.tolist()}
+                          for view, chain, row in zip(("text", "image", "cross"), r["chains"], raw)]
+        old = tmp_path / "old-teacher.jsonl"
+        old.write_text("".join(json.dumps(line) + "\n" for line in old_lines))
+        out = tmp_path / "out"
+        argv = [command, "--config", str(config_file), "--features", str(data_dir / "features.jsonl"),
+                "--teacher", str(old), "--out", str(out)]
+        argv += {"train": [], "ablate": ["--seeds", "2"], "sweep": ["--axis", "tau", "--values", "1,2"]}[command]
+        assert main(argv) == 1
+        err = json.loads(capsys.readouterr().err.strip())
+        assert err["error"] == "FormatError"
+        assert "format_version 1 (expected 2)" in err["message"]
+        assert "mvrd gen-data" in err["message"] and "mvrd gen-teacher" in err["message"]
         assert not out.exists()
 
     def test_bad_value_type(self, tmp_path, capsys):

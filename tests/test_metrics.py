@@ -12,12 +12,23 @@ from mvrd.diffcore import ParameterError, ValidationError
 from mvrd.metrics import (
     Metrics,
     WelchResult,
-    auc_pairwise,
     auc_rank,
     compute_metrics,
     regularized_incomplete_beta,
     welch_ttest,
 )
+
+
+def auc_pairwise(labels: np.ndarray, scores: np.ndarray) -> float:
+    """Brute-force ordered-pair count; the independent oracle for auc_rank."""
+    labels = np.asarray(labels)
+    scores = np.asarray(scores, dtype=np.float64)
+    fake = scores[labels == 1]
+    real = scores[labels == 0]
+    if len(fake) == 0 or len(real) == 0:
+        return 0.5
+    wins = (fake[:, None] > real[None, :]).sum() + 0.5 * (fake[:, None] == real[None, :]).sum()
+    return float(wins) / (len(fake) * len(real))
 
 
 class TestAUC:

@@ -1,7 +1,8 @@
 """Property tests for the three file parsers and the config parser: any input
 either loads or is rejected with the package's own error types, never with a
-raw exception; and any finite array saved to a features or teacher file loads
-back bit-identical."""
+raw exception; any finite array saved to a features file loads back
+bit-identical; and any finite teacher array is written bit-identical and
+loads as its exact projection, or is refused if that overflows."""
 
 import numpy as np
 import pytest
@@ -19,6 +20,7 @@ from mvrd.trainer import CHECKPOINT_MAGIC, load_checkpoint, save_checkpoint
 from mvrd.views import SOURCE_TAGS, VIEWS
 
 from features_lines import one_sample_file
+from teacher_lines import embeddings_text
 
 FUZZ = settings(
     max_examples=150,
@@ -47,9 +49,8 @@ def write_features(path):
 def write_teacher(path):
     rng = np.random.default_rng(0)
     records = [
-        ReasoningRecord(f"s{i}", view, f"chain {i}", rng.normal(size=4))
+        ReasoningRecord(f"s{i}", [f"chain {i} {view}" for view in VIEWS], rng.normal(size=(len(VIEWS), 4)))
         for i in range(2)
-        for view in VIEWS
     ]
     save_teacher_file(records, ProjectionSpec(d_t=4, d=3, seed=2), path)
 
@@ -184,16 +185,20 @@ def test_finite_tokens_round_trip_bit_identical(tmp_path, values):
 @given(rows=arrays(np.float64, (2 * len(VIEWS), 4), elements=FINITE))
 @example(rows=np.resize(EDGE_FLOATS, (2 * len(VIEWS), 4)))
 def test_finite_embeddings_round_trip_bit_identical(tmp_path, rows):
+    """Finite raw rows are written bit-identical. They load as raw @ matrix,
+    bit for bit, unless that projection overflows, which is refused."""
     spec = ProjectionSpec(d_t=4, d=3, seed=2)
-    records = [ReasoningRecord(f"s{i // len(VIEWS)}", view, "", row)
-               for i, (view, row) in enumerate(zip(VIEWS * 2, rows))]
+    blocks = np.split(rows, 2)
+    records = [ReasoningRecord(f"s{i}", [""] * len(VIEWS), block) for i, block in enumerate(blocks)]
     path = tmp_path / "teacher.jsonl"
     save_teacher_file(records, spec, path)
     _, *lines = read_record_lines(path)
-    assert [np.asarray(r["embedding"]).tobytes() for _, r in lines] == [r.tobytes() for r in rows]
-    # the projected rows too, overflow and all, as the loader computes them
+    assert [r["embeddings"] for _, r in lines] == [embeddings_text(block) for block in blocks]
     with np.errstate(over="ignore", invalid="ignore"):
-        loaded = load_teacher_file(path).embeddings
-        expected = [row @ spec.matrix() for row in rows]
-    got = [loaded[r.sample_id].values[VIEWS.index(r.view)] for r in records]
-    assert [g.tobytes() for g in got] == [e.tobytes() for e in expected]
+        expected = [np.stack([row @ spec.matrix() for row in block]) for block in blocks]
+    if not all(np.isfinite(e).all() for e in expected):
+        with pytest.raises(FormatError, match="overflow the projection"):
+            load_teacher_file(path)
+        return
+    loaded = load_teacher_file(path).embeddings
+    assert [loaded[r.sample_id].values.tobytes() for r in records] == [e.tobytes() for e in expected]

@@ -38,6 +38,8 @@ from mvrd.teacher import (
 )
 from mvrd.views import VIEWS
 
+from teacher_lines import header_line, record_line
+
 
 class TestTemplates:
     def test_bundled_templates_cover_all_views(self):
@@ -56,18 +58,16 @@ class TestTemplates:
 
 def make_records(n, d_t, seed=0):
     rng = np.random.default_rng(seed)
-    records = []
-    for i in range(n):
-        for view in ("text", "image", "cross"):
-            records.append(ReasoningRecord(f"s{i}", view, f"chain {i} {view}", rng.normal(size=d_t)))
-    return records
+    return [
+        ReasoningRecord(f"s{i}", [f"chain {i} {view}" for view in VIEWS], rng.normal(size=(len(VIEWS), d_t)))
+        for i in range(n)
+    ]
 
 
 def load_rows(tmp_path, raw_rows, spec):
     """Save one sample with the given raw (text, image, cross) rows and load
     its projected (3, d) teacher array back."""
-    records = [ReasoningRecord("s0", view, "", raw) for view, raw in zip(VIEWS, raw_rows)]
-    save_teacher_file(records, spec, tmp_path / "teacher.jsonl")
+    save_teacher_file([ReasoningRecord("s0", [""] * 3, np.array(raw_rows))], spec, tmp_path / "teacher.jsonl")
     return load_teacher_file(tmp_path / "teacher.jsonl").embeddings["s0"].values
 
 
@@ -95,8 +95,8 @@ class TestProjection:
         save_teacher_file(records, spec, tmp_path / "teacher.jsonl")
         loaded = load_teacher_file(tmp_path / "teacher.jsonl").embeddings
         for rec in records:
-            row = loaded[rec.sample_id].values[VIEWS.index(rec.view)]
-            assert row.tobytes() == (rec.raw_embedding @ spec.matrix()).tobytes()
+            for row, raw in zip(loaded[rec.sample_id].values, rec.raw):
+                assert row.tobytes() == (raw @ spec.matrix()).tobytes()
 
     def test_matrix_is_pure_function_of_spec(self):
         a = ProjectionSpec(8, 4, 5).matrix()
@@ -115,6 +115,17 @@ class TestProjection:
         assert type(out) is np.ndarray and out.dtype == np.float64
 
 
+def load_lines(tmp_path, *lines):
+    """Load a teacher file made of ``lines``, the header first."""
+    path = tmp_path / "teacher.jsonl"
+    path.write_text("\n".join(lines) + "\n", "utf-8")
+    return load_teacher_file(path)
+
+
+# a valid raw (3, d_t=8) block
+RAW = np.arange(24, dtype=np.float64).reshape(3, 8) / 8
+
+
 class TestTeacherFile:
     def test_round_trip_bit_exact(self, tmp_path):
         spec = ProjectionSpec(d_t=12, d=5, seed=9)
@@ -124,13 +135,17 @@ class TestTeacherFile:
         loaded = load_teacher_file(path)
         assert loaded.spec == spec
         assert len(loaded.embeddings) == 3
-        # the raw rows come back bit-exact: each loaded row is raw @ matrix
+        # one record per sample, holding its chains verbatim and its raw rows
+        # as base64 of little-endian float64
+        header, *lines = path.read_text(encoding="utf-8").splitlines()
+        assert json.loads(header) == json.loads(header_line(d_t=12, d=5, projection_seed=9))
+        assert [json.loads(line) for line in lines] == [
+            json.loads(record_line(r.raw, r.sample_id, r.chains)) for r in records
+        ]
+        # each loaded row is its raw row @ matrix, bit for bit
         for rec in records:
-            row = loaded.embeddings[rec.sample_id].values[VIEWS.index(rec.view)]
-            assert np.array_equal(row, rec.raw_embedding @ spec.matrix())
-        # the chains are written verbatim
-        lines = path.read_text(encoding="utf-8").splitlines()[1:]
-        assert [json.loads(line)["chain"] for line in lines] == [r.chain for r in records]
+            expected = np.stack([raw @ spec.matrix() for raw in rec.raw])
+            assert loaded.embeddings[rec.sample_id].values.tobytes() == expected.tobytes()
         # loading twice gives bit-identical projected embeddings
         again = load_teacher_file(path)
         for sid in loaded.embeddings:
@@ -142,7 +157,8 @@ class TestTeacherFile:
 
     @pytest.mark.parametrize(
         "row, error",
-        [(np.zeros(5), r"\(s1, image\) has embedding \(5,\)"), (np.full(8, np.nan), "line 6: non-finite")],
+        [(np.zeros(5), r"line 3: sample 's1': embeddings have shape \(3, 5\), expected \(3, 8\)"),
+         (np.full(8, np.nan), "line 3: sample 's1': non-finite")],
         ids=["wrong-width", "nan"],
     )
     def test_refused_save_keeps_previous_file(self, tmp_path, row, error):
@@ -151,65 +167,84 @@ class TestTeacherFile:
         save_teacher_file(make_records(3, 8), spec, path)
         before = path.read_bytes()
         records = make_records(3, 8, seed=1)
-        records[4].raw_embedding = row  # sample s1's image row, line 6
-        with pytest.raises(FormatError, match=error):
+        records[1].raw = np.stack([records[1].raw[0][: len(row)], row, records[1].raw[2][: len(row)]])
+        with pytest.raises(FormatError, match=error):  # sample s1 is line 3
             save_teacher_file(records, spec, path)
         assert path.read_bytes() == before
         assert [p.name for p in tmp_path.iterdir()] == ["teacher.jsonl"]
 
     def test_missing_view_named(self, tmp_path):
-        spec = ProjectionSpec(d_t=8, d=4, seed=0)
-        records = [r for r in make_records(3, 8) if not (r.sample_id == "s2" and r.view == "cross")]
-        path = tmp_path / "teacher.jsonl"
-        save_teacher_file(records, spec, path)
-        with pytest.raises(ValidationError, match=r"s2.*cross"):
-            load_teacher_file(path)
+        # a sample with two raw rows lacks its cross view
+        with pytest.raises(FormatError, match=r"line 3: sample 's1': embeddings have shape \(2, 8\)"):
+            load_lines(tmp_path, header_line(), record_line(RAW, "s0"), record_line(RAW[:2], "s1"))
+
+    def test_extra_view_rejected(self, tmp_path):
+        with pytest.raises(FormatError, match=r"line 2: sample 's0': embeddings have shape \(4, 8\)"):
+            load_lines(tmp_path, header_line(), record_line(np.vstack([RAW, RAW[:1]])))
 
     def test_duplicate_record_rejected(self, tmp_path):
         spec = ProjectionSpec(d_t=8, d=4, seed=0)
-        records = make_records(1, 8)
+        records = make_records(2, 8)
         records.append(records[0])
         path = tmp_path / "teacher.jsonl"
         save_teacher_file(records, spec, path)
-        with pytest.raises(ValidationError, match="duplicate"):
+        with pytest.raises(ValidationError, match="line 4: sample 's0': duplicate"):
             load_teacher_file(path)
 
     def test_dim_mismatch_is_format_error(self, tmp_path):
-        path = tmp_path / "teacher.jsonl"
-        header = {"format_version": 1, "d_t": 8, "d": 4, "projection_seed": 0}
-        record = {"sample_id": "s0", "view": "text", "chain": "", "embedding": [1.0, 2.0]}
-        path.write_text(json.dumps(header) + "\n" + json.dumps(record) + "\n", "utf-8")
-        with pytest.raises(FormatError, match="d_t"):
-            load_teacher_file(path)
+        # two doubles where the header declares rows of d_t = 8
+        with pytest.raises(FormatError, match="line 2: sample 's0' embeddings: 16 bytes .* 8-wide"):
+            load_lines(tmp_path, header_line(), record_line([1.0, 2.0]))
 
     def test_bad_line_reports_line_number(self, tmp_path):
-        path = tmp_path / "teacher.jsonl"
-        header = {"format_version": 1, "d_t": 8, "d": 4, "projection_seed": 0}
-        path.write_text(json.dumps(header) + "\n{not json}\n", "utf-8")
         with pytest.raises(FormatError, match="line 2"):
-            load_teacher_file(path)
+            load_lines(tmp_path, header_line(), "{not json}")
 
     @pytest.mark.parametrize("literal", ["NaN", "Infinity", "-Infinity", "1e999"])
     def test_non_finite_embedding_rejected(self, tmp_path, literal):
-        path = tmp_path / "teacher.jsonl"
-        save_teacher_file(make_records(1, 8), ProjectionSpec(d_t=8, d=4, seed=0), path)
-        lines = path.read_text("utf-8").splitlines()
-        head, sep, rest = lines[2].partition('"embedding":[')
-        lines[2] = head + sep + literal + rest[rest.index(","):]
-        path.write_text("\n".join(lines) + "\n", "utf-8")
-        with pytest.raises(FormatError, match="line 3"):
-            load_teacher_file(path)
+        # the value decodes from base64 as it is; 1e999 reads as +inf
+        raw = RAW.copy()
+        raw[1, 3] = float(literal)
+        with pytest.raises(FormatError, match="line 3: sample 's1' embeddings: non-finite"):
+            load_lines(tmp_path, header_line(), record_line(RAW, "s0"), record_line(raw, "s1"))
+
+    def test_projection_overflow_rejected(self, tmp_path):
+        # finite raw rows whose projection overflows to infinity
+        raw = np.full((3, 8), np.finfo(np.float64).max)
+        with pytest.raises(FormatError, match="line 2: sample 's0': embeddings overflow the projection"):
+            load_lines(tmp_path, header_line(), record_line(raw))
+
+    @pytest.mark.parametrize(
+        "chains",
+        [["a", "b"], ["a", "b", "c", "d"], ["a", 1, "c"], "abc", None, {"text": "a"}],
+        ids=["two", "four", "not-a-string", "one-string", "null", "object"],
+    )
+    def test_chains_must_be_three_strings(self, tmp_path, chains):
+        line = json.dumps({**json.loads(record_line(RAW)), "chains": chains})
+        with pytest.raises(FormatError, match="line 2: sample 's0': chains must be a list of 3 strings"):
+            load_lines(tmp_path, header_line(), line)
+
+    @pytest.mark.parametrize("field", ["sample_id", "chains", "embeddings"])
+    def test_missing_field_rejected(self, tmp_path, field):
+        record = json.loads(record_line(RAW))
+        del record[field]
+        with pytest.raises(FormatError, match=f"line 2: bad record \\(no field '{field}'\\)"):
+            load_lines(tmp_path, header_line(), json.dumps(record))
 
     @pytest.mark.parametrize(
         "field, value",
         [("d_t", "8"), ("d", 4.5), ("projection_seed", None), ("d", [4]), ("d_t", 0)],
     )
     def test_non_integer_header_field_rejected(self, tmp_path, field, value):
-        path = tmp_path / "teacher.jsonl"
-        header = {"format_version": 1, "d_t": 8, "d": 4, "projection_seed": 0, field: value}
-        path.write_text(json.dumps(header) + "\n", "utf-8")
+        header = {**json.loads(header_line()), field: value}
         with pytest.raises(FormatError, match=field):
-            load_teacher_file(path)
+            load_lines(tmp_path, json.dumps(header))
+
+    @pytest.mark.parametrize("d", [10**30, 2**62, 10**12], ids=["past-int64", "past-address-space", "29-TiB"])
+    def test_projection_too_large_to_build_rejected(self, tmp_path, d):
+        # an integer d the header may hold, but no projection numpy can allocate
+        with pytest.raises(FormatError, match="header"):
+            load_lines(tmp_path, header_line(d=d))
 
     @pytest.mark.parametrize(
         "kwargs",
@@ -220,7 +255,8 @@ class TestTeacherFile:
         with pytest.raises(ParameterError):
             ProjectionSpec(**fields)
 
-    @pytest.mark.parametrize("blob", [b"", b"\n \n", b'{"format_version": 1}\n\xff\xfe\n'])
+    @pytest.mark.parametrize("blob", [b"", b"\n \n", b'{"format_version": 2, "d_t": 8, "d": 4, '
+                                      b'"projection_seed": 0}\n\xff\xfe\n'])
     def test_missing_header_or_invalid_utf8_rejected(self, tmp_path, blob):
         path = tmp_path / "teacher.jsonl"
         path.write_bytes(blob)
@@ -228,10 +264,16 @@ class TestTeacherFile:
             load_teacher_file(path)
 
     def test_wrong_version_rejected(self, tmp_path):
-        path = tmp_path / "teacher.jsonl"
-        path.write_text('{"format_version": 2, "d_t": 8, "d": 4, "projection_seed": 0}\n', "utf-8")
-        with pytest.raises(FormatError, match="format_version"):
-            load_teacher_file(path)
+        with pytest.raises(FormatError, match=r"format_version 3 \(expected 2\)"):
+            load_lines(tmp_path, header_line(version=3))
+
+    def test_format_1_file_refused_with_remedy(self, tmp_path):
+        # format 1 held one record per (sample, view), each embedding a list of decimals
+        records = [json.dumps({"sample_id": "s0", "view": view, "chain": "", "embedding": [0.5] * 8})
+                   for view in VIEWS]
+        with pytest.raises(FormatError, match=r"format_version 1 \(expected 2\)") as info:
+            load_lines(tmp_path, header_line(version=1), *records)
+        assert "mvrd gen-data" in str(info.value) and "mvrd gen-teacher" in str(info.value)
 
 
 def loop_fallback_embed(chain: str, d_t: int, seed: int) -> np.ndarray:
@@ -535,11 +577,12 @@ class TestGenTeacherEndpoint:
     def test_writes_a_loadable_file_of_echoed_chains(self, echo_server, features, tmp_path, capsys):
         out, cache = tmp_path / "teacher.jsonl", tmp_path / "cache"
         assert self.run(features, out, "--endpoint", echo_server, "--cache-dir", str(cache)) == 0
-        assert "(12 network calls, 0 cache hits)" in capsys.readouterr().out
+        summary = capsys.readouterr().out
+        assert "of 4 samples to" in summary and "(12 network calls, 0 cache hits)" in summary
         assert len(load_teacher_file(out).embeddings) == 4
         lines = out.read_text(encoding="utf-8").splitlines()[1:]
-        assert len(lines) == 12
-        assert all(json.loads(line)["chain"].startswith("echo:") for line in lines)
+        assert len(lines) == 4  # one record per sample, three chains each
+        assert all(chain.startswith("echo:") for line in lines for chain in json.loads(line)["chains"])
 
         calls = _EchoHandler.calls
         again = tmp_path / "again.jsonl"

@@ -966,10 +966,13 @@ class TestAblationModes:
         views = model.encode_batch(batch)
         assert np.allclose(views.values[:, 0], batch.tokens["text-tokens"].mean(axis=1), atol=1e-15)
 
-    @pytest.mark.parametrize("ablation", ["no_attention", "no_feature_extractors"])
+    @pytest.mark.parametrize(
+        "ablation", ["no_attention", "no_feature_extractors", "drop_text_view", "drop_image_view"]
+    )
     def test_every_parameter_gets_a_gradient(self, ablation):
-        # the attention blocks and projections these rows skip are not built,
-        # so Adam and the checkpoint carry no parameter without a gradient path
+        # the attention blocks and projections these rows skip, and a dropped
+        # view's encoder, are not built, so Adam and the checkpoint carry no
+        # parameter without a gradient path
         data = StackedDataset.from_samples(tiny_dataset())
         model = Model(tiny_cfg(ablation=ablation), data.d_in)
         backward(model.forward_loss(data.batch(np.arange(64))).graph)
@@ -983,6 +986,8 @@ class TestAblationModes:
         assert skipped == {
             "no_attention": attention | {"fusion.attn"},
             "no_feature_extractors": attention | {f"views.{v}.proj" for v in ("text", "image", "cross")},
+            "drop_text_view": {"views.text.attn", "views.text.proj"},
+            "drop_image_view": {"views.image.attn", "views.image.proj"},
         }[ablation]
 
     def test_no_attention_mode_trains(self):
