@@ -11,6 +11,7 @@ is written to stderr and the exit code is nonzero.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 from dataclasses import asdict
@@ -117,7 +118,7 @@ def cmd_gen_teacher(args) -> int:
     if spec.d_t < MIN_EMBED_DIM:  # checked before any chain is fetched
         raise diffcore.ParameterError(f"--d-t must be >= {MIN_EMBED_DIM}, got {spec.d_t}")
     client = None
-    if args.mode == "endpoint":
+    if args.endpoint is not None:
         client = ReasoningClient(
             args.endpoint, args.cache_dir, args.model, args.timeout, args.retries
         )
@@ -235,6 +236,8 @@ def build_parser() -> argparse.ArgumentParser:
         description="Multi-view reasoning distillation harness (fake = class 1 throughout).",
     )
     sub = parser.add_subparsers(dest="command", required=True)
+    # a flag is never read as a prefix of another: `--mode` is not `--model`
+    add_parser = functools.partial(sub.add_parser, allow_abbrev=False)
 
     def common(p, out_default=None):
         """The ``--config`` and ``--seed`` flags that ``_load_configs`` reads, and ``--out``."""
@@ -248,16 +251,15 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--teacher")
         p.add_argument("--train-frac", type=float, default=0.8)
 
-    p = sub.add_parser("gen-data", help="generate a synthetic dataset (features + teacher)")
+    p = add_parser("gen-data", help="generate a synthetic dataset (features + teacher)")
     common(p, out_default="data")
     p.set_defaults(fn=cmd_gen_data)
 
-    p = sub.add_parser("gen-teacher", help="generate a teacher file for a features file")
+    p = add_parser("gen-teacher", help="generate a teacher file for a features file")
     p.add_argument("--seed", type=int, default=0, help="projection seed")
     p.add_argument("--out", default="teacher.jsonl")
     p.add_argument("--features", required=True)
-    p.add_argument("--mode", choices=("mock", "endpoint"), default="mock")
-    p.add_argument("--endpoint", help="chat-completion URL (endpoint mode)")
+    p.add_argument("--endpoint", help="chat-completion URL; without it the chains are mocked offline")
     p.add_argument("--model", default="teacher-mllm")
     p.add_argument("--cache-dir", default=".teacher-cache")
     p.add_argument("--retries", type=int, default=3)
@@ -266,24 +268,24 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--student-dim", type=int, default=32, help="projection target dimension d")
     p.set_defaults(fn=cmd_gen_teacher)
 
-    p = sub.add_parser("train", help="train on a features(+teacher) file and checkpoint")
+    p = add_parser("train", help="train on a features(+teacher) file and checkpoint")
     common(p, out_default="run")
     data(p)
     p.set_defaults(fn=cmd_train)
 
-    p = sub.add_parser("eval", help="evaluate a checkpoint on a features file")
+    p = add_parser("eval", help="evaluate a checkpoint on a features file")
     p.add_argument("--checkpoint", required=True)
     p.add_argument("--features", required=True)
     p.add_argument("--out")
     p.set_defaults(fn=cmd_eval)
 
-    p = sub.add_parser("ablate", help="run the full ablation table")
+    p = add_parser("ablate", help="run the full ablation table")
     common(p)
     data(p)
     p.add_argument("--seeds", type=int, default=5)
     p.set_defaults(fn=cmd_ablate)
 
-    p = sub.add_parser("sweep", help="sweep lambda/tau/alpha/heads")
+    p = add_parser("sweep", help="sweep lambda/tau/alpha/heads")
     common(p)
     data(p)
     p.add_argument("--axis", required=True, choices=("lambda", "tau", "alpha", "heads"))
@@ -292,12 +294,12 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--chart", action="store_true", help="also render a PNG chart")
     p.set_defaults(fn=cmd_sweep)
 
-    p = sub.add_parser("ttest", help="Welch t-test between two comma-separated samples")
+    p = add_parser("ttest", help="Welch t-test between two comma-separated samples")
     p.add_argument("--a", required=True)
     p.add_argument("--b", required=True)
     p.set_defaults(fn=cmd_ttest)
 
-    p = sub.add_parser("grad-check", help="finite-difference check of the full loss")
+    p = add_parser("grad-check", help="finite-difference check of the full loss")
     p.add_argument("--seed", type=int, default=0, help="data and parameter seed")
     p.add_argument("--d", type=int, default=8)
     p.add_argument("--samples", type=int, default=4)

@@ -1,10 +1,11 @@
 """Synthetic dataset generation and feature-file ingestion.
 
-A features file (format 2) is JSON lines: a header with ``format_version``
-and the ``d_in`` width of each source tag, then one record per sample and
-source, whose ``tokens`` field is ``fileio.encode_floats``' base64 of the
-(L, d_in[tag]) token array, so tokens are neither printed nor parsed as
-decimal text.
+A features file (format 3) is JSON lines: a header with ``format_version``
+and the ``d_in`` width of each source tag, then one record per sample, its
+``sample_id``, ``label``, ``corruption`` and ``tokens``. ``tokens`` maps each
+source tag, in ``SOURCE_TAGS`` order, to ``fileio.encode_floats``' base64 of
+its (L, d_in[tag]) token array, so tokens are neither printed nor parsed as
+decimal text. The loader builds each sample from its one line.
 
 Real samples draw all four embedded sequences around one shared latent, so
 the modalities agree. Fake samples carry exactly one falsity type:
@@ -68,12 +69,6 @@ class Sample:
                 f"sample {self.sample_id!r}: label {self.label} inconsistent with "
                 f"corruption {self.corruption!r}"
             )
-        for tag, seq in self.sequences().items():
-            if seq.source_tag != tag:
-                raise ValidationError(
-                    f"sample {self.sample_id!r}: sequence tagged {seq.source_tag!r} "
-                    f"in the {tag} slot"
-                )
 
     def sequences(self) -> dict[str, EmbeddedSequence]:
         return {
@@ -230,10 +225,10 @@ def generate_dataset(cfg: SyntheticConfig) -> list[Sample]:
                 sample_id=f"s{i:05d}",
                 label=label,
                 corruption=corruption,
-                text_seq=EmbeddedSequence(Tensor(text), "text-tokens"),
-                image_seq=EmbeddedSequence(Tensor(image), "image-patches"),
-                clip_text_seq=EmbeddedSequence(Tensor(clip_text), "clip-text"),
-                clip_image_seq=EmbeddedSequence(Tensor(clip_image), "clip-image"),
+                text_seq=EmbeddedSequence(Tensor(text)),
+                image_seq=EmbeddedSequence(Tensor(image)),
+                clip_text_seq=EmbeddedSequence(Tensor(clip_text)),
+                clip_image_seq=EmbeddedSequence(Tensor(clip_image)),
                 teacher=teacher,
             )
         )
@@ -273,34 +268,33 @@ def attach_teacher(samples: list[Sample], embeddings: dict[str, TeacherEmbedding
 # feature files
 
 
-FEATURES_VERSION = 2
+FEATURES_VERSION = 3
 _REMEDY = "; regenerate the file with `mvrd gen-data`, or re-save its samples with `save_features_file`"
 
 
 def save_features_file(samples: list[Sample], path) -> None:
-    """Write the four sequences of every sample as line-delimited records,
-    one per sample and source, each token array as ``encode_floats`` text; a
-    non-finite token raises ``FormatError`` naming its line, and the previous
-    file stays whole."""
+    """Write one line-delimited record per sample, its four token arrays as
+    ``encode_floats`` text keyed by source tag; a non-finite token raises
+    ``FormatError`` naming its line and sample, and the previous file stays whole."""
     # an empty list, mixed widths or ragged lengths raise before the file is opened
     d_in = {tag: one_shape(tag, [s.sequences()[tag].tokens.shape for s in samples])[-1]
             for tag in SOURCE_TAGS}
 
     def records():
         yield {"format_version": FEATURES_VERSION, "d_in": d_in}
-        lineno = 1
-        for s in samples:
-            for tag, seq in s.sequences().items():
-                lineno += 1
-                yield {"sample_id": s.sample_id, "label": s.label, "corruption": s.corruption,
-                       "source_tag": tag, "tokens": encode_floats(seq.tokens.values, f"{path}: line {lineno}")}
+        for lineno, s in enumerate(samples, start=2):
+            where = f"{path}: line {lineno}: sample {s.sample_id!r}"
+            yield {"sample_id": s.sample_id, "label": s.label, "corruption": s.corruption,
+                   "tokens": {tag: encode_floats(seq.tokens.values, f"{where}, {tag}")
+                              for tag, seq in s.sequences().items()}}
 
     write_records(path, records())
 
 
 def load_features_file(path) -> list[Sample]:
-    """Load samples from a features file; teacher embeddings attach separately.
-    Only format 2 is read; any other version is refused with ``FormatError``."""
+    """Load samples from a features file, in file order; teacher embeddings
+    attach separately. Only format 3 is read; any other version is refused
+    with ``FormatError``. A sample seen twice is refused too."""
     path = Path(path)
     lines = read_record_lines(path)
     _, header = next(lines, (0, None))
@@ -310,33 +304,21 @@ def load_features_file(path) -> list[Sample]:
     d_in = header.get("d_in")
     check_d_in(d_in, FormatError, f"{path}: header d_in")
 
-    # sample id -> (label, corruption, {source tag: sequence}), in file order
-    found: dict[str, tuple[int, str, dict[str, EmbeddedSequence]]] = {}
+    samples: dict[str, Sample] = {}
     for lineno, obj in lines:
         try:
-            sid = str(obj["sample_id"])
-            label = obj["label"]
+            sid, label, tokens = str(obj["sample_id"]), obj["label"], obj["tokens"]
             corruption = str(obj["corruption"])
-            tag = str(obj["source_tag"])
-            text = obj["tokens"]
         except KeyError as exc:
             raise FormatError(f"{path}: line {lineno}: bad record (no field {exc})") from exc
+        where = f"{path}: line {lineno}: sample {sid!r}"
         if type(label) is not int or label not in (0, 1):
-            raise FormatError(f"{path}: line {lineno}: label must be the integer 0 or 1, not {label!r}")
-        if tag not in SOURCE_TAGS:
-            raise FormatError(f"{path}: line {lineno}: unknown source_tag {tag!r}")
-        tokens = decode_floats(text, d_in[tag], f"{path}: line {lineno}: sample {sid!r}, {tag}")
-        first_label, first_corruption, seqs = found.setdefault(sid, (label, corruption, {}))
-        if (first_label, first_corruption) != (label, corruption):
-            raise FormatError(f"{path}: sample {sid!r} has conflicting label/corruption records")
-        if tag in seqs:
-            raise FormatError(f"{path}: duplicate {tag} record for sample {sid!r}")
-        seqs[tag] = EmbeddedSequence(Tensor(tokens), tag)
-
-    samples = []
-    for sid, (label, corruption, seqs) in found.items():
-        missing = [tag for tag in SOURCE_TAGS if tag not in seqs]
-        if missing:
-            raise ValidationError(f"{path}: sample {sid!r} is missing sequences: {missing}")
-        samples.append(Sample(sid, label, corruption, *(seqs[tag] for tag in SOURCE_TAGS)))
-    return samples
+            raise FormatError(f"{where}: label must be the integer 0 or 1, not {label!r}")
+        if not (isinstance(tokens, dict) and set(tokens) == set(SOURCE_TAGS)):
+            raise FormatError(f"{where}: tokens must map exactly the source tags {list(SOURCE_TAGS)}")
+        if sid in samples:
+            raise ValidationError(f"{where}: duplicate record for the sample")
+        seqs = [EmbeddedSequence(Tensor(decode_floats(tokens[tag], d_in[tag], f"{where}, {tag}")))
+                for tag in SOURCE_TAGS]
+        samples[sid] = Sample(sid, label, corruption, *seqs)
+    return list(samples.values())

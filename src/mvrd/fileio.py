@@ -11,7 +11,9 @@ leaves the previous file as it was, never truncated.
 
 Records stream both ways: ``write_records`` encodes one record at a time and
 ``read_record_lines`` yields one parsed line at a time, so a loader checks the
-header before any record and never holds the list of every record dict.
+header before any record and never holds the list of every record dict. The
+features and teacher files hold one record per sample, so their loaders build
+each sample from its own line, in one pass.
 """
 
 from __future__ import annotations

@@ -191,17 +191,18 @@ def save_teacher_file(records, spec: ProjectionSpec, path) -> None:
 def load_teacher_file(path) -> TeacherFileData:
     """Load and validate a format 2 teacher file; any other version is refused.
     Only each sample's projected (3, d) rows are kept; a sample seen twice, or
-    rows that overflow the projection, are refused."""
+    rows that overflow the projection, are refused. The projection is built
+    when the first record arrives, so a header-only file builds none."""
     path = Path(path)
     lines = read_record_lines(path)
     _, header = next(lines, (0, None))
     check_format_version(path, header, TEACHER_VERSION, _REMEDY)
     try:
         spec = ProjectionSpec(header.get("d_t"), header.get("d"), header.get("projection_seed"))
-        matrix = spec.matrix()
-    except (ValueError, MemoryError) as exc:  # a ParameterError, or a projection too large to build
+    except ParameterError as exc:
         raise FormatError(f"{path}: header {exc}") from exc
 
+    matrix = None
     embeddings: dict[str, TeacherEmbeddings] = {}
     for lineno, obj in lines:
         try:
@@ -213,6 +214,11 @@ def load_teacher_file(path) -> TeacherFileData:
         _check_record(chains, raw, spec.d_t, where)
         if sid in embeddings:
             raise ValidationError(f"{where}: duplicate record for the sample")
+        if matrix is None:
+            try:
+                matrix = spec.matrix()
+            except (ValueError, MemoryError) as exc:  # a projection too large to build
+                raise FormatError(f"{path}: header {exc}") from exc
         # row by row: one (3, d_t) GEMM would round differently from three GEMVs
         with np.errstate(over="ignore", invalid="ignore"):  # refused just below
             rows = np.stack([row @ matrix for row in raw])

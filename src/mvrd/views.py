@@ -69,14 +69,12 @@ def per_view_labels(y) -> np.ndarray:
 
 @dataclass
 class EmbeddedSequence:
-    """One embedded input sequence: L positions, each a d_in-dim vector."""
+    """One embedded input sequence: L positions, each a d_in-dim vector. Its
+    source is the ``SOURCE_TAGS`` key it is held under."""
 
     tokens: Tensor
-    source_tag: str
 
     def __post_init__(self):
-        if self.source_tag not in SOURCE_TAGS:
-            raise ValidationError(f"unknown source_tag {self.source_tag!r}")
         if self.tokens.ndim != 2 or self.tokens.shape[0] < 1:
             raise DimensionError(
                 f"sequence tokens must be (L >= 1, d_in), got {self.tokens.shape}"

@@ -10,24 +10,25 @@ import numpy as np
 from mvrd.views import SOURCE_TAGS
 
 
-def header_line(d_in, version: int = 2) -> str:
+def header_line(d_in, version: int = 3) -> str:
     return json.dumps({"format_version": version, "d_in": d_in})
 
 
 def tokens_text(tokens) -> str:
-    """Format 2's ``tokens`` field: the padded standard base64 of the array
-    as little-endian float64, row-major."""
+    """One token array as the ``tokens`` map holds it: the padded standard
+    base64 of the array as little-endian float64, row-major."""
     return base64.b64encode(np.asarray(tokens, dtype="<f8").tobytes()).decode("ascii")
 
 
-def record_line(tag: str, tokens, sample_id: str = "s", label=0, corruption: str = "none") -> str:
-    """One features record whose ``tokens`` field encodes ``tokens``."""
-    return json.dumps({"sample_id": sample_id, "label": label, "corruption": corruption,
-                       "source_tag": tag, "tokens": tokens_text(tokens)})
+def record_line(tokens, sample_id: str = "s", label=0, corruption: str = "none") -> str:
+    """One features record whose ``tokens`` map holds each array of
+    ``tokens`` encoded, under the same key."""
+    texts = {tag: tokens_text(t) for tag, t in tokens.items()}
+    return json.dumps({"sample_id": sample_id, "label": label, "corruption": corruption, "tokens": texts})
 
 
 def one_sample_file(path, d_in, tokens: dict) -> None:
-    """A header declaring ``d_in``, then one record per source tag of sample
-    "s", each with ``tokens[tag]``."""
-    lines = [header_line(d_in)] + [record_line(tag, tokens[tag]) for tag in SOURCE_TAGS]
-    path.write_text("\n".join(lines) + "\n", "utf-8")
+    """A header declaring ``d_in``, then the record of sample "s" with
+    ``tokens[tag]`` for each source tag."""
+    record = record_line({tag: tokens[tag] for tag in SOURCE_TAGS})
+    path.write_text(header_line(d_in) + "\n" + record + "\n", "utf-8")

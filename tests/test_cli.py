@@ -113,8 +113,6 @@ class TestGenTeacher:
                 "gen-teacher",
                 "--features",
                 str(data_dir / "features.jsonl"),
-                "--mode",
-                "mock",
                 "--d-t",
                 "16",
                 "--student-dim",
@@ -132,7 +130,7 @@ class TestGenTeacher:
 
     def test_zero_student_dim_is_an_error(self, data_dir, tmp_path, capsys):
         out = tmp_path / "teacher-bad.jsonl"
-        argv = ["gen-teacher", "--features", str(data_dir / "features.jsonl"), "--mode", "mock"]
+        argv = ["gen-teacher", "--features", str(data_dir / "features.jsonl")]
         assert main(argv + ["--student-dim", "0", "--out", str(out)]) == 1
         err = json.loads(capsys.readouterr().err.strip())
         assert err["error"] == "ParameterError"
@@ -176,8 +174,10 @@ class TestFlags:
             ["eval", "--checkpoint", "c.bin", "--features", "f.jsonl", "--seed", "1"],
             ["gen-teacher", "--features", "f.jsonl", "--config", "run.cfg"],
             ["grad-check", "--config", "/nonexistent.cfg", "--d", "8", "--samples", "2"],
+            # the chains come from an endpoint exactly when --endpoint is given
+            ["gen-teacher", "--features", "f.jsonl", "--mode", "mock"],
         ],
-        ids=["eval-config", "eval-seed", "gen-teacher-config", "grad-check-config"],
+        ids=["eval-config", "eval-seed", "gen-teacher-config", "grad-check-config", "gen-teacher-mode"],
     )
     def test_flags_nothing_reads_are_refused(self, argv, capsys):
         # each subcommand takes only the flags it reads
@@ -223,14 +223,17 @@ class TestErrors:
 
     @pytest.mark.parametrize("command", ["train", "eval", "gen-teacher"])
     def test_format_1_features_file_refused(self, data_dir, tmp_path, capsys, command):
-        # the generated corpus written back in format 1: decimal token lists
+        # the generated corpus written back in format 1: a record per sample
+        # and source, its tokens a list of decimal rows
         lines = (data_dir / "features.jsonl").read_text("utf-8").splitlines()
         header, *records = (json.loads(line) for line in lines)
+        old_lines = [{**header, "format_version": 1}]
         for r in records:
-            width = header["d_in"][r["source_tag"]]
-            r["tokens"] = np.frombuffer(base64.b64decode(r["tokens"]), "<f8").reshape(-1, width).tolist()
+            for tag, text in r.pop("tokens").items():
+                rows = np.frombuffer(base64.b64decode(text), "<f8").reshape(-1, header["d_in"][tag])
+                old_lines.append({**r, "source_tag": tag, "tokens": rows.tolist()})
         old = tmp_path / "old.jsonl"
-        old.write_text("".join(json.dumps(r) + "\n" for r in [{**header, "format_version": 1}, *records]))
+        old.write_text("".join(json.dumps(line) + "\n" for line in old_lines))
         checkpoint = tmp_path / "model.bin"
         save_checkpoint(Model(TrainConfig(), {tag: 8 for tag in SOURCE_TAGS}), checkpoint)
         out = tmp_path / "out"
@@ -242,7 +245,7 @@ class TestErrors:
         assert main(argv) == 1
         err = json.loads(capsys.readouterr().err.strip())
         assert err["error"] == "FormatError"
-        assert "format_version 1 (expected 2)" in err["message"]
+        assert "format_version 1 (expected 3)" in err["message"]
         assert "mvrd gen-data" in err["message"] and "save_features_file" in err["message"]
         assert not out.exists()
 

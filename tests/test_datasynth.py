@@ -26,6 +26,8 @@ from features_lines import header_line, one_sample_file, tokens_text
 
 # a features header that loads, so that a later line's fault is the one reported
 VALID_HEADER = header_line({tag: 2 for tag in SOURCE_TAGS}).encode()
+# one row that fits VALID_HEADER's widths
+ROW = tokens_text([[0.5, 0.25]])
 
 
 def small_cfg(**kw):
@@ -210,13 +212,13 @@ class TestFeatureFile:
         path = tmp_path / "features.jsonl"
         save_features_file(generate_dataset(small_cfg(n_samples=2)), path)
         lines = path.read_text("utf-8").splitlines()
-        record = json.loads(lines[3])
-        tokens = np.frombuffer(base64.b64decode(record["tokens"]), "<f8").copy()
+        record = json.loads(lines[2])
+        tokens = np.frombuffer(base64.b64decode(record["tokens"]["image-patches"]), "<f8").copy()
         tokens[0] = float(literal)
-        record["tokens"] = tokens_text(tokens)
-        lines[3] = json.dumps(record)
+        record["tokens"]["image-patches"] = tokens_text(tokens)
+        lines[2] = json.dumps(record)
         path.write_text("\n".join(lines) + "\n", "utf-8")
-        with pytest.raises(FormatError, match="line 4.*non-finite"):
+        with pytest.raises(FormatError, match="line 3: sample 's00001', image-patches: non-finite"):
             load_features_file(path)
 
     @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
@@ -226,27 +228,23 @@ class TestFeatureFile:
         save_features_file(generate_dataset(small_cfg(n_samples=2)), path)
         before = path.read_bytes()
         ds = generate_dataset(small_cfg(n_samples=2))
-        ds[1].image_seq.tokens.values[0, 1] = value  # sample 2's image-patches: line 7
-        with pytest.raises(FormatError, match="line 7: non-finite"):
+        ds[1].image_seq.tokens.values[0, 1] = value  # sample 2: line 3
+        with pytest.raises(FormatError, match="line 3: sample 's00001', image-patches: non-finite"):
             save_features_file(ds, path)
         assert path.read_bytes() == before
         assert [p.name for p in tmp_path.iterdir()] == ["features.jsonl"]
 
     @pytest.mark.parametrize("label", [1.7, "1", True])
     def test_label_must_be_json_integer(self, tmp_path, label):
-        # every record of a fake sample carries the bad label, so the records agree
-        import json
-
         path = tmp_path / "features.jsonl"
         save_features_file(generate_dataset(small_cfg(n_samples=2)), path)
         lines = path.read_text("utf-8").splitlines()
-        records = [json.loads(line) for line in lines[1:]]
-        fake = next(r["sample_id"] for r in records if r["label"] == 1)
-        for r in records:
-            if r["sample_id"] == fake:
-                r["label"] = label
-        path.write_text("\n".join(lines[:1] + [json.dumps(r) for r in records]) + "\n", "utf-8")
-        with pytest.raises(FormatError, match="label"):
+        record = json.loads(lines[2])
+        assert record["label"] == 1  # the fake sample
+        record["label"] = label
+        lines[2] = json.dumps(record)
+        path.write_text("\n".join(lines) + "\n", "utf-8")
+        with pytest.raises(FormatError, match="line 3: sample 's00001': label"):
             load_features_file(path)
 
     def test_invalid_utf8_rejected(self, tmp_path):
@@ -258,23 +256,25 @@ class TestFeatureFile:
     def test_bad_header_refused_before_later_lines(self, tmp_path):
         # records stream: the header is checked before line 2 is decoded
         path = tmp_path / "features.jsonl"
-        path.write_bytes(b'{"format_version": 3}\n{"sample_id": "\xff"}\n')
-        with pytest.raises(FormatError, match="format_version 3"):
+        path.write_bytes(b'{"format_version": 4}\n{"sample_id": "\xff"}\n')
+        with pytest.raises(FormatError, match="format_version 4"):
             load_features_file(path)
 
     def test_format_1_file_refused_with_remedy(self, tmp_path):
-        # format 1 wrote each token array as nested lists of decimal floats
+        # formats 1 and 2 held one record per sample and source; format 1 wrote
+        # each token array as nested lists of decimals, format 2 as base64
         path = tmp_path / "features.jsonl"
         d_in = {tag: 2 for tag in SOURCE_TAGS}
-        lines = [header_line(d_in, version=1)] + [
-            json.dumps({"sample_id": "s", "label": 0, "corruption": "none", "source_tag": tag,
-                        "tokens": [[0.5, 0.25]]})
-            for tag in SOURCE_TAGS
-        ]
-        path.write_text("\n".join(lines) + "\n", "utf-8")
-        with pytest.raises(FormatError, match=r"format_version 1 \(expected 2\)") as info:
-            load_features_file(path)
-        assert "mvrd gen-data" in str(info.value) and "save_features_file" in str(info.value)
+        for version, tokens in ((1, [[0.5, 0.25]]), (2, ROW)):
+            lines = [header_line(d_in, version=version)] + [
+                json.dumps({"sample_id": "s", "label": 0, "corruption": "none", "source_tag": tag,
+                            "tokens": tokens})
+                for tag in SOURCE_TAGS
+            ]
+            path.write_text("\n".join(lines) + "\n", "utf-8")
+            with pytest.raises(FormatError, match=rf"format_version {version} \(expected 3\)") as info:
+                load_features_file(path)
+            assert "mvrd gen-data" in str(info.value) and "save_features_file" in str(info.value)
 
     @pytest.mark.parametrize(
         "tokens",
@@ -286,16 +286,16 @@ class TestFeatureFile:
              "zero-bytes", "one-double", "three-doubles", "nan", "inf", "-inf", "nan-bits"],
     )
     def test_bad_tokens_refused_naming_line(self, tmp_path, tokens):
-        # the header declares width 2, so a row is 16 bytes; line 5 is the last record
+        # the header declares width 2, so a row is 16 bytes; clip-image is the last source
         path = tmp_path / "features.jsonl"
         d_in = {tag: 2 for tag in SOURCE_TAGS}
         one_sample_file(path, d_in, {tag: [[0.5, 0.25]] for tag in SOURCE_TAGS})
         lines = path.read_text("utf-8").splitlines()
-        record = json.loads(lines[4])
-        record["tokens"] = tokens
-        lines[4] = json.dumps(record)
+        record = json.loads(lines[1])
+        record["tokens"]["clip-image"] = tokens
+        lines[1] = json.dumps(record)
         path.write_text("\n".join(lines) + "\n", "utf-8")
-        with pytest.raises(FormatError, match="line 5"):
+        with pytest.raises(FormatError, match="line 2: sample 's', clip-image: "):
             load_features_file(path)
 
     def test_tokens_are_base64_little_endian_float64(self, tmp_path):
@@ -303,10 +303,12 @@ class TestFeatureFile:
         path = tmp_path / "features.jsonl"
         save_features_file(ds, path)
         header, *records = (json.loads(line) for line in path.read_text("utf-8").splitlines())
-        assert header == {"format_version": 2, "d_in": {tag: 8 for tag in SOURCE_TAGS}}
-        expected = [(s.sample_id, tag, tokens_text(seq.tokens.values))
-                    for s in ds for tag, seq in s.sequences().items()]
-        assert [(r["sample_id"], r["source_tag"], r["tokens"]) for r in records] == expected
+        assert header == {"format_version": 3, "d_in": {tag: 8 for tag in SOURCE_TAGS}}
+        expected = [{"sample_id": s.sample_id, "label": s.label, "corruption": s.corruption,
+                     "tokens": {tag: tokens_text(seq.tokens.values) for tag, seq in s.sequences().items()}}
+                    for s in ds]
+        assert records == expected
+        assert [list(r["tokens"]) for r in records] == [list(SOURCE_TAGS)] * len(ds)
 
     def test_two_saves_write_identical_bytes(self, tmp_path):
         ds = generate_dataset(small_cfg(n_samples=6))
@@ -320,12 +322,12 @@ class TestFeatureFile:
         path = tmp_path / "features.jsonl"
         save_features_file(ds, path)
         lines = path.read_text("utf-8").splitlines()
-        # corrupt one record's token width: 4 rows of 7, which no row count of 8 fills
+        # corrupt one array's token width: 4 rows of 7, which no row count of 8 fills
         record = json.loads(lines[2])
-        record["tokens"] = tokens_text(ds[0].image_seq.tokens.values[:, :-1])
+        record["tokens"]["image-patches"] = tokens_text(ds[1].image_seq.tokens.values[:, :-1])
         lines[2] = json.dumps(record)
         path.write_text("\n".join(lines) + "\n", "utf-8")
-        with pytest.raises(FormatError, match=f"line 3.*{record['sample_id']}"):
+        with pytest.raises(FormatError, match="line 3: sample 's00001', image-patches: 224 bytes"):
             load_features_file(path)
 
     def test_mixed_widths_not_saved(self, tmp_path):
@@ -382,17 +384,32 @@ class TestFeatureFile:
         path = tmp_path / "features.jsonl"
         save_features_file(ds, path)
         lines = path.read_text("utf-8").splitlines()
-        import json
+        record = json.loads(lines[1])
+        del record["tokens"]["clip-image"]
+        lines[1] = json.dumps(record)
+        path.write_text("\n".join(lines) + "\n", "utf-8")
+        with pytest.raises(FormatError, match="line 2: sample 's00000': tokens must map exactly"):
+            load_features_file(path)
 
-        kept = [
-            line
-            for line in lines
-            if not (
-                '"s00000"' in line and json.loads(line).get("source_tag") == "clip-image"
-            )
-        ]
-        path.write_text("\n".join(kept) + "\n", "utf-8")
-        with pytest.raises(ValidationError, match="s00000"):
+    @pytest.mark.parametrize(
+        "tokens",
+        [dict.fromkeys([*SOURCE_TAGS, "audio"], ROW), [ROW] * 4, ROW, None, {}],
+        ids=["extra-tag", "list", "string", "null", "empty-object"],
+    )
+    def test_tokens_must_map_exactly_the_source_tags(self, tmp_path, tokens):
+        path = tmp_path / "features.jsonl"
+        record = {"sample_id": "s7", "label": 0, "corruption": "none", "tokens": tokens}
+        path.write_text(VALID_HEADER.decode() + "\n" + json.dumps(record) + "\n", "utf-8")
+        with pytest.raises(FormatError, match="line 2: sample 's7': tokens must map exactly the source tags"):
+            load_features_file(path)
+
+    def test_duplicate_sample_refused(self, tmp_path):
+        # worded as the teacher loader words it
+        path = tmp_path / "features.jsonl"
+        save_features_file(generate_dataset(small_cfg(n_samples=2)), path)
+        lines = path.read_text("utf-8").splitlines()
+        path.write_text("\n".join(lines + lines[1:2]) + "\n", "utf-8")
+        with pytest.raises(ValidationError, match="line 4: sample 's00000': duplicate record for the sample"):
             load_features_file(path)
 
 
@@ -419,27 +436,9 @@ class TestAttachTeacher:
 
 
 class TestSampleType:
-    def seq(self, tag="text-tokens"):
-        return EmbeddedSequence(Tensor(np.zeros((2, 4))), tag)
-
     def test_label_corruption_invariant_enforced(self):
+        seqs = [EmbeddedSequence(Tensor(np.zeros((2, 4)))) for _ in SOURCE_TAGS]
         with pytest.raises(ValidationError):
-            Sample(
-                "x",
-                0,
-                "text-fabrication",
-                self.seq(),
-                self.seq("image-patches"),
-                self.seq("clip-text"),
-                self.seq("clip-image"),
-            )
+            Sample("x", 0, "text-fabrication", *seqs)
         with pytest.raises(ValidationError):
-            Sample(
-                "x",
-                1,
-                "none",
-                self.seq(),
-                self.seq("image-patches"),
-                self.seq("clip-text"),
-                self.seq("clip-image"),
-            )
+            Sample("x", 1, "none", *seqs)

@@ -45,7 +45,7 @@ def encode_constant(model, t, i, c):
     """Model.encode_batch on one sample whose every token is t (text), i
     (image) or c (both clip sequences)."""
     rows = {"text-tokens": t, "image-patches": i, "clip-text": c, "clip-image": c}
-    seqs = [EmbeddedSequence(Tensor(np.tile(rows[tag], (2, 1))), tag) for tag in SOURCE_TAGS]
+    seqs = [EmbeddedSequence(Tensor(np.tile(rows[tag], (2, 1)))) for tag in SOURCE_TAGS]
     sample = Sample("x", 0, "none", *seqs)
     return model.encode_batch(StackedDataset.from_samples([sample]))
 

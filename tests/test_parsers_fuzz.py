@@ -1,7 +1,8 @@
 """Property tests for the three file parsers and the config parser: any input
 either loads or is rejected with the package's own error types, never with a
-raw exception; any finite array saved to a features file loads back
-bit-identical; and any finite teacher array is written bit-identical and
+raw exception; any finite array saved to a features file (format 3, one
+record per sample) is written bit-identical and loads back bit-identical, in
+file order; and any finite teacher array is written bit-identical and
 loads as its exact projection, or is refused if that overflows."""
 
 import numpy as np
@@ -19,7 +20,7 @@ from mvrd.teacher import ProjectionSpec, ReasoningRecord, load_teacher_file, sav
 from mvrd.trainer import CHECKPOINT_MAGIC, load_checkpoint, save_checkpoint
 from mvrd.views import SOURCE_TAGS, VIEWS
 
-from features_lines import one_sample_file
+from features_lines import one_sample_file, tokens_text
 from teacher_lines import embeddings_text
 
 FUZZ = settings(
@@ -177,7 +178,14 @@ def test_finite_tokens_round_trip_bit_identical(tmp_path, values):
         tokens[...] = chunk.reshape(tokens.shape)
     path = tmp_path / "features.jsonl"
     save_features_file(samples, path)
-    back = [seq.tokens.values for s in load_features_file(path) for seq in s.sequences().values()]
+    _, *lines = read_record_lines(path)
+    assert [(r["sample_id"], r["tokens"]) for _, r in lines] == [
+        (s.sample_id, {tag: tokens_text(seq.tokens.values) for tag, seq in s.sequences().items()})
+        for s in samples
+    ]
+    loaded = load_features_file(path)
+    assert [s.sample_id for s in loaded] == [s.sample_id for s in samples]
+    back = [seq.tokens.values for s in loaded for seq in s.sequences().values()]
     assert [t.tobytes() for t in back] == [t.tobytes() for t in seqs]
 
 

@@ -1,6 +1,6 @@
 """Teacher-side contracts: projection, file format, fallback embedder, oracle,
 the one chain path (``fetch_chains``), and the endpoint client with its
-on-disk cache, alone and through ``mvrd gen-teacher --mode endpoint``."""
+on-disk cache, alone and through ``mvrd gen-teacher --endpoint``."""
 
 import gc
 import hashlib
@@ -9,6 +9,7 @@ import json
 import sys
 import threading
 import time
+import tracemalloc
 import warnings
 from http.server import BaseHTTPRequestHandler, HTTPServer
 
@@ -242,9 +243,21 @@ class TestTeacherFile:
 
     @pytest.mark.parametrize("d", [10**30, 2**62, 10**12], ids=["past-int64", "past-address-space", "29-TiB"])
     def test_projection_too_large_to_build_rejected(self, tmp_path, d):
-        # an integer d the header may hold, but no projection numpy can allocate
+        # an integer d the header may hold, but no projection numpy can
+        # allocate; it is built, and refused, when the first record arrives
         with pytest.raises(FormatError, match="header"):
-            load_lines(tmp_path, header_line(d=d))
+            load_lines(tmp_path, header_line(d=d), record_line(RAW))
+
+    def test_header_only_file_builds_no_projection(self, tmp_path):
+        # an 8 x 1,000,000 projection would take 61 MiB
+        tracemalloc.start()
+        try:
+            loaded = load_lines(tmp_path, header_line(d_t=8, d=1_000_000))
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert loaded.embeddings == {} and loaded.spec == ProjectionSpec(d_t=8, d=1_000_000, seed=0)
+        assert peak < 2**20
 
     @pytest.mark.parametrize(
         "kwargs",
@@ -558,7 +571,7 @@ class TestFetchChains:
 
 
 class TestGenTeacherEndpoint:
-    """``mvrd gen-teacher --mode endpoint`` against the local echo server."""
+    """``mvrd gen-teacher --endpoint`` against the local echo server."""
 
     @pytest.fixture()
     def features(self, tmp_path):
@@ -570,7 +583,7 @@ class TestGenTeacherEndpoint:
         return path
 
     def run(self, features, out, *flags):
-        argv = ["gen-teacher", "--features", str(features), "--mode", "endpoint", "--d-t", "16",
+        argv = ["gen-teacher", "--features", str(features), "--d-t", "16",
                 "--student-dim", "8", "--out", str(out), *flags]
         return main(argv)
 
@@ -593,11 +606,11 @@ class TestGenTeacherEndpoint:
 
     @pytest.mark.parametrize(
         "flags",
-        [[], ["--endpoint", "ftp://x"], ["--endpoint", "{echo}", "--retries", "0"],
+        [["--endpoint", "ftp://x"], ["--endpoint", "{echo}", "--retries", "0"],
          ["--endpoint", "{echo}", "--timeout", "0"],
          # fallback_embed cannot embed 4 wide: refused before any fetch
          ["--endpoint", "{echo}", "--d-t", "4"]],
-        ids=["no-endpoint", "ftp", "zero-retries", "zero-timeout", "narrow-d_t"],
+        ids=["ftp", "zero-retries", "zero-timeout", "narrow-d_t"],
     )
     def test_bad_client_setting_exits_before_any_request(
         self, echo_server, features, tmp_path, capsys, flags

@@ -26,20 +26,9 @@ def make_model(d=6, heads=2, seed=0, d_in=8, **overrides):
     return Model(cfg, {tag: d_in for tag in SOURCE_TAGS})
 
 
-def seq(tag, tokens):
-    return EmbeddedSequence(Tensor(tokens), tag)
-
-
 def sample_of(text, image, clip_text, clip_image, sample_id="x"):
-    return Sample(
-        sample_id,
-        0,
-        "none",
-        seq("text-tokens", text),
-        seq("image-patches", image),
-        seq("clip-text", clip_text),
-        seq("clip-image", clip_image),
-    )
+    seqs = [EmbeddedSequence(Tensor(tokens)) for tokens in (text, image, clip_text, clip_image)]
+    return Sample(sample_id, 0, "none", *seqs)
 
 
 def rand_sample(rng, d_in=8, lt=5, li=4, lc=3, sample_id="x"):
@@ -66,13 +55,9 @@ def encode_text(model, tokens):
 class TestEmbeddedSequence:
     def test_rejects_empty_or_flat(self):
         with pytest.raises(Exception):
-            EmbeddedSequence(Tensor(np.zeros((0, 4))), "text-tokens")
+            EmbeddedSequence(Tensor(np.zeros((0, 4))))
         with pytest.raises(Exception):
-            EmbeddedSequence(Tensor(np.zeros(4)), "text-tokens")
-
-    def test_rejects_unknown_tag(self):
-        with pytest.raises(ValidationError):
-            EmbeddedSequence(Tensor(np.zeros((2, 4))), "audio")
+            EmbeddedSequence(Tensor(np.zeros(4)))
 
 
 class TestSelfAttentionPool:
@@ -140,14 +125,6 @@ class TestSelfAttentionPool:
             out = encode_text(model, tokens[perm]).values
             assert np.allclose(out, base, atol=1e-10)
 
-    def test_wrong_source_tag_rejected(self):
-        # each slot of a Sample must carry its own source tag
-        rng = np.random.default_rng(12)
-        good = rand_sample(rng)
-        with pytest.raises(ValidationError, match="image-patches"):
-            Sample("x", 0, "none", good.image_seq, good.image_seq,
-                   good.clip_text_seq, good.clip_image_seq)
-
     def test_d_in_mismatch_rejected(self):
         model = make_model()
         with pytest.raises(DimensionError, match="5"):
@@ -212,15 +189,6 @@ class TestCoAttention:
         other = np.zeros((1, 2))
         out = encode(model, [sample_of(other, other, b, a)]).values[:, CROSS]
         assert np.allclose(out[0], expected, atol=1e-12)
-
-    def test_tag_order_enforced(self):
-        # the clip-image and clip-text slots cannot be swapped
-        img = seq("clip-image", np.zeros((2, 8)))
-        txt = seq("clip-text", np.zeros((2, 8)))
-        text = seq("text-tokens", np.zeros((2, 8)))
-        image = seq("image-patches", np.zeros((2, 8)))
-        with pytest.raises(ValidationError, match="clip"):
-            Sample("x", 0, "none", text, image, img, txt)
 
 
 class TestEncodeViews:
