@@ -7,6 +7,10 @@ source tag, in ``SOURCE_TAGS`` order, to ``fileio.encode_floats``' base64 of
 its (L, d_in[tag]) token array, so tokens are neither printed nor parsed as
 decimal text. The loader builds each sample from its one line.
 
+In memory ``Sample.tokens`` maps the same tags to the plain arrays that
+``generate_dataset`` drew or ``decode_floats`` returned (read-only views of
+the decoded bytes), and nothing copies them until a batch is stacked.
+
 Real samples draw all four embedded sequences around one shared latent, so
 the modalities agree. Fake samples carry exactly one falsity type:
 
@@ -41,47 +45,55 @@ from .teacher import (
     TeacherEmbeddings,
     synthetic_teacher_oracle,
 )
-from .views import SOURCE_TAGS, EmbeddedSequence, check_d_in
+from .views import SOURCE_TAGS, check_d_in
 
 FAKE_TYPES = ("text-fabrication", "image-artifact", "cross-mismatch")
 
 
 @dataclass
+class EmbeddedSequence:
+    """One of ``Sample.tokens``' arrays as ``perfbench/`` reads it."""
+
+    tokens: Tensor
+
+
+@dataclass(eq=False)  # == on a dict of arrays raises
 class Sample:
-    """One news item at desk scale: label, four embedded sequences, teacher targets."""
+    """One news item at desk scale: label, four token arrays, teacher targets.
+    ``tokens`` maps each of ``SOURCE_TAGS``, in order, to a plain
+    (L >= 1, d_in[tag]) float64 array."""
 
     sample_id: str
     label: int
     corruption: str
-    text_seq: EmbeddedSequence
-    image_seq: EmbeddedSequence
-    clip_text_seq: EmbeddedSequence
-    clip_image_seq: EmbeddedSequence
+    tokens: dict[str, np.ndarray]
     teacher: TeacherEmbeddings | None = None
 
     def __post_init__(self):
+        where = f"sample {self.sample_id!r}"
         if self.corruption not in CORRUPTION_TYPES:
-            raise ValidationError(f"unknown corruption type {self.corruption!r}")
-        if self.label not in (0, 1):
-            raise ValidationError(f"label must be 0 (real) or 1 (fake), got {self.label}")
+            raise ValidationError(f"{where}: unknown corruption type {self.corruption!r}")
+        if type(self.label) is not int or self.label not in (0, 1):
+            raise ValidationError(f"{where}: label must be the integer 0 (real) or 1 (fake), "
+                                  f"not {self.label!r}")
         if (self.label == 1) != (self.corruption != "none"):
-            raise ValidationError(
-                f"sample {self.sample_id!r}: label {self.label} inconsistent with "
-                f"corruption {self.corruption!r}"
-            )
+            raise ValidationError(f"{where}: label {self.label} inconsistent with "
+                                  f"corruption {self.corruption!r}")
+        if not (isinstance(self.tokens, dict) and set(self.tokens) == set(SOURCE_TAGS)
+                and all(np.ndim(a) == 2 and len(a) >= 1 for a in self.tokens.values())):
+            raise ValidationError(f"{where}: tokens must map exactly the source tags "
+                                  f"{list(SOURCE_TAGS)} to (L >= 1, d_in) arrays")
 
     def sequences(self) -> dict[str, EmbeddedSequence]:
-        return {
-            "text-tokens": self.text_seq,
-            "image-patches": self.image_seq,
-            "clip-text": self.clip_text_seq,
-            "clip-image": self.clip_image_seq,
-        }
+        """``tokens`` in ``SOURCE_TAGS`` order, each wrapped without a copy, as
+        ``perfbench/`` reads them (``sequences()[tag].tokens.values``). Kept
+        only for that reader: it goes once the benchmark reads ``tokens``."""
+        return {tag: EmbeddedSequence(Tensor._wrap(self.tokens[tag], False)) for tag in SOURCE_TAGS}
 
     def content(self, *tags: str) -> str:
         """The named sequences, each mean-pooled over positions, as 3-decimal
         text: the raw content a prompt-less teacher sees."""
-        pooled = np.concatenate([self.sequences()[tag].tokens.values.mean(axis=0) for tag in tags])
+        pooled = np.concatenate([self.tokens[tag].mean(axis=0) for tag in tags])
         return " ".join(format(v, ".3f") for v in pooled)
 
 
@@ -189,19 +201,19 @@ def generate_dataset(cfg: SyntheticConfig) -> list[Sample]:
         rng = np.random.default_rng(np.random.SeedSequence((cfg.seed, i, 1)))
         z = _latent(cfg, i)
 
-        def tokens(length, latent, gain=1.0, local_rng=rng):
+        def draw(length, latent, gain=1.0, local_rng=rng):
             return gain * latent + cfg.noise_sigma * local_rng.normal(size=(length, cfg.d_in))
 
-        text = tokens(cfg.len_text, z)
-        image = tokens(cfg.len_image, z)
+        text = draw(cfg.len_text, z)
+        image = draw(cfg.len_image, z)
         # the aligned (clip) channels carry the latent more strongly, so the
         # cross view has a workable agreement signal to compare
-        clip_text = tokens(cfg.len_clip, z, cfg.clip_alignment_gain)
+        clip_text = draw(cfg.len_clip, z, cfg.clip_alignment_gain)
         if corruption == "cross-mismatch":
             partner = _latent(cfg, (i + 1) % cfg.n_samples)
-            clip_image = tokens(cfg.len_clip, partner, cfg.clip_alignment_gain)
+            clip_image = draw(cfg.len_clip, partner, cfg.clip_alignment_gain)
         else:
-            clip_image = tokens(cfg.len_clip, z, cfg.clip_alignment_gain)
+            clip_image = draw(cfg.len_clip, z, cfg.clip_alignment_gain)
         if corruption == "text-fabrication":
             text[_planted_positions(rng, cfg.len_text)] += c_student * dirs["text"]
         elif corruption == "image-artifact":
@@ -220,18 +232,8 @@ def generate_dataset(cfg: SyntheticConfig) -> list[Sample]:
             class_scale=cfg.signal_strength,
             corruption_scale=cfg.teacher_corruption_scale,
         )
-        samples.append(
-            Sample(
-                sample_id=f"s{i:05d}",
-                label=label,
-                corruption=corruption,
-                text_seq=EmbeddedSequence(Tensor(text)),
-                image_seq=EmbeddedSequence(Tensor(image)),
-                clip_text_seq=EmbeddedSequence(Tensor(clip_text)),
-                clip_image_seq=EmbeddedSequence(Tensor(clip_image)),
-                teacher=teacher,
-            )
-        )
+        tokens = dict(zip(SOURCE_TAGS, (text, image, clip_text, clip_image)))
+        samples.append(Sample(f"s{i:05d}", label, corruption, tokens, teacher))
     return samples
 
 
@@ -277,16 +279,14 @@ def save_features_file(samples: list[Sample], path) -> None:
     ``encode_floats`` text keyed by source tag; a non-finite token raises
     ``FormatError`` naming its line and sample, and the previous file stays whole."""
     # an empty list, mixed widths or ragged lengths raise before the file is opened
-    d_in = {tag: one_shape(tag, [s.sequences()[tag].tokens.shape for s in samples])[-1]
-            for tag in SOURCE_TAGS}
+    d_in = {tag: one_shape(tag, [s.tokens[tag].shape for s in samples])[-1] for tag in SOURCE_TAGS}
 
     def records():
         yield {"format_version": FEATURES_VERSION, "d_in": d_in}
         for lineno, s in enumerate(samples, start=2):
             where = f"{path}: line {lineno}: sample {s.sample_id!r}"
             yield {"sample_id": s.sample_id, "label": s.label, "corruption": s.corruption,
-                   "tokens": {tag: encode_floats(seq.tokens.values, f"{where}, {tag}")
-                              for tag, seq in s.sequences().items()}}
+                   "tokens": {tag: encode_floats(s.tokens[tag], f"{where}, {tag}") for tag in SOURCE_TAGS}}
 
     write_records(path, records())
 
@@ -312,13 +312,13 @@ def load_features_file(path) -> list[Sample]:
         except KeyError as exc:
             raise FormatError(f"{path}: line {lineno}: bad record (no field {exc})") from exc
         where = f"{path}: line {lineno}: sample {sid!r}"
-        if type(label) is not int or label not in (0, 1):
-            raise FormatError(f"{where}: label must be the integer 0 or 1, not {label!r}")
         if not (isinstance(tokens, dict) and set(tokens) == set(SOURCE_TAGS)):
             raise FormatError(f"{where}: tokens must map exactly the source tags {list(SOURCE_TAGS)}")
         if sid in samples:
             raise ValidationError(f"{where}: duplicate record for the sample")
-        seqs = [EmbeddedSequence(Tensor(decode_floats(tokens[tag], d_in[tag], f"{where}, {tag}")))
-                for tag in SOURCE_TAGS]
-        samples[sid] = Sample(sid, label, corruption, *seqs)
+        arrays = {tag: decode_floats(tokens[tag], d_in[tag], f"{where}, {tag}") for tag in SOURCE_TAGS}
+        try:
+            samples[sid] = Sample(sid, label, corruption, arrays)
+        except ValidationError as exc:  # Sample's label and corruption rules name the sample
+            raise FormatError(f"{path}: line {lineno}: {exc}") from exc
     return list(samples.values())

@@ -367,9 +367,10 @@ def attention(x_q, x_kv, w_q, w_k, w_v, w_o, heads: int) -> Tensor:
     product is one batched matmul, over one (.., heads, L_q, L_kv) score block,
     and the head gradients are written straight into (.., L, W) arrays. K^T is
     copied to a contiguous array once and the gradient of Q reads K from it, so
-    results are bitwise equal to a loop over the heads on contiguous copies;
-    the strided K view rounds differently at L_q = 1 (fusion). Each weight
-    gradient is one GEMM over all rows.
+    results are bitwise equal to a loop over the heads on contiguous copies at
+    d_k >= 4; the strided K view rounds differently at L_q = 1 (fusion), and
+    with two or more heads of d_k <= 3, the strided V does at L_kv >= 4. Each
+    weight gradient is one GEMM over all rows.
     """
     x_q, x_kv, w_q, w_k, w_v, w_o = (_tensor(t) for t in (x_q, x_kv, w_q, w_k, w_v, w_o))
     if x_q.ndim < 2 or x_kv.ndim != x_q.ndim or x_kv.shape[:-2] != x_q.shape[:-2]:

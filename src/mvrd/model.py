@@ -1,7 +1,8 @@
 """Full student model: encoders -> calibration -> fusion -> losses.
 
 There is one forward path, and it is batched: a ``StackedDataset`` holds
-one (B, L, d_in) token array per source, keyed by ``SOURCE_TAGS``,
+one (B, L, d_in) token array per source, keyed by ``SOURCE_TAGS``, the
+samples' ``Sample.tokens`` arrays stacked under the same keys;
 ``Model.encode_batch`` turns them into one (B, 3, d) tensor of mean-pooled
 view features (slots in ``VIEWS`` order), ``calibrate_views`` adds the
 predicted corrections, and ``Model.fuse`` pools over the view axis and
@@ -22,8 +23,8 @@ Adam and the checkpoint carry only parameters the run uses. At
 recorded, so teacher values provably cannot influence gradients.
 
 ``one_shape`` holds the one shape rule, which ``StackedDataset.from_samples``
-and ``save_features_file`` apply: each source's sequences, and the teachers,
-share one shape across the samples.
+and ``save_features_file`` apply: each source's token arrays, and the
+teachers, share one shape across the samples.
 """
 
 from __future__ import annotations
@@ -117,10 +118,7 @@ class StackedDataset:
 
     @classmethod
     def from_samples(cls, samples) -> "StackedDataset":
-        tokens = {
-            tag: _stack(tag, [s.sequences()[tag].tokens.values for s in samples])
-            for tag in SOURCE_TAGS
-        }
+        tokens = {tag: _stack(tag, [s.tokens[tag] for s in samples]) for tag in SOURCE_TAGS}
         teachers = [s.teacher.values for s in samples if s.teacher is not None]
         teacher = _stack("teacher", teachers) if len(teachers) == len(samples) else None
         return cls(tokens, np.array([s.label for s in samples], dtype=np.int64), teacher)

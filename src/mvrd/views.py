@@ -1,7 +1,8 @@
 """Student multi-view encoders.
 
-Three views are produced from a sample's four embedded sequences, always as a
-stacked batch of (B, L, d_in) token arrays:
+Three views are produced from a sample's four token arrays, keyed by
+``SOURCE_TAGS`` (``Sample.tokens``), always stacked into a batch of
+(B, L, d_in) arrays under the same keys (``StackedDataset.tokens``):
 
 * text view: multi-head self-attention over token embeddings, mean-pooled,
   projected
@@ -25,18 +26,9 @@ each hold one ``stacked_parameter`` with a slice per view.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
-from .diffcore import (
-    DimensionError,
-    Parameter,
-    Tensor,
-    ValidationError,
-    make_parameter,
-    parameter_seed,
-)
+from .diffcore import Parameter, Tensor, ValidationError, make_parameter, parameter_seed
 
 VIEWS = ("text", "image", "cross")
 SOURCE_TAGS = ("text-tokens", "image-patches", "clip-text", "clip-image")
@@ -65,20 +57,6 @@ def stacked_parameter(slice_name: str, shape: tuple[int, ...], scheme: str, mast
 def per_view_labels(y) -> np.ndarray:
     """Labels (..) repeated for each view slot, (.., 3), to match per-view logits."""
     return np.repeat(np.asarray(y)[..., None], len(VIEWS), axis=-1)
-
-
-@dataclass
-class EmbeddedSequence:
-    """One embedded input sequence: L positions, each a d_in-dim vector. Its
-    source is the ``SOURCE_TAGS`` key it is held under."""
-
-    tokens: Tensor
-
-    def __post_init__(self):
-        if self.tokens.ndim != 2 or self.tokens.shape[0] < 1:
-            raise DimensionError(
-                f"sequence tokens must be (L >= 1, d_in), got {self.tokens.shape}"
-            )
 
 
 def attention_params(prefix: str, d_q: int, d_kv: int, master_seed: int) -> tuple[Parameter, ...]:

@@ -17,12 +17,12 @@ from mvrd.datasynth import (
     save_features_file,
     split,
 )
-from mvrd.diffcore import ParameterError, Tensor, ValidationError
+from mvrd.diffcore import ParameterError, ValidationError
 from mvrd.fileio import FormatError
 from mvrd.metrics import welch_ttest
-from mvrd.views import SOURCE_TAGS, EmbeddedSequence
+from mvrd.views import SOURCE_TAGS
 
-from features_lines import header_line, one_sample_file, tokens_text
+from features_lines import header_line, one_sample_file, record_line, tokens_text
 
 # a features header that loads, so that a later line's fault is the one reported
 VALID_HEADER = header_line({tag: 2 for tag in SOURCE_TAGS}).encode()
@@ -43,10 +43,8 @@ class TestGenerate:
         for s1, s2 in zip(a, b):
             assert s1.sample_id == s2.sample_id
             assert s1.label == s2.label and s1.corruption == s2.corruption
-            for tag in s1.sequences():
-                assert np.array_equal(
-                    s1.sequences()[tag].tokens.values, s2.sequences()[tag].tokens.values
-                )
+            for tag in SOURCE_TAGS:
+                assert np.array_equal(s1.tokens[tag], s2.tokens[tag])
             for view in ("text", "image", "cross"):
                 assert np.array_equal(s1.teacher.view(view).values, s2.teacher.view(view).values)
 
@@ -76,10 +74,10 @@ class TestGenerate:
         cfg = small_cfg(noise_sigma=0.0, corruption_mix=(0.0, 0.0, 1.0), clip_alignment_gain=2.0)
         ds = generate_dataset(cfg)
         for s in ds:
-            z_text = s.text_seq.tokens.values[0]
-            assert np.array_equal(s.image_seq.tokens.values[0], z_text)  # modalities agree
-            clip_t = s.clip_text_seq.tokens.values[0] / cfg.clip_alignment_gain
-            clip_i = s.clip_image_seq.tokens.values[0] / cfg.clip_alignment_gain
+            z_text = s.tokens["text-tokens"][0]
+            assert np.array_equal(s.tokens["image-patches"][0], z_text)  # modalities agree
+            clip_t = s.tokens["clip-text"][0] / cfg.clip_alignment_gain
+            clip_i = s.tokens["clip-image"][0] / cfg.clip_alignment_gain
             assert np.allclose(clip_t, z_text, atol=1e-12)
             if s.corruption == "cross-mismatch":
                 assert not np.allclose(clip_i, z_text, atol=1e-6)  # latent replaced
@@ -94,8 +92,8 @@ class TestGenerate:
             if s.corruption != "cross-mismatch":
                 continue
             partner = by_index[(idx + 1) % len(ds)]
-            partner_latent = partner.text_seq.tokens.values[0]
-            clip_i = s.clip_image_seq.tokens.values[0] / cfg.clip_alignment_gain
+            partner_latent = partner.tokens["text-tokens"][0]
+            clip_i = s.tokens["clip-image"][0] / cfg.clip_alignment_gain
             assert np.allclose(clip_i, partner_latent, atol=1e-12)
 
     def test_text_fabrication_perturbs_subset_of_text_positions(self):
@@ -103,8 +101,8 @@ class TestGenerate:
         for s in generate_dataset(cfg):
             if s.corruption != "text-fabrication":
                 continue
-            z = s.image_seq.tokens.values[0]
-            deltas = np.linalg.norm(s.text_seq.tokens.values - z, axis=1)
+            z = s.tokens["image-patches"][0]
+            deltas = np.linalg.norm(s.tokens["text-tokens"] - z, axis=1)
             assert (deltas > 1e-9).sum() == 1  # sparse planting: one position for L=8
 
     def test_invalid_mix_rejected(self):
@@ -127,9 +125,9 @@ class TestCrossMismatchMarginals:
         assert len(real) >= 1000 and len(fake) >= 1000
         n_tests = 0
         min_p = 1.0
-        for attr in ("text_seq", "image_seq"):
-            pooled_real = np.stack([getattr(s, attr).tokens.values.mean(axis=0) for s in real])
-            pooled_fake = np.stack([getattr(s, attr).tokens.values.mean(axis=0) for s in fake])
+        for tag in ("text-tokens", "image-patches"):
+            pooled_real = np.stack([s.tokens[tag].mean(axis=0) for s in real])
+            pooled_fake = np.stack([s.tokens[tag].mean(axis=0) for s in fake])
             for dim in range(cfg.d_in):
                 result = welch_ttest(pooled_real[:, dim], pooled_fake[:, dim])
                 min_p = min(min_p, result.p)
@@ -141,8 +139,8 @@ class TestCrossMismatchMarginals:
         # must differ from real
         cfg = SyntheticConfig(n_samples=2000, corruption_mix=(1.0, 0.0, 0.0), seed=12)
         ds = generate_dataset(cfg)
-        real = np.stack([s.text_seq.tokens.values.mean(axis=0) for s in ds if s.label == 0])
-        fake = np.stack([s.text_seq.tokens.values.mean(axis=0) for s in ds if s.label == 1])
+        real = np.stack([s.tokens["text-tokens"].mean(axis=0) for s in ds if s.label == 0])
+        fake = np.stack([s.tokens["text-tokens"].mean(axis=0) for s in ds if s.label == 1])
         min_p = min(welch_ttest(real[:, d], fake[:, d]).p for d in range(cfg.d_in))
         assert min_p < 1e-6
 
@@ -193,10 +191,8 @@ class TestFeatureFile:
         assert len(back) == len(ds)
         for s1, s2 in zip(ds, back):
             assert (s1.sample_id, s1.label, s1.corruption) == (s2.sample_id, s2.label, s2.corruption)
-            for tag in s1.sequences():
-                assert np.array_equal(
-                    s1.sequences()[tag].tokens.values, s2.sequences()[tag].tokens.values
-                )
+            for tag in SOURCE_TAGS:
+                assert np.array_equal(s1.tokens[tag], s2.tokens[tag])
 
     def test_empty_file_is_empty_dataset(self, tmp_path):
         path = tmp_path / "features.jsonl"
@@ -228,7 +224,7 @@ class TestFeatureFile:
         save_features_file(generate_dataset(small_cfg(n_samples=2)), path)
         before = path.read_bytes()
         ds = generate_dataset(small_cfg(n_samples=2))
-        ds[1].image_seq.tokens.values[0, 1] = value  # sample 2: line 3
+        ds[1].tokens["image-patches"][0, 1] = value  # sample 2: line 3
         with pytest.raises(FormatError, match="line 3: sample 's00001', image-patches: non-finite"):
             save_features_file(ds, path)
         assert path.read_bytes() == before
@@ -305,7 +301,7 @@ class TestFeatureFile:
         header, *records = (json.loads(line) for line in path.read_text("utf-8").splitlines())
         assert header == {"format_version": 3, "d_in": {tag: 8 for tag in SOURCE_TAGS}}
         expected = [{"sample_id": s.sample_id, "label": s.label, "corruption": s.corruption,
-                     "tokens": {tag: tokens_text(seq.tokens.values) for tag, seq in s.sequences().items()}}
+                     "tokens": {tag: tokens_text(s.tokens[tag]) for tag in SOURCE_TAGS}}
                     for s in ds]
         assert records == expected
         assert [list(r["tokens"]) for r in records] == [list(SOURCE_TAGS)] * len(ds)
@@ -324,7 +320,7 @@ class TestFeatureFile:
         lines = path.read_text("utf-8").splitlines()
         # corrupt one array's token width: 4 rows of 7, which no row count of 8 fills
         record = json.loads(lines[2])
-        record["tokens"]["image-patches"] = tokens_text(ds[1].image_seq.tokens.values[:, :-1])
+        record["tokens"]["image-patches"] = tokens_text(ds[1].tokens["image-patches"][:, :-1])
         lines[2] = json.dumps(record)
         path.write_text("\n".join(lines) + "\n", "utf-8")
         with pytest.raises(FormatError, match="line 3: sample 's00001', image-patches: 224 bytes"):
@@ -403,6 +399,20 @@ class TestFeatureFile:
         with pytest.raises(FormatError, match="line 2: sample 's7': tokens must map exactly the source tags"):
             load_features_file(path)
 
+    @pytest.mark.parametrize(
+        "label, corruption, message",
+        [(0, "bogus", "unknown corruption type 'bogus'"), (1, "bogus", "unknown corruption type 'bogus'"),
+         (0, "text-fabrication", "label 0 inconsistent"), (1, "none", "label 1 inconsistent")],
+        ids=["unknown-real", "unknown-fake", "real-with-fake-type", "fake-with-none"],
+    )
+    def test_bad_corruption_refused_naming_line(self, tmp_path, label, corruption, message):
+        # the rule is Sample's; the loader names the file and line before it
+        path = tmp_path / "features.jsonl"
+        record = record_line(dict.fromkeys(SOURCE_TAGS, [[0.5, 0.25]]), "s7", label, corruption)
+        path.write_text(VALID_HEADER.decode() + "\n" + record + "\n", "utf-8")
+        with pytest.raises(FormatError, match=f"features.jsonl: line 2: sample 's7': {message}"):
+            load_features_file(path)
+
     def test_duplicate_sample_refused(self, tmp_path):
         # worded as the teacher loader words it
         path = tmp_path / "features.jsonl"
@@ -417,18 +427,7 @@ class TestAttachTeacher:
     def test_attaches_and_validates(self):
         ds = generate_dataset(small_cfg(n_samples=4))
         table = {s.sample_id: s.teacher for s in ds}
-        stripped = [
-            Sample(
-                s.sample_id,
-                s.label,
-                s.corruption,
-                s.text_seq,
-                s.image_seq,
-                s.clip_text_seq,
-                s.clip_image_seq,
-            )
-            for s in ds
-        ]
+        stripped = [Sample(s.sample_id, s.label, s.corruption, s.tokens) for s in ds]
         attach_teacher(stripped, table)
         assert all(s.teacher is not None for s in stripped)
         with pytest.raises(ValidationError, match="missing"):
@@ -437,8 +436,38 @@ class TestAttachTeacher:
 
 class TestSampleType:
     def test_label_corruption_invariant_enforced(self):
-        seqs = [EmbeddedSequence(Tensor(np.zeros((2, 4)))) for _ in SOURCE_TAGS]
-        with pytest.raises(ValidationError):
-            Sample("x", 0, "text-fabrication", *seqs)
-        with pytest.raises(ValidationError):
-            Sample("x", 1, "none", *seqs)
+        tokens = {tag: np.zeros((2, 4)) for tag in SOURCE_TAGS}
+        with pytest.raises(ValidationError, match="sample 'x': label 0 inconsistent"):
+            Sample("x", 0, "text-fabrication", tokens)
+        with pytest.raises(ValidationError, match="sample 'x': label 1 inconsistent"):
+            Sample("x", 1, "none", tokens)
+        with pytest.raises(ValidationError, match="sample 'x': unknown corruption type 'bogus'"):
+            Sample("x", 1, "bogus", tokens)
+
+    @pytest.mark.parametrize(
+        "tokens",
+        [{tag: np.zeros((2, 4)) for tag in SOURCE_TAGS[:-1]},
+         {tag: np.zeros((2, 4)) for tag in [*SOURCE_TAGS, "audio"]},
+         [np.zeros((2, 4))] * len(SOURCE_TAGS)],
+        ids=["missing-tag", "extra-tag", "list"],
+    )
+    def test_tokens_must_map_exactly_the_source_tags(self, tokens):
+        with pytest.raises(ValidationError, match="sample 'x': tokens must map exactly the source tags"):
+            Sample("x", 0, "none", tokens)
+
+    @pytest.mark.parametrize("source", ["generated", "loaded"])
+    def test_sequences_wrap_the_token_arrays_uncopied(self, tmp_path, source):
+        # the benchmark's accessor: a copy here would hold a second corpus in memory
+        samples = generate_dataset(small_cfg(n_samples=3))
+        if source == "loaded":
+            save_features_file(samples, tmp_path / "features.jsonl")
+            samples = load_features_file(tmp_path / "features.jsonl")
+        for s in samples:
+            assert list(s.tokens) == list(SOURCE_TAGS)
+            seqs = s.sequences()
+            assert list(seqs) == list(SOURCE_TAGS)
+            for tag, seq in seqs.items():
+                assert seq.tokens.values is s.tokens[tag]
+                assert s.tokens[tag].dtype == np.float64
+                # a loaded array is the decoded bytes themselves, read-only
+                assert s.tokens[tag].flags.writeable == (source == "generated")

@@ -20,7 +20,7 @@ from mvrd.fusion import (
     total_loss,
 )
 from mvrd.model import Model, StackedDataset
-from mvrd.views import SOURCE_TAGS, EmbeddedSequence
+from mvrd.views import SOURCE_TAGS
 
 TEXT, IMAGE, CROSS = range(3)
 
@@ -45,8 +45,7 @@ def encode_constant(model, t, i, c):
     """Model.encode_batch on one sample whose every token is t (text), i
     (image) or c (both clip sequences)."""
     rows = {"text-tokens": t, "image-patches": i, "clip-text": c, "clip-image": c}
-    seqs = [EmbeddedSequence(Tensor(np.tile(rows[tag], (2, 1)))) for tag in SOURCE_TAGS]
-    sample = Sample("x", 0, "none", *seqs)
+    sample = Sample("x", 0, "none", {tag: np.tile(rows[tag], (2, 1)) for tag in SOURCE_TAGS})
     return model.encode_batch(StackedDataset.from_samples([sample]))
 
 

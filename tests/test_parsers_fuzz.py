@@ -157,7 +157,7 @@ def test_features_header_widths(tmp_path, d_in, width):
     assert all(type(d_in.get(tag)) is int and d_in[tag] >= 1 and width % d_in[tag] == 0 < width
                for tag in SOURCE_TAGS)
     text_width = d_in["text-tokens"]
-    assert [s.text_seq.tokens.shape for s in samples] == [(width // text_width, text_width)]
+    assert [s.tokens["text-tokens"].shape for s in samples] == [(width // text_width, text_width)]
 
 
 # negative zero, the smallest subnormal of each sign, a mid-range subnormal,
@@ -165,7 +165,7 @@ def test_features_header_widths(tmp_path, d_in, width):
 EDGE_FLOATS = [-0.0, 5e-324, -5e-324, 1e-310, 2.225073858507201e-308,
                1.7976931348623157e308, -1.7976931348623157e308]
 FINITE = st.floats(allow_nan=False, allow_infinity=False) | st.sampled_from(EDGE_FLOATS)
-N_TOKENS = sum(seq.tokens.values.size for s in tiny_samples() for seq in s.sequences().values())
+N_TOKENS = sum(a.size for s in tiny_samples() for a in s.tokens.values())
 
 
 @FUZZ
@@ -173,19 +173,19 @@ N_TOKENS = sum(seq.tokens.values.size for s in tiny_samples() for seq in s.seque
 @example(values=np.resize(EDGE_FLOATS, N_TOKENS))
 def test_finite_tokens_round_trip_bit_identical(tmp_path, values):
     samples = tiny_samples()
-    seqs = [seq.tokens.values for s in samples for seq in s.sequences().values()]
+    seqs = [a for s in samples for a in s.tokens.values()]
     for tokens, chunk in zip(seqs, np.split(values, np.cumsum([t.size for t in seqs])[:-1])):
         tokens[...] = chunk.reshape(tokens.shape)
     path = tmp_path / "features.jsonl"
     save_features_file(samples, path)
     _, *lines = read_record_lines(path)
     assert [(r["sample_id"], r["tokens"]) for _, r in lines] == [
-        (s.sample_id, {tag: tokens_text(seq.tokens.values) for tag, seq in s.sequences().items()})
+        (s.sample_id, {tag: tokens_text(s.tokens[tag]) for tag in SOURCE_TAGS})
         for s in samples
     ]
     loaded = load_features_file(path)
     assert [s.sample_id for s in loaded] == [s.sample_id for s in samples]
-    back = [seq.tokens.values for s in loaded for seq in s.sequences().values()]
+    back = [a for s in loaded for a in s.tokens.values()]
     assert [t.tobytes() for t in back] == [t.tobytes() for t in seqs]
 
 

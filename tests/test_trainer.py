@@ -275,7 +275,7 @@ class TestTrain:
 
     def test_non_finite_loss_raises_with_debug_checks(self):
         ds = tiny_dataset()
-        ds[0].text_seq.tokens.values[0, 0] = np.nan
+        ds[0].tokens["text-tokens"][0, 0] = np.nan
         with pytest.raises(ContractError, match="identities"):
             train(tiny_cfg(epochs=1), ds)
 

@@ -16,7 +16,7 @@ from mvrd.diffcore import (
     DimensionError, Tensor, ValidationError, attention, backward, linear, mean, zero_grads,
 )
 from mvrd.model import Model, StackedDataset, check_fit
-from mvrd.views import SOURCE_TAGS, EmbeddedSequence, ViewEncoderParams
+from mvrd.views import SOURCE_TAGS, ViewEncoderParams
 
 TEXT, IMAGE, CROSS = range(3)
 
@@ -27,8 +27,7 @@ def make_model(d=6, heads=2, seed=0, d_in=8, **overrides):
 
 
 def sample_of(text, image, clip_text, clip_image, sample_id="x"):
-    seqs = [EmbeddedSequence(Tensor(tokens)) for tokens in (text, image, clip_text, clip_image)]
-    return Sample(sample_id, 0, "none", *seqs)
+    return Sample(sample_id, 0, "none", dict(zip(SOURCE_TAGS, (text, image, clip_text, clip_image))))
 
 
 def rand_sample(rng, d_in=8, lt=5, li=4, lc=3, sample_id="x"):
@@ -54,10 +53,12 @@ def encode_text(model, tokens):
 
 class TestEmbeddedSequence:
     def test_rejects_empty_or_flat(self):
-        with pytest.raises(Exception):
-            EmbeddedSequence(Tensor(np.zeros((0, 4))))
-        with pytest.raises(Exception):
-            EmbeddedSequence(Tensor(np.zeros(4)))
+        # a sample's every sequence is (L >= 1, d_in)
+        ok = np.zeros((2, 4))
+        with pytest.raises(ValidationError, match=r"\(L >= 1, d_in\) arrays"):
+            sample_of(ok, np.zeros((0, 4)), ok, ok)
+        with pytest.raises(ValidationError, match=r"\(L >= 1, d_in\) arrays"):
+            sample_of(ok, ok, ok, np.zeros(4))
 
 
 class TestSelfAttentionPool:
@@ -205,13 +206,8 @@ class TestEncodeViews:
         rng = np.random.default_rng(9)
         s = rand_sample(rng)
         base = encode(model, [s]).values[:, IMAGE]
-        perm = rng.permutation(s.image_seq.tokens.shape[0])
-        permuted = sample_of(
-            s.text_seq.tokens.values,
-            s.image_seq.tokens.values[perm],
-            s.clip_text_seq.tokens.values,
-            s.clip_image_seq.tokens.values,
-        )
+        perm = rng.permutation(len(s.tokens["image-patches"]))
+        permuted = Sample("x", 0, "none", {**s.tokens, "image-patches": s.tokens["image-patches"][perm]})
         out = encode(model, [permuted]).values[:, IMAGE]
         assert np.allclose(out, base, atol=1e-10)
 
